@@ -16,7 +16,7 @@ from .errors import SorklieError
 from .groups import nu_eval, nu_upper_bound, parse_group_expr, simple_factors
 from .realforms import nu_simple
 from .roots import RootSystemType, build_root_system
-from .sork import OrthCertificate, sork_exact, verify_certificate
+from .sork import CertCheck, OrthCertificate, sork_exact, verify_certificate
 from .errors import RuleNotApplicable
 
 EXIT_OK = 0
@@ -117,8 +117,12 @@ def _cmd_certify(args) -> int:
     else:
         with open(args.path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    cert = OrthCertificate.from_json_dict(json.loads(raw))
-    check = verify_certificate(cert)
+    doc = json.loads(raw)
+    cert = OrthCertificate.from_json_dict(doc)
+    if doc.get("n", len(cert.roots)) != len(cert.roots):
+        check = CertCheck(False, "CountMismatch")
+    else:
+        check = verify_certificate(cert)
     if check:
         print(f"valid certificate: {len(cert.roots)} strongly orthogonal "
               f"roots in {cert.system_type}")

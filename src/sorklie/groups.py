@@ -323,7 +323,11 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "sym" and nxt.text == "^":
                 self.next()
+                dim_tok = self.peek()
                 n = self.expect_int()
+                if n < 1:
+                    raise ExprSyntaxError("dimension must be >= 1",
+                                          dim_tok.offset)
                 return SolvableAtom(f"R^{n}")
             return SolvableAtom("R^1")
         if lname == "solvable":

@@ -231,7 +231,11 @@ def nu_simple(d: RealFormDescriptor) -> NuResult:
     t = complexification_type(d)
     s = sork_formula(t)
     n_exact, cert = sork_exact(build_root_system(t))
-    assert n_exact == s
+    if n_exact != s:
+        raise AssertionError(
+            f"search bug: exact search gives sork({t}) = {n_exact}, "
+            f"the closed formula {s}"
+        )
     if d.kind == "complex":
         return NuResult(s, NuCase.COMPLEX_STRUCTURE, s, cert)
     if is_sopq_exception(d):

@@ -3,8 +3,11 @@
 The search reduces to a maximum clique problem on the graph whose vertices
 are antipodal pairs of roots (a strongly orthogonal set never contains both
 a root and its negative) and whose edges join strongly orthogonal pairs.
-A branch-and-bound solver with a greedy coloring bound finds the clique
-number, then the lexicographically least maximum clique is extracted
+The graph is built from integer dot products of the doubled coordinates
+and one membership lookup per orthogonal pair.  The Weyl group acts on it
+by automorphisms, so the clique number is found by a branch-and-bound
+search (greedy coloring bound) in the neighbourhood of one vertex per
+Weyl orbit.  The lexicographically least maximum clique is then extracted
 greedily, so the reported certificate is canonical.
 """
 
@@ -12,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 from typing import Sequence
 
-from .errors import InvalidType
+from .errors import CertificateError, InvalidType
 from .roots import (
     Root,
     RootSystem,
@@ -41,16 +45,33 @@ class OrthCertificate:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "OrthCertificate":
-        t = RootSystemType.parse(data["system_type"])
-        roots = tuple(Root(tuple(int(c) for c in row)) for row in data["roots"])
-        return cls(t, roots)
+    def from_json_dict(cls, data: object) -> "OrthCertificate":
+        """Parse a certificate document; raises :class:`CertificateError`
+        if it is not an object with a string ``system_type``, a list of
+        integer lists ``roots`` and, if present, an integer ``n``."""
+        if not isinstance(data, dict):
+            raise CertificateError("certificate must be a JSON object")
+        label, rows = data.get("system_type"), data.get("roots")
+        if not isinstance(label, str):
+            raise CertificateError("system_type must be a string")
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(_is_int(c) for c in row)
+                for row in rows):
+            raise CertificateError("roots must be a list of lists of integers")
+        if not _is_int(data.get("n", 0)):
+            raise CertificateError("n must be an integer")
+        return cls(RootSystemType.parse(label), tuple(Root(tuple(row)) for row in rows))
+
+
+def _is_int(x: object) -> bool:
+    return type(x) is int  # JSON true/false load as bool, a subclass of int
 
 
 @dataclass(frozen=True)
 class CertCheck:
     """Verification outcome; ``reason`` is one of NotARoot,
-    NotStronglyOrthogonal, NotCanonical when ``ok`` is false."""
+    NotStronglyOrthogonal, NotCanonical, CountMismatch when ``ok`` is
+    false."""
 
     ok: bool
     reason: str | None = None
@@ -136,12 +157,18 @@ def max_clique_size(neigh: Sequence[int], cand: int | None = None,
     return best
 
 
-def lex_min_max_clique(neigh: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+def lex_min_max_clique(neigh: Sequence[int],
+                       size: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Clique number plus the lexicographically least maximum clique
-    (as an increasing tuple of vertex indices)."""
+    (as an increasing tuple of vertex indices).
+
+    ``size`` is the clique number if the caller already knows it; when None
+    it is found by a full search.
+    """
     n = len(neigh)
     full = (1 << n) - 1
-    size = max_clique_size(neigh, full)
+    if size is None:
+        size = max_clique_size(neigh, full)
     chosen: list[int] = []
     cand = full
     for v in range(n):
@@ -154,22 +181,88 @@ def lex_min_max_clique(neigh: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         if max_clique_size(neigh, rest, stop_at=need) >= need:
             chosen.append(v)
             cand = rest
-    assert len(chosen) == size
+    if len(chosen) != size:
+        raise AssertionError(
+            f"search bug: extracted a clique of {len(chosen)} vertices, "
+            f"expected {size}"
+        )
     return size, tuple(chosen)
 
 
 def strong_orthogonality_graph(phi: RootSystem) -> tuple[tuple[Root, ...], list[int]]:
     """Vertices (antipodal representatives in lexicographic order) and
-    bitmask adjacency of the strong orthogonality relation."""
+    bitmask adjacency of the strong orthogonality relation.
+
+    For orthogonal roots a, b the reflection s_b maps a+b to a-b, so a+b is
+    a root iff a-b is: one lookup decides strong orthogonality.
+    """
     reps = phi.positive_representatives()
-    n = len(reps)
+    coords = [r.coords for r in reps]
+    n = len(coords)
     neigh = [0] * n
-    for i in range(n):
+    for i, a in enumerate(coords):
         for j in range(i + 1, n):
-            if is_strongly_orthogonal(reps[i], reps[j], phi):
+            b = coords[j]
+            if (sum(map(mul, a, b)) == 0
+                    and not phi.contains_coords(tuple(map(add, a, b)))):
                 neigh[i] |= 1 << j
                 neigh[j] |= 1 << i
     return reps, neigh
+
+
+def vertex_orbits(phi: RootSystem, reps: Sequence[Root]) -> list[list[int]]:
+    """Orbits of the Weyl group on the antipodal pairs ``reps``, as lists of
+    indices into ``reps`` in breadth-first order from their least index.
+
+    Found by closing each vertex under the simple reflections
+    s_a(v) = v - (2(v,a)/(a,a)) a, in exact integers.
+    """
+    index = {r.coords: i for i, r in enumerate(reps)}
+    simple = [(a.coords, sum(x * x for x in a.coords)) for a in phi.simple_roots]
+    seen = [False] * len(reps)
+    orbits: list[list[int]] = []
+    for start in range(len(reps)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for v in orbit:
+            x = reps[v].coords
+            for a, aa in simple:
+                k = 2 * sum(map(mul, x, a)) // aa
+                if not k:
+                    continue
+                y = tuple(xi - k * ai for xi, ai in zip(x, a))
+                w = index[max(y, tuple(-c for c in y))]
+                if not seen[w]:
+                    seen[w] = True
+                    orbit.append(w)
+        orbits.append(orbit)
+    return orbits
+
+
+def clique_number(phi: RootSystem, reps: Sequence[Root], neigh: Sequence[int]) -> int:
+    """Clique number of the strong orthogonality graph of ``phi``.
+
+    A Weyl group element preserves the root system and inner products, so
+    it maps strongly orthogonal pairs to strongly orthogonal pairs and
+    maximum cliques to maximum cliques.  Every maximum clique has a vertex
+    u in some orbit, and an element carrying u to that orbit's
+    representative v carries the clique to a maximum clique through v.
+    Hence the clique number is the maximum over orbit representatives v of
+    1 + (clique number of the neighbourhood of v).
+
+    Strongly orthogonal roots are nonzero and pairwise orthogonal, hence
+    linearly independent, so no clique exceeds the rank.  Orbits are
+    searched largest first, and no further orbit is searched once the
+    maximum so far equals the rank.
+    """
+    best = 0
+    for orbit in sorted(vertex_orbits(phi, reps), key=len, reverse=True):
+        best = max(best, 1 + max_clique_size(neigh, neigh[orbit[0]]))
+        if best == phi.type.rank:
+            break
+    return best
 
 
 def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
@@ -181,7 +274,7 @@ def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
 def _sork_exact_cached(t: RootSystemType) -> tuple[int, OrthCertificate]:
     phi = build_root_system(t)
     reps, neigh = strong_orthogonality_graph(phi)
-    size, clique = lex_min_max_clique(neigh)
+    size, clique = lex_min_max_clique(neigh, size=clique_number(phi, reps, neigh))
     cert = OrthCertificate(t, tuple(reps[v] for v in clique))
     return size, cert
 

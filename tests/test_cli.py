@@ -102,6 +102,27 @@ class TestCertify:
         code, _, err = run(capsys, "certify", str(path))
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("doc", [
+        [{"system_type": "E8", "roots": []}],
+        {"system_type": "E8", "roots": [[None]]},
+        {"system_type": "E8", "n": 1, "roots": [[True, 1, 1, 1, 1, 1, 1, 1]]},
+    ], ids=["top_level_list", "null_coordinate", "bool_coordinate"])
+    def test_wrong_shape_is_a_typed_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_n_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(
+            {"system_type": "E8", "n": 99, "roots": [[2, 2, 0, 0, 0, 0, 0, 0]]}))
+        code, out, _ = run(capsys, "certify", str(path))
+        assert code == EXIT_AUDIT_FAIL
+        assert out == "invalid certificate: CountMismatch\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent/cert.json")
         assert code == EXIT_ERROR

@@ -145,7 +145,7 @@ class TestParser:
     @pytest.mark.parametrize("text", [
         "", "su(", "su)", "su(2,", "so(3,5", "x su(2)", "su(2) x",
         "su(2))", "ext(Z, su(2))", "ext(Z, su(2), weird)", "su(2)^0",
-        "Z/0", "foo(3)", "su(2) ? su(3)",
+        "Z/0", "foo(3)", "su(2) ? su(3)", "R^-3", "R^0",
     ])
     def test_syntax_errors(self, text):
         with pytest.raises(ExprSyntaxError):

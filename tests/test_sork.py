@@ -17,10 +17,12 @@ from sorklie import (
     sork_formula,
     verify_certificate,
 )
+from sorklie.roots import is_strongly_orthogonal
 from sorklie.sork import (
     lex_min_max_clique,
     max_clique_size,
     strong_orthogonality_graph,
+    vertex_orbits,
 )
 
 
@@ -179,6 +181,12 @@ class TestCliqueSolver:
                         neigh[j] |= 1 << i
             assert max_clique_size(neigh) == max_clique_bruteforce(neigh)
 
+    def test_given_size_too_large_raises(self):
+        neigh = [0b0110, 0b0101, 0b0011, 0b0000]
+        assert lex_min_max_clique(neigh, size=3) == (3, (0, 1, 2))
+        with pytest.raises(AssertionError):
+            lex_min_max_clique(neigh, size=4)
+
     def test_stop_at_short_circuit(self):
         # complete graph on 10 vertices
         n = 10
@@ -203,3 +211,53 @@ class TestGraph:
             assert not neigh[i] >> i & 1
             for j in range(n):
                 assert (neigh[i] >> j & 1) == (neigh[j] >> i & 1)
+
+    @pytest.mark.parametrize("t", list(all_types(8)), ids=str)
+    def test_matches_pairwise_predicate(self, t):
+        phi = build_root_system(t)
+        reps, neigh = strong_orthogonality_graph(phi)
+        n = len(reps)
+        ref = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if i != j and is_strongly_orthogonal(reps[i], reps[j], phi):
+                    ref[i] |= 1 << j
+        assert neigh == ref
+
+
+ORBIT_COUNTS = {"A": 1, "B": 2, "C": 2, "D": 1, "E": 1, "F": 2, "G": 2}
+
+
+class TestWeylOrbits:
+    @pytest.mark.parametrize("t", list(all_types(8)), ids=str)
+    def test_orbits_partition_vertices(self, t):
+        phi = build_root_system(t)
+        reps, _ = strong_orthogonality_graph(phi)
+        orbits = vertex_orbits(phi, reps)
+        assert sorted(v for orbit in orbits for v in orbit) == list(range(len(reps)))
+        expected = 2 if t.is_reducible else ORBIT_COUNTS[t.family]
+        assert len(orbits) == expected
+
+    def test_d2_orbits_have_equal_length(self):
+        phi = _phi("D2")
+        reps, _ = strong_orthogonality_graph(phi)
+        assert vertex_orbits(phi, reps) == [[0], [1]]
+        assert len({sum(c * c for c in r.coords) for r in reps}) == 1
+
+
+class TestOrbitSearchAgainstFullGraph:
+    @pytest.mark.parametrize("t", list(all_types(11)), ids=str)
+    def test_same_size_and_certificate(self, t):
+        phi = build_root_system(t)
+        reps, neigh = strong_orthogonality_graph(phi)
+        size, clique = lex_min_max_clique(neigh)
+        n, cert = sork_exact(phi)
+        assert n == size
+        assert cert.roots == tuple(reps[v] for v in clique)
+
+    @pytest.mark.parametrize("label", ["B13", "D13", "D14"])
+    def test_beyond_rank_12_matches_formula(self, label):
+        phi = _phi(label)
+        n, cert = sork_exact(phi)
+        assert n == sork_formula(phi.type)
+        assert verify_certificate(cert, phi)
