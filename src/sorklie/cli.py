@@ -12,12 +12,11 @@ import json
 import sys
 
 from . import matrixcheck, tables
-from .errors import SorklieError
+from .errors import RuleNotApplicable, SorklieError
 from .groups import nu_eval, nu_upper_bound, parse_group_expr, simple_factors
 from .realforms import nu_simple
 from .roots import RootSystemType, build_root_system
 from .sork import CertCheck, OrthCertificate, sork_exact, verify_certificate
-from .errors import RuleNotApplicable
 
 EXIT_OK = 0
 EXIT_ERROR = 1

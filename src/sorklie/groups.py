@@ -31,6 +31,11 @@ from .realforms import (
 )
 from .roots import RootSystemType
 
+# Largest number of atoms that one ``^k`` may expand to: k times the atoms
+# of its base.  Counting atoms rather than k alone also bounds nested
+# powers such as ``(su(2)^1000)^1000``.
+MAX_POWER = 1000
+
 
 class GroupExpr:
     """Base class for AST nodes.  All nodes are immutable values."""
@@ -156,6 +161,19 @@ def _eval(e: GroupExpr, bound_only: bool) -> int:
     raise TypeError(f"not a group expression: {e!r}")
 
 
+def _atom_count(e: GroupExpr) -> int:
+    """Number of atoms (simple, solvable, finite) in the expanded expression."""
+    if isinstance(e, DirectProduct):
+        return sum(_atom_count(f) for f in e.factors)
+    if isinstance(e, FreeProduct):
+        return _atom_count(e.left) + _atom_count(e.right)
+    if isinstance(e, Extension):
+        return _atom_count(e.kernel) + _atom_count(e.quotient)
+    if isinstance(e, FiniteIndex):
+        return _atom_count(e.inner)
+    return 1
+
+
 def simple_factors(e: GroupExpr) -> list[RealFormDescriptor]:
     """All simple Lie atoms in the expression, in left-to-right order."""
     if isinstance(e, SimpleLie):
@@ -276,6 +294,10 @@ class _Parser:
                 raise ExprSyntaxError("power must be >= 1", power_tok.offset)
             if power == 1:
                 return atom
+            if power * _atom_count(atom) > MAX_POWER:
+                raise ExprSyntaxError(
+                    f"power expands to more than {MAX_POWER} atoms",
+                    power_tok.offset)
             return DirectProduct((atom,) * power)
         return atom
 

@@ -17,6 +17,12 @@ from .errors import DimensionError, InvalidType, MembershipError
 
 _FAMILIES = "ABCDEFG"
 
+# Largest rank that build_root_system materialises.  Labels of any rank
+# still parse, since closed formulas and table audits need no roots; above
+# this cap construction is refused before a single root is built (B64 has
+# 8192 roots, while A99999999 would never finish).
+MAX_BUILD_RANK = 64
+
 # Classical root counts, used as a construction self-check.
 _CARDINALITY = {
     "A": lambda r: r * (r + 1),
@@ -288,8 +294,14 @@ def build_root_system(t: RootSystemType) -> RootSystem:
     """Construct the root system of type ``t`` with Bourbaki simple roots.
 
     Deterministic: roots come out sorted lexicographically on doubled
-    coordinates.  Raises :class:`InvalidType` for out-of-bounds ranks.
+    coordinates.  Raises :class:`InvalidType` for out-of-bounds ranks and
+    for ranks above :data:`MAX_BUILD_RANK`.
     """
+    if t.rank > MAX_BUILD_RANK:
+        raise InvalidType(
+            f"rank {t.rank} of {t} exceeds the construction limit "
+            f"{MAX_BUILD_RANK}"
+        )
     if t.family in "ABCD":
         raw, simple = _classical_roots(t)
     else:

@@ -123,6 +123,16 @@ class TestCertify:
         assert code == EXIT_AUDIT_FAIL
         assert out == "invalid certificate: CountMismatch\n"
 
+    def test_huge_rank_is_refused_before_construction(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sorklie.cli", "certify", "-"],
+            input=json.dumps({"system_type": "A99999999", "roots": []}),
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent/cert.json")
         assert code == EXIT_ERROR

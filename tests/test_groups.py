@@ -21,7 +21,7 @@ from sorklie import (
     so,
     su,
 )
-from sorklie.groups import simple_factors
+from sorklie.groups import MAX_POWER, simple_factors
 
 
 def _su2():
@@ -146,10 +146,20 @@ class TestParser:
         "", "su(", "su)", "su(2,", "so(3,5", "x su(2)", "su(2) x",
         "su(2))", "ext(Z, su(2))", "ext(Z, su(2), weird)", "su(2)^0",
         "Z/0", "foo(3)", "su(2) ? su(3)", "R^-3", "R^0",
+        "su(2)^100000000", "(su(2)^1000)^1000",
     ])
     def test_syntax_errors(self, text):
         with pytest.raises(ExprSyntaxError):
             parse_group_expr(text)
+
+    def test_power_cap(self):
+        assert len(parse_group_expr(f"su(2)^{MAX_POWER}").factors) == MAX_POWER
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_group_expr(f"su(2)^{MAX_POWER + 1}")
+        assert exc.value.offset == 6
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_group_expr("(su(2) x Z)^600")
+        assert exc.value.offset == 12
 
     def test_syntax_error_carries_offset(self):
         with pytest.raises(ExprSyntaxError) as exc:

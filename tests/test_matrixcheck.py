@@ -1,13 +1,21 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sorklie import bracket_split_check, kronecker_sum, trivial_intersection_check
+from sorklie import (
+    bracket_split_check,
+    kronecker_sum,
+    matrixcheck,
+    trivial_intersection_check,
+)
 from sorklie.errors import ShapeError
 from sorklie.matrixcheck import (
     bracket,
+    bracket_split_basis_proof,
     identity,
     kronecker,
     mat_mul,
@@ -98,6 +106,35 @@ class TestBracketSplit:
 
     def test_symbolic(self):
         assert symbolic_bracket_split_2x2()
+
+
+class TestBasisProof:
+    @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_holds(self, s, t):
+        assert bracket_split_basis_proof(s, t)
+
+    def test_anticommutator_fails(self, monkeypatch):
+        # {a, b} = ab + ba does not split: the cross terms g(x)k' + g'(x)k
+        # survive, so a proof that cannot fail would pass here too
+        monkeypatch.setattr(
+            matrixcheck, "bracket",
+            lambda a, b: matrixcheck.mat_add(mat_mul(a, b), mat_mul(b, a)))
+        assert not bracket_split_basis_proof(2, 2)
+
+    def test_size_bounds(self):
+        with pytest.raises(ShapeError):
+            bracket_split_basis_proof(0, 2)
+
+    def test_verify_kronecker_without_sympy(self):
+        code = ("import sys; sys.modules['sympy'] = None; "
+                "from sorklie.cli import main; "
+                "raise SystemExit(main(['verify-kronecker']))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("PASS random_bracket_trials\n"
+                               "PASS symbolic_2x2\n"
+                               "PASS trivial_intersection\n")
 
 
 class TestTrivialIntersection:

@@ -17,7 +17,7 @@ from sorklie import (
     is_closed_subsystem,
     is_strongly_orthogonal,
 )
-from sorklie.roots import simple_root_coefficients
+from sorklie.roots import MAX_BUILD_RANK, simple_root_coefficients
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D2", "D3", "D4", "G2", "F4"]
 
@@ -53,6 +53,18 @@ class TestConstruction:
     def test_cardinality(self, t):
         phi = build_root_system(t)
         assert len(phi.roots) == t.root_count()
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_rank_cap_is_constructible(self, family):
+        t = RootSystemType(family, MAX_BUILD_RANK)
+        assert len(build_root_system(t).roots) == t.root_count()
+
+    @pytest.mark.parametrize("label", [
+        f"A{MAX_BUILD_RANK + 1}", f"D{MAX_BUILD_RANK + 1}", "A99999999"])
+    def test_rank_above_cap_refused(self, label):
+        t = _t(label)  # any rank still parses; only construction is capped
+        with pytest.raises(InvalidType):
+            build_root_system(t)
 
     def test_g2_has_twelve_roots(self):
         assert len(build_root_system(_t("G2")).roots) == 12
