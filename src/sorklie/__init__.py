@@ -66,6 +66,7 @@ from .roots import (
 from .sork import (
     CertCheck,
     OrthCertificate,
+    canonical_certificate,
     sork_exact,
     sork_formula,
     verify_certificate,

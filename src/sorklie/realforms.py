@@ -4,17 +4,23 @@ Descriptors are normalized at construction so every algebra has one canonical
 form: split and compact classical series fold into split(T)/compact(T), the
 exceptional split/compact signatures do the same, and so(3,1) becomes the
 complex algebra sl2(C) (the one accidental isomorphism the computation needs).
+
+The free subgroup rank reads the strong orthogonal rank of the
+complexification from its closed formula and attaches the closed-form
+canonical certificate, verified against the built root system; the exact
+clique search is not on this path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidRealForm, InvalidType
 from .roots import RootSystemType, build_root_system
-from .sork import OrthCertificate, sork_exact, sork_formula
+from .sork import OrthCertificate, canonical_certificate, sork_formula, verify_certificate
 
 # Known exceptional real forms by (family+rank, signature), excluding the
 # split and compact signatures which normalize to split()/compact().
@@ -226,16 +232,38 @@ def is_sopq_exception(d: RealFormDescriptor) -> bool:
     return p % 2 == 1 and q % 2 == 1 and (p + q) % 4 == 0
 
 
-def nu_simple(d: RealFormDescriptor) -> NuResult:
-    """Free subgroup rank of the connected simple Lie group with algebra d."""
-    t = complexification_type(d)
+@lru_cache(maxsize=None)
+def _certified_sork(t: RootSystemType) -> tuple[int, OrthCertificate]:
+    """The closed-form strong orthogonal rank of ``t`` with the canonical
+    certificate that witnesses it, re-checked once per type against the
+    built root system."""
+    phi = build_root_system(t)
     s = sork_formula(t)
-    n_exact, cert = sork_exact(build_root_system(t))
-    if n_exact != s:
+    cert = canonical_certificate(t)
+    check = verify_certificate(cert, phi)
+    if not check:
         raise AssertionError(
-            f"search bug: exact search gives sork({t}) = {n_exact}, "
-            f"the closed formula {s}"
+            f"certificate bug: the canonical certificate of {t} fails "
+            f"verification ({check.reason})"
         )
+    if len(cert.roots) != s:
+        raise AssertionError(
+            f"certificate bug: the canonical certificate of {t} has "
+            f"{len(cert.roots)} roots, the closed formula {s}"
+        )
+    return s, cert
+
+
+def nu_simple(d: RealFormDescriptor) -> NuResult:
+    """Free subgroup rank of the connected simple Lie group with algebra d.
+
+    The strong orthogonal rank s of the complexification comes from its
+    closed formula, witnessed by the closed-form canonical certificate;
+    no clique search runs.  The certificate is verified once per
+    complexification type, in O(s^2) pairs.
+    """
+    t = complexification_type(d)
+    s, cert = _certified_sork(t)
     if d.kind == "complex":
         return NuResult(s, NuCase.COMPLEX_STRUCTURE, s, cert)
     if is_sopq_exception(d):

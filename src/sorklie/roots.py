@@ -289,6 +289,16 @@ def _exceptional_roots(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[t
     raise InvalidType(f"not an exceptional family: {fam}")  # pragma: no cover
 
 
+def require_buildable(t: RootSystemType) -> None:
+    """Raise :class:`InvalidType` if the rank of ``t`` exceeds
+    :data:`MAX_BUILD_RANK`, before anything of that size is allocated."""
+    if t.rank > MAX_BUILD_RANK:
+        raise InvalidType(
+            f"rank {t.rank} of {t} exceeds the construction limit "
+            f"{MAX_BUILD_RANK}"
+        )
+
+
 @lru_cache(maxsize=None)
 def build_root_system(t: RootSystemType) -> RootSystem:
     """Construct the root system of type ``t`` with Bourbaki simple roots.
@@ -297,11 +307,7 @@ def build_root_system(t: RootSystemType) -> RootSystem:
     coordinates.  Raises :class:`InvalidType` for out-of-bounds ranks and
     for ranks above :data:`MAX_BUILD_RANK`.
     """
-    if t.rank > MAX_BUILD_RANK:
-        raise InvalidType(
-            f"rank {t.rank} of {t} exceeds the construction limit "
-            f"{MAX_BUILD_RANK}"
-        )
+    require_buildable(t)
     if t.family in "ABCD":
         raw, simple = _classical_roots(t)
     else:

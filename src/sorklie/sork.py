@@ -1,5 +1,10 @@
 """Strong orthogonal rank: exact search, closed formula, and certificates.
 
+The closed formula and the closed-form canonical certificate need only the
+family and the rank; they serve the free subgroup rank computation.  The
+exact search below is the independent oracle: ``sork`` and the tests use
+it.
+
 The search reduces to a maximum clique problem on the graph whose vertices
 are antipodal pairs of roots (a strongly orthogonal set never contains both
 a root and its negative) and whose edges join strongly orthogonal pairs.
@@ -26,6 +31,7 @@ from .roots import (
     build_root_system,
     inner_product,
     is_strongly_orthogonal,
+    require_buildable,
 )
 
 
@@ -100,6 +106,76 @@ def sork_formula(t: RootSystemType) -> int:
     if fam == "G":
         return 2
     raise InvalidType(f"unknown family {fam!r}")  # pragma: no cover
+
+
+# The lexicographically least maximum strongly orthogonal sets of the
+# exceptional types, in doubled coordinates, as the exact search finds them.
+_EXCEPTIONAL_CERTIFICATES = {
+    "E6": ((0, 0, 0, 2, -2, 0, 0, 0), (0, 0, 0, 2, 2, 0, 0, 0),
+           (0, 2, -2, 0, 0, 0, 0, 0), (0, 2, 2, 0, 0, 0, 0, 0)),
+    "E7": ((0, 0, 0, 0, 0, 0, 2, -2), (0, 0, 0, 0, 2, -2, 0, 0),
+           (0, 0, 0, 0, 2, 2, 0, 0), (0, 0, 2, -2, 0, 0, 0, 0),
+           (0, 0, 2, 2, 0, 0, 0, 0), (2, -2, 0, 0, 0, 0, 0, 0),
+           (2, 2, 0, 0, 0, 0, 0, 0)),
+    "E8": ((0, 0, 0, 0, 0, 0, 2, -2), (0, 0, 0, 0, 0, 0, 2, 2),
+           (0, 0, 0, 0, 2, -2, 0, 0), (0, 0, 0, 0, 2, 2, 0, 0),
+           (0, 0, 2, -2, 0, 0, 0, 0), (0, 0, 2, 2, 0, 0, 0, 0),
+           (2, -2, 0, 0, 0, 0, 0, 0), (2, 2, 0, 0, 0, 0, 0, 0)),
+    "F4": ((0, 0, 2, -2), (0, 0, 2, 2), (2, -2, 0, 0), (2, 2, 0, 0)),
+    "G2": ((0, 2, -2), (4, -2, -2)),
+}
+
+
+def canonical_certificate(t: RootSystemType) -> OrthCertificate:
+    """The certificate ``sork_exact`` returns for ``t``, written down from
+    the family and rank alone in O(rank) roots, without building the root
+    system.
+
+    The lex-min extraction takes, in ascending order, each root that still
+    lies in a maximum set together with the roots already taken.  In the
+    classical families the least candidate and its strongly orthogonal
+    neighbours recur on fewer coordinates (e_1, e_2, ... are the true unit
+    vectors):
+
+    - A_r: the least root e_r - e_(r+1) is strongly orthogonal exactly to
+      the roots on the other r - 1 coordinates, an A_(r-2); so the set is
+      e_i - e_(i+1) on disjoint pairs from the last coordinate backwards.
+    - C_r: the least root 2e_r leaves C_(r-1); so the set is every 2e_i.
+    - D_r: the least root e_(r-1) - e_r leaves e_(r-1) + e_r plus D_(r-2);
+      so the set is e_i +- e_(i+1) on pairs from the back, 2 floor(r/2)
+      roots.
+    - B_r: the least root e_r leaves D_(r-1), enough for a maximum set
+      only when r is odd; otherwise the recursion is that of D with B_(r-2)
+      left over.  So the set is e_i +- e_(i+1) on pairs from the front,
+      plus e_r when r is odd.
+
+    The exceptional types come from a fixed table.  Ranks above
+    ``MAX_BUILD_RANK`` raise :class:`InvalidType`, as construction does.
+    """
+    fam, r = t.family, t.rank
+    if fam in "EFG":
+        rows = _EXCEPTIONAL_CERTIFICATES[str(t)]
+        return OrthCertificate(t, tuple(Root(c) for c in rows))
+    require_buildable(t)
+    dim = r + 1 if fam == "A" else r
+
+    def vec(*entries: tuple[int, int]) -> tuple[int, ...]:
+        v = [0] * dim
+        for i, c in entries:
+            v[i] = c
+        return tuple(v)
+
+    if fam == "A":
+        rows = [vec((i, 2), (i + 1, -2)) for i in range(r - 1, -1, -2)]
+    elif fam == "C":
+        rows = [vec((i, 4)) for i in range(r)]
+    else:
+        first = 0 if fam == "B" else r % 2
+        rows = [vec((i, 2), (i + 1, s))
+                for i in range(first, r - 1, 2) for s in (-2, 2)]
+        if fam == "B" and r % 2:
+            rows.append(vec((r - 1, 2)))
+    return OrthCertificate(t, tuple(Root(c) for c in sorted(rows)))
 
 
 def _greedy_color_order(neigh: Sequence[int], cand: int) -> list[tuple[int, int]]:

@@ -98,10 +98,6 @@ def table1_audit() -> AuditReport:
     return report
 
 
-def _ambient_d_sork(r: int) -> int:
-    return r if r % 2 == 0 else r - 1
-
-
 def _n_with_d_correction(parts: list[tuple[str, int]]) -> int:
     """The n column rule: s + t minus one for every odd-rank D factor.
     Equal, by construction, to the sum of factor sorks."""
@@ -322,7 +318,7 @@ def table3_audit(rank_cap: int = 24) -> AuditReport:
     # Special pair so_{2r-1} in so_{2r}: n = r - 1, m = sork(D_r).
     for r in range(3, rank_cap + 1):
         n = r - 1
-        m = _ambient_d_sork(r)
+        m = sork_formula(RootSystemType("D", r))
         report.add_check(f"so{2 * r - 1} in so{2 * r}", "m >= n = r-1",
                          (m, n), "m >= n", m >= n)
     return report

@@ -77,6 +77,22 @@ class TestNu:
         assert code == EXIT_ERROR
         assert "infinite dihedral" in err
 
+    @pytest.mark.parametrize("expr,nu", [("so(129)", 64), ("so(63,65)", 63)])
+    def test_rank_64_answers_without_search(self, expr, nu):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sorklie.cli", "nu", expr, "--json"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["nu"] == nu
+
+    def test_rank_above_cap_is_an_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sorklie.cli", "nu", "su(66)"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestCertify:
     def test_valid_roundtrip(self, tmp_path, capsys):

@@ -1,9 +1,13 @@
+import functools
+
 import pytest
 
 from sorklie import (
     InvalidRealForm,
     NuCase,
+    OrthCertificate,
     RootSystemType,
+    build_root_system,
     compact_form,
     complex_simple,
     complexification_type,
@@ -17,10 +21,12 @@ from sorklie import (
     so_star,
     sp,
     sp_R,
+    sork_exact,
     split_form,
     su,
     verify_certificate,
 )
+from sorklie import realforms, sork
 from sorklie.realforms import catalog
 
 
@@ -175,3 +181,51 @@ class TestCatalog:
         small = {str(d) for d in nu_one_catalog()}
         large = {str(d) for d in nu_one_catalog(max_pq=10, max_n=10)}
         assert small == large
+
+
+def _fresh_cache(fn):
+    return functools.lru_cache(maxsize=None)(fn.__wrapped__)
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make the exact clique search raise, with empty caches so that no
+    result computed by an earlier test can stand in for it."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("exact clique search called")
+
+    monkeypatch.setattr(sork, "max_clique_size", refuse)
+    monkeypatch.setattr(sork, "strong_orthogonality_graph", refuse)
+    monkeypatch.setattr(sork, "_sork_exact_cached",
+                        _fresh_cache(sork._sork_exact_cached))
+    monkeypatch.setattr(realforms, "_certified_sork",
+                        _fresh_cache(realforms._certified_sork))
+
+
+class TestClosedFormNuPath:
+    def test_catalog_needs_no_search(self, no_search):
+        for d in catalog(8, 8):
+            res = nu_simple(d)
+            assert len(res.certificate.roots) == res.nu
+
+    @pytest.mark.parametrize("d", list(catalog(8, 8)), ids=str)
+    def test_certificate_equals_exact_search(self, d):
+        res = nu_simple(d)
+        _, exact = sork_exact(build_root_system(complexification_type(d)))
+        if res.case is NuCase.SOPQ_EXCEPTION:
+            exact = OrthCertificate(exact.system_type,
+                                    exact.roots[: res.sork_of_complexification - 1])
+        assert res.certificate == exact
+
+    @pytest.mark.parametrize("broken", [
+        lambda cert: OrthCertificate(cert.system_type, cert.roots[1:]),
+        lambda cert: OrthCertificate(cert.system_type, cert.roots[::-1]),
+    ], ids=["too_short", "not_canonical"])
+    def test_broken_certificate_is_an_explicit_error(self, monkeypatch, broken):
+        good = realforms.canonical_certificate
+        monkeypatch.setattr(realforms, "canonical_certificate",
+                            lambda t: broken(good(t)))
+        monkeypatch.setattr(realforms, "_certified_sork",
+                            _fresh_cache(realforms._certified_sork))
+        with pytest.raises(AssertionError, match="certificate bug"):
+            nu_simple(split_form(_t("D6")))

@@ -6,12 +6,14 @@ from oracle_utils import induced_subgraph, max_clique_bruteforce
 
 from sorklie import (
     CertificateError,
+    InvalidType,
     OrthCertificate,
     Root,
     RootSystemType,
     a1n_subsystem,
     all_types,
     build_root_system,
+    canonical_certificate,
     is_closed_subsystem,
     sork_exact,
     sork_formula,
@@ -261,3 +263,24 @@ class TestOrbitSearchAgainstFullGraph:
         n, cert = sork_exact(phi)
         assert n == sork_formula(phi.type)
         assert verify_certificate(cert, phi)
+
+
+BEYOND_12 = [RootSystemType("B", 13), RootSystemType("D", 13), RootSystemType("D", 14)]
+LARGE_RANKS = [RootSystemType(fam, r) for fam in "ABCD" for r in (32, 48, 64)]
+
+
+class TestCanonicalCertificate:
+    @pytest.mark.parametrize("t", list(all_types(12)) + BEYOND_12, ids=str)
+    def test_equals_exact_search(self, t):
+        assert canonical_certificate(t) == sork_exact(build_root_system(t))[1]
+
+    @pytest.mark.parametrize("t", list(all_types(24)) + LARGE_RANKS, ids=str)
+    def test_verifies_with_formula_length(self, t):
+        cert = canonical_certificate(t)
+        assert verify_certificate(cert, build_root_system(t))
+        assert len(cert.roots) == sork_formula(t)
+
+    def test_rank_above_cap_refused(self):
+        for label in ("A65", "B65", "D99999999"):
+            with pytest.raises(InvalidType):
+                canonical_certificate(RootSystemType.parse(label))
