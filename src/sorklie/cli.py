@@ -3,6 +3,12 @@
 Exit codes: 0 success / all checks pass, 1 computation error (bad type,
 syntax error, inapplicable rule), 2 audit or verification failure,
 64 usage error.
+
+Each subcommand imports only the layers it runs, inside its ``_cmd_*``
+function: ``--help`` and usage errors import none, ``dump-roots`` only
+``roots``, ``verify-kronecker`` only ``matrixcheck``.  The imports read the
+module attributes at call time, so a function patched on its module is the
+one called.
 """
 
 from __future__ import annotations
@@ -11,12 +17,7 @@ import argparse
 import json
 import sys
 
-from . import matrixcheck, tables
 from .errors import RuleNotApplicable, SorklieError
-from .groups import nu_eval, nu_upper_bound, parse_group_expr, simple_factors
-from .realforms import nu_simple
-from .roots import RootSystemType, build_root_system
-from .sork import CertCheck, OrthCertificate, sork_exact, verify_certificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -32,7 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="sorklie", description=__doc__)
+    # --help shows the first two paragraphs: the summary and the exit codes.
+    p = _Parser(prog="sorklie", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("sork", help="strong orthogonal rank of a root system")
@@ -66,6 +68,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sork(args) -> int:
+    from .roots import RootSystemType, build_root_system
+    from .sork import sork_exact
+
     t = RootSystemType.parse(args.type)
     phi = build_root_system(t)
     n, cert = sork_exact(phi)
@@ -82,6 +87,9 @@ def _cmd_sork(args) -> int:
 
 
 def _cmd_nu(args) -> int:
+    from .groups import nu_eval, nu_upper_bound, parse_group_expr, simple_factors
+    from .realforms import nu_simple
+
     expr = parse_group_expr(args.expr)
     exact = True
     try:
@@ -111,6 +119,8 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .sork import CertCheck, OrthCertificate, verify_certificate
+
     if args.path == "-":
         raw = sys.stdin.read()
     else:
@@ -130,7 +140,7 @@ def _cmd_certify(args) -> int:
     return EXIT_AUDIT_FAIL
 
 
-def _print_report(name: str, report: tables.AuditReport, as_json: bool) -> bool:
+def _print_report(name: str, report, as_json: bool) -> bool:
     if as_json:
         print(json.dumps({"audit": name, "ok": report.ok,
                           "entries": report.to_json_list()}, sort_keys=True))
@@ -144,6 +154,8 @@ def _print_report(name: str, report: tables.AuditReport, as_json: bool) -> bool:
 
 
 def _cmd_verify_tables(args) -> int:
+    from . import tables
+
     ok = True
     ok &= _print_report("table1", tables.table1_audit(), args.json)
     ok &= _print_report("table2", tables.table2_audit(args.rank_cap), args.json)
@@ -152,6 +164,8 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_verify_kronecker(args) -> int:
+    from . import matrixcheck
+
     results = {
         "random_bracket_trials": matrixcheck.random_bracket_split_trials(
             args.samples, args.max_size),
@@ -172,6 +186,8 @@ def _cmd_verify_kronecker(args) -> int:
 
 
 def _cmd_dump_roots(args) -> int:
+    from .roots import RootSystemType, build_root_system
+
     t = RootSystemType.parse(args.type)
     phi = build_root_system(t)
     print(json.dumps(phi.to_json_dict(), sort_keys=True))

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionError, InvalidType, MembershipError
+
+# The predicates work on the doubled integer coordinates.  Only the three
+# functions that build a Fraction import it, so a process that calls none
+# of them never loads ``fractions``.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _FAMILIES = "ABCDEFG"
 
@@ -115,11 +120,15 @@ class Root:
         return Root(tuple(-c for c in self.coords))
 
     def __str__(self) -> str:
+        from fractions import Fraction
+
         return "(" + ", ".join(str(Fraction(c, 2)) for c in self.coords) + ")"
 
 
 def inner_product(a: Root, b: Root) -> Fraction:
     """Exact Euclidean inner product of the true (undoubled) coordinates."""
+    from fractions import Fraction
+
     if a.ambient_dim != b.ambient_dim:
         raise DimensionError(
             f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
@@ -375,6 +384,8 @@ def a1n_subsystem(cert, phi: RootSystem) -> frozenset[Root]:
 
 def simple_root_coefficients(root: Root, phi: RootSystem) -> tuple[Fraction, ...]:
     """Coordinates of ``root`` in the simple-root basis, solved exactly."""
+    from fractions import Fraction
+
     phi.require_member(root)
     basis = [s.coords for s in phi.simple_roots]
     n = len(basis)

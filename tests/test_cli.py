@@ -196,6 +196,37 @@ class TestUsage:
         assert run(capsys, "sork", "E8", "--bogus")[0] == EXIT_USAGE
 
 
+# Runs main(argv) in a fresh interpreter, then prints the loaded sorklie
+# modules other than the package, cli and errors, and whether fractions is.
+_LOADED = """
+import contextlib, io, json, sys
+from sorklie.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+names = [m.split(".")[1] for m in sys.modules if m.startswith("sorklie.")]
+print(json.dumps({"layers": sorted(set(names) - {"cli", "errors"}),
+                  "fractions": "fractions" in sys.modules}))
+"""
+
+
+class TestImportLayering:
+    @pytest.mark.parametrize("argv,layers", [
+        (["--help"], []),
+        (["sork", "A3"], ["roots", "sork"]),
+        (["verify-kronecker"], ["matrixcheck"]),
+        (["dump-roots", "G2"], ["roots"]),
+        (["nu", "su(2)"], ["groups", "realforms", "roots", "sork"]),
+        (["certify", "-"], ["roots", "sork"]),
+    ], ids=["help", "sork", "verify-kronecker", "dump-roots", "nu", "certify"])
+    def test_subcommand_imports_only_its_layers(self, argv, layers):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED, *argv],
+            input='{"system_type": "E6", "roots": []}',
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"layers": layers, "fractions": False}
+
+
 class TestConsoleScript:
     def test_entry_point(self):
         proc = subprocess.run(

@@ -125,6 +125,27 @@ class TestVerifyCertificate:
         phi = _phi("A2")
         assert verify_certificate(OrthCertificate(phi.type, ()), phi)
 
+    @pytest.mark.parametrize("t", list(all_types(6)), ids=str)
+    def test_pairs_agree_with_predicate(self, t):
+        phi = build_root_system(t)
+        reps = phi.positive_representatives()
+        for i, a in enumerate(reps):
+            for b in reps[i + 1:]:
+                check = verify_certificate(OrthCertificate(t, (a, b)), phi)
+                assert check.ok == is_strongly_orthogonal(a, b, phi), (a, b)
+                assert check.ok or check.reason == "NotStronglyOrthogonal"
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_rank_64_canonical_certificates(self, family):
+        t = RootSystemType(family, 64)
+        phi = build_root_system(t)
+        roots = canonical_certificate(t).roots
+        assert verify_certificate(OrthCertificate(t, roots), phi)
+        repeated = OrthCertificate(t, roots[:1] + roots)
+        assert verify_certificate(repeated, phi).reason == "NotStronglyOrthogonal"
+        reversed_ = OrthCertificate(t, roots[::-1])
+        assert verify_certificate(reversed_, phi).reason == "NotCanonical"
+
 
 class TestA1nSubsystem:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4", "G2", "E6"])
