@@ -15,14 +15,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-from .errors import RuleNotApplicable, SorklieError
+from .errors import CertificateError, SorklieError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_AUDIT_FAIL = 2
 EXIT_USAGE = 64
+
+# Deepest bracket nesting that ``certify`` accepts in a document, checked
+# before json.loads, whose decoder recurses once per level.  A certificate
+# nests three levels: the object, its ``roots`` list and each root.
+MAX_JSON_NESTING = 16
+_JSON_BRACKETS = r'"(?:[^"\\]|\\.)*"|[][{}]'  # a whole string, or one bracket
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,6 +37,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``, else a usage
+    error before any work."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -53,13 +72,13 @@ def _build_parser() -> _Parser:
     cp.add_argument("path", help="path to a certificate file, or - for stdin")
 
     tp = sub.add_parser("verify-tables", help="audit the subalgebra tables")
-    tp.add_argument("--rank-cap", type=int, default=24)
+    tp.add_argument("--rank-cap", type=_at_least(4), default=24)
     tp.add_argument("--json", action="store_true")
 
     kp = sub.add_parser("verify-kronecker",
                         help="verify the Kronecker bracket identity")
-    kp.add_argument("--max-size", type=int, default=4)
-    kp.add_argument("--samples", type=int, default=200)
+    kp.add_argument("--max-size", type=_at_least(2), default=4)
+    kp.add_argument("--samples", type=_at_least(1), default=200)
     kp.add_argument("--json", action="store_true")
 
     dp = sub.add_parser("dump-roots", help="dump a root system as JSON")
@@ -69,11 +88,11 @@ def _build_parser() -> _Parser:
 
 def _cmd_sork(args) -> int:
     from .roots import RootSystemType, build_root_system
-    from .sork import sork_exact
+    from .sork import require_searchable, sork_exact
 
     t = RootSystemType.parse(args.type)
-    phi = build_root_system(t)
-    n, cert = sork_exact(phi)
+    require_searchable(t)
+    n, cert = sork_exact(build_root_system(t))
     if args.json:
         doc = {"system_type": str(t), "n": n}
         if args.certificate:
@@ -87,19 +106,11 @@ def _cmd_sork(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    from .groups import nu_eval, nu_upper_bound, parse_group_expr, simple_factors
-    from .realforms import nu_simple
+    from .groups import nu_walk, parse_group_expr
 
-    expr = parse_group_expr(args.expr)
-    exact = True
-    try:
-        value = nu_eval(expr)
-    except RuleNotApplicable:
-        value = nu_upper_bound(expr)
-        exact = False
+    value, exact, results = nu_walk(parse_group_expr(args.expr))
     factors = []
-    for d in simple_factors(expr):
-        res = nu_simple(d)
+    for d, res in results:
         entry = {"descriptor": str(d), "nu": res.nu, "case": res.case.value}
         if args.certificate and res.certificate is not None:
             entry["certificate"] = res.certificate.to_json_dict()
@@ -126,6 +137,9 @@ def _cmd_certify(args) -> int:
     else:
         with open(args.path, "r", encoding="utf-8") as fh:
             raw = fh.read()
+    if _json_nesting(raw) > MAX_JSON_NESTING:
+        raise CertificateError(
+            f"certificate document nests deeper than {MAX_JSON_NESTING} levels")
     doc = json.loads(raw)
     cert = OrthCertificate.from_json_dict(doc)
     if doc.get("n", len(cert.roots)) != len(cert.roots):
@@ -138,6 +152,20 @@ def _cmd_certify(args) -> int:
         return EXIT_OK
     print(f"invalid certificate: {check.reason}")
     return EXIT_AUDIT_FAIL
+
+
+def _json_nesting(raw: str) -> int:
+    """Deepest bracket nesting of a JSON text, not counting brackets inside
+    strings."""
+    depth = deepest = 0
+    for m in re.finditer(_JSON_BRACKETS, raw):
+        token = m.group()
+        if token in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif token in "]}":
+            depth -= 1
+    return deepest
 
 
 def _print_report(name: str, report, as_json: bool) -> bool:

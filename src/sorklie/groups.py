@@ -15,6 +15,7 @@ from typing import Iterator
 
 from .errors import ExprSyntaxError, InvalidRealForm, InvalidType, RuleNotApplicable
 from .realforms import (
+    NuResult,
     RealFormDescriptor,
     compact_form,
     complex_simple,
@@ -35,6 +36,14 @@ from .roots import RootSystemType
 # of its base.  Counting atoms rather than k alone also bounds nested
 # powers such as ``(su(2)^1000)^1000``.
 MAX_POWER = 1000
+
+# Deepest nesting an expression may have.  The brackets, ext(...) and
+# fi(...) open at one point are counted before the parser recurses into
+# another, and the depth of the expression tree (each free product in a
+# chain nests one level deeper) is counted as the tree is built.  Both stay
+# far inside Python's recursion limit for the parser, the evaluator and
+# ``pretty``; deeper input is an ExprSyntaxError.
+MAX_NESTING = 100
 
 
 class GroupExpr:
@@ -118,47 +127,65 @@ def nu_eval(e: GroupExpr) -> int:
     products with a trivial factor or two order-two factors, extensions
     with non-solvable kernel).
     """
-    return _eval(e, bound_only=False)
+    value, exact, _ = nu_walk(e)
+    if not exact:
+        raise RuleNotApplicable(
+            "general extensions only give an upper bound; use nu_upper_bound"
+        )
+    return value
 
 
 def nu_upper_bound(e: GroupExpr) -> int:
     """Upper bound for the free subgroup rank; equals nu_eval except that
     general-mode solvable-kernel extensions contribute the quotient's bound."""
-    return _eval(e, bound_only=True)
+    return nu_walk(e)[0]
 
 
-def _eval(e: GroupExpr, bound_only: bool) -> int:
-    if isinstance(e, SimpleLie):
-        return nu_simple(e.descriptor).nu
-    if isinstance(e, (SolvableAtom, FiniteAtom)):
-        return 0
-    if isinstance(e, DirectProduct):
-        return sum(_eval(f, bound_only) for f in e.factors)
-    if isinstance(e, FreeProduct):
-        if _is_trivial(e.left) or _is_trivial(e.right):
-            raise RuleNotApplicable(
-                "free product rule needs both factors nontrivial"
-            )
-        if _has_order_two(e.left) and _has_order_two(e.right):
-            raise RuleNotApplicable(
-                "free product rule excludes Z/2 * Z/2 (infinite dihedral)"
-            )
-        return max(1, _eval(e.left, bound_only), _eval(e.right, bound_only))
-    if isinstance(e, Extension):
-        if _eval(e.kernel, bound_only) != 0:
-            raise RuleNotApplicable(
-                "extension rule needs a kernel of free subgroup rank zero"
-            )
-        if e.mode in ("split", "central"):
-            return _eval(e.quotient, bound_only)
-        if bound_only:
-            return _eval(e.quotient, bound_only)
-        raise RuleNotApplicable(
-            "general extensions only give an upper bound; use nu_upper_bound"
-        )
-    if isinstance(e, FiniteIndex):
-        return _eval(e.inner, bound_only)
-    raise TypeError(f"not a group expression: {e!r}")
+def nu_walk(e: GroupExpr) -> tuple[int, bool, list[tuple[RealFormDescriptor, NuResult]]]:
+    """One evaluation of the whole expression: the upper bound, whether it
+    is exact (no general-mode extension), and each simple factor with its
+    :func:`nu_simple` result, in left-to-right order.
+
+    Raises :class:`RuleNotApplicable` where a hypothesis of the calculus
+    fails, as :func:`nu_upper_bound` does.
+    """
+    factors: list[tuple[RealFormDescriptor, NuResult]] = []
+    exact = True
+
+    def walk(e: GroupExpr) -> int:
+        nonlocal exact
+        if isinstance(e, SimpleLie):
+            res = nu_simple(e.descriptor)
+            factors.append((e.descriptor, res))
+            return res.nu
+        if isinstance(e, (SolvableAtom, FiniteAtom)):
+            return 0
+        if isinstance(e, DirectProduct):
+            return sum(walk(f) for f in e.factors)
+        if isinstance(e, FreeProduct):
+            if _is_trivial(e.left) or _is_trivial(e.right):
+                raise RuleNotApplicable(
+                    "free product rule needs both factors nontrivial"
+                )
+            if _has_order_two(e.left) and _has_order_two(e.right):
+                raise RuleNotApplicable(
+                    "free product rule excludes Z/2 * Z/2 (infinite dihedral)"
+                )
+            return max(1, walk(e.left), walk(e.right))
+        if isinstance(e, Extension):
+            if walk(e.kernel) != 0:
+                raise RuleNotApplicable(
+                    "extension rule needs a kernel of free subgroup rank zero"
+                )
+            if e.mode == "general":
+                exact = False
+            return walk(e.quotient)
+        if isinstance(e, FiniteIndex):
+            return walk(e.inner)
+        raise TypeError(f"not a group expression: {e!r}")
+
+    value = walk(e)
+    return value, exact, factors
 
 
 def _atom_count(e: GroupExpr) -> int:
@@ -240,6 +267,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # brackets, ext( and fi( not yet closed
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -261,30 +289,50 @@ class _Parser:
             raise ExprSyntaxError("expected an integer", tok.offset)
         return int(tok.text)
 
+    def nest(self, depth: int, tok: _Token) -> int:
+        """Return ``depth``, or raise if it exceeds :data:`MAX_NESTING`."""
+        if depth > MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nests deeper than {MAX_NESTING} levels", tok.offset)
+        return depth
+
+    def group(self, tok: _Token) -> tuple[GroupExpr, int]:
+        """Parse an expression inside a bracket opened at ``tok``."""
+        self.open = self.nest(self.open + 1, tok)
+        result = self.parse_expr()
+        self.open -= 1
+        return result
+
     def parse(self) -> GroupExpr:
-        e = self.parse_expr()
+        e, _ = self.parse_expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)
         return e
 
-    def parse_expr(self) -> GroupExpr:
-        e = self.parse_term()
+    # parse_expr, parse_term and parse_atom return the tree and its depth.
+
+    def parse_expr(self) -> tuple[GroupExpr, int]:
+        e, depth = self.parse_term()
         while True:
             tok = self.peek()
             if tok.kind == "name" and tok.text == "x":
                 self.next()
-                rhs = self.parse_term()
+                rhs, rhs_depth = self.parse_term()
+                # the product is flat: one level above its deepest factor
+                depth = self.nest(1 + max(depth - isinstance(e, DirectProduct),
+                                          rhs_depth - isinstance(rhs, DirectProduct)), tok)
                 e = _direct_product(e, rhs)
             elif tok.kind == "sym" and tok.text == "*":
                 self.next()
-                rhs = self.parse_term()
+                rhs, rhs_depth = self.parse_term()
+                depth = self.nest(1 + max(depth, rhs_depth), tok)
                 e = FreeProduct(e, rhs)
             else:
-                return e
+                return e, depth
 
-    def parse_term(self) -> GroupExpr:
-        atom = self.parse_atom()
+    def parse_term(self) -> tuple[GroupExpr, int]:
+        atom, depth = self.parse_atom()
         tok = self.peek()
         if tok.kind == "sym" and tok.text == "^":
             self.next()
@@ -293,29 +341,29 @@ class _Parser:
             if power < 1:
                 raise ExprSyntaxError("power must be >= 1", power_tok.offset)
             if power == 1:
-                return atom
+                return atom, depth
             if power * _atom_count(atom) > MAX_POWER:
                 raise ExprSyntaxError(
                     f"power expands to more than {MAX_POWER} atoms",
                     power_tok.offset)
-            return DirectProduct((atom,) * power)
-        return atom
+            return DirectProduct((atom,) * power), self.nest(depth + 1, tok)
+        return atom, depth
 
-    def parse_atom(self) -> GroupExpr:
+    def parse_atom(self) -> tuple[GroupExpr, int]:
         tok = self.next()
         if tok.kind == "sym" and tok.text == "(":
-            e = self.parse_expr()
+            result = self.group(tok)
             self.expect_sym(")")
-            return e
+            return result
         if tok.kind != "name":
             raise ExprSyntaxError(f"expected an atom, got {tok.text!r}", tok.offset)
         name = tok.text
         lname = name.lower()
         if lname == "ext":
             self.expect_sym("(")
-            kernel = self.parse_expr()
+            kernel, kernel_depth = self.group(tok)
             self.expect_sym(",")
-            quotient = self.parse_expr()
+            quotient, quotient_depth = self.group(tok)
             self.expect_sym(",")
             mode_tok = self.next()
             if mode_tok.kind != "name" or mode_tok.text.lower() not in (
@@ -324,12 +372,13 @@ class _Parser:
                 raise ExprSyntaxError("expected split, central, or general",
                                       mode_tok.offset)
             self.expect_sym(")")
-            return Extension(kernel, quotient, mode_tok.text.lower())
+            depth = self.nest(1 + max(kernel_depth, quotient_depth), tok)
+            return Extension(kernel, quotient, mode_tok.text.lower()), depth
         if lname == "fi":
             self.expect_sym("(")
-            inner = self.parse_expr()
+            inner, depth = self.group(tok)
             self.expect_sym(")")
-            return FiniteIndex(inner)
+            return FiniteIndex(inner), self.nest(depth + 1, tok)
         if name == "Z":
             nxt = self.peek()
             if nxt.kind == "sym" and nxt.text == "/":
@@ -339,8 +388,8 @@ class _Parser:
                 if order < 1:
                     raise ExprSyntaxError("finite order must be >= 1",
                                           order_tok.offset)
-                return FiniteAtom(order)
-            return SolvableAtom("Z")
+                return FiniteAtom(order), 1
+            return SolvableAtom("Z"), 1
         if name == "R":
             nxt = self.peek()
             if nxt.kind == "sym" and nxt.text == "^":
@@ -350,11 +399,11 @@ class _Parser:
                 if n < 1:
                     raise ExprSyntaxError("dimension must be >= 1",
                                           dim_tok.offset)
-                return SolvableAtom(f"R^{n}")
-            return SolvableAtom("R^1")
+                return SolvableAtom(f"R^{n}"), 1
+            return SolvableAtom("R^1"), 1
         if lname == "solvable":
-            return SolvableAtom("solvable")
-        return SimpleLie(self.parse_descriptor(name, tok.offset))
+            return SolvableAtom("solvable"), 1
+        return SimpleLie(self.parse_descriptor(name, tok.offset)), 1
 
     def parse_descriptor(self, name: str, offset: int) -> RealFormDescriptor:
         lname = name.lower()

@@ -121,6 +121,8 @@ def random_bracket_split_trials(samples: int, max_size: int = 4,
                                 seed: int = 0) -> bool:
     """Run the bracket identity on random integer quadruples with sizes in
     2..max_size; True iff every trial passes."""
+    if max_size < 2:
+        raise ShapeError("sizes must be at least 2")
     rng = random.Random(seed)
     for _ in range(samples):
         s = rng.randint(2, max_size)

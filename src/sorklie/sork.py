@@ -8,20 +8,33 @@ it.
 The search reduces to a maximum clique problem on the graph whose vertices
 are antipodal pairs of roots (a strongly orthogonal set never contains both
 a root and its negative) and whose edges join strongly orthogonal pairs.
-The graph is built from integer dot products of the doubled coordinates
-and one membership lookup per orthogonal pair.  The Weyl group acts on it
-by automorphisms, so the clique number is found by a branch-and-bound
-search (greedy coloring bound) in the neighbourhood of one vertex per
-Weyl orbit.  The lexicographically least maximum clique is then extracted
-greedily, so the reported certificate is canonical.
+``sork_exact`` runs one orbit-recursive branch and bound,
+:func:`orbit_clique_search`, on a :class:`LazyRootGraph`:
+
+- a row of the graph is built only when the search branches on its vertex,
+  from a sparse integer dot product and one membership lookup per
+  orthogonal pair, so most rows are never built;
+- at every node, once a branch on v returns, v's orbit under the Weyl
+  group of the roots orthogonal to the chosen set (its pointwise
+  stabiliser) is dropped, and a v adjacent to every other candidate
+  closes the node;
+- the rank bounds the clique (strongly orthogonal roots are linearly
+  independent), so a greedy path that reaches it ends the search.
+
+Branching in ascending order makes the first maximum clique found the
+lexicographically least, so the same search returns the clique number and
+the canonical certificate.  Ranks above :data:`MAX_SEARCH_RANK` are
+refused.  ``strong_orthogonality_graph``, ``max_clique_size`` and
+``lex_min_max_clique`` (full graph, greedy colouring bound, lex-min probes)
+are kept as the generic cross-check for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul
-from typing import Sequence
+from operator import add, mul, sub
+from typing import Callable, Sequence
 
 from .errors import CertificateError, InvalidType
 from .roots import (
@@ -31,6 +44,12 @@ from .roots import (
     build_root_system,
     require_buildable,
 )
+
+# Largest rank that the exact search answers.  Every A, B, C and D type up
+# to this rank is answered in well under 10 s end to end; the search time
+# grows fastest in even B, so a higher cap needs new measurements.  The
+# closed formula and canonical_certificate answer every buildable rank.
+MAX_SEARCH_RANK = 20
 
 
 @dataclass(frozen=True)
@@ -284,73 +303,181 @@ def strong_orthogonality_graph(phi: RootSystem) -> tuple[tuple[Root, ...], list[
     return reps, neigh
 
 
-def vertex_orbits(phi: RootSystem, reps: Sequence[Root]) -> list[list[int]]:
-    """Orbits of the Weyl group on the antipodal pairs ``reps``, as lists of
-    indices into ``reps`` in breadth-first order from their least index.
+def orbit_clique_search(n: int, row: Callable[[int], tuple[int, int]],
+                        orbit: Callable[[int, int], int],
+                        limit: int) -> tuple[int, ...]:
+    """Lexicographically least maximum clique of a graph on the vertices
+    0..n-1, as an increasing tuple, found by one branch-and-bound search
+    that uses a group of automorphisms at every node.
 
-    Found by closing each vertex under the simple reflections
-    s_a(v) = v - (2(v,a)/(a,a)) a, in exact integers.
+    ``row(v)`` gives ``(neigh, key)``: the bitmask of the neighbours of v,
+    and a bitmask that the search ANDs over the chosen vertices (starting
+    from all ones) and hands to ``orbit``.  ``orbit(v, key)`` gives the
+    bitmask of the whole orbit of v under a group of automorphisms that
+    fix every chosen vertex; the group it uses at a node must lie inside
+    the one used at the node's parent.  ``limit`` bounds the clique number from
+    above.  Rows and orbits are asked for only when needed: a row when the
+    search branches on its vertex, an orbit when a branch returns without
+    ending the search, so a greedy path that reaches ``limit`` computes no
+    orbit at all.
+
+    A node holds the chosen clique C and its candidates, the common
+    neighbours of C still in play.  It branches on the least candidate v,
+    which covers every clique through v.  Then:
+
+    - if v is adjacent to every other candidate, any clique without v
+      extends by v, so the node is closed;
+    - otherwise v's orbit is dropped.  An automorphism fixing C maps a
+      clique through an orbit-mate u of v to one through v of the same
+      size, and it maps the candidate set to itself, because every set
+      dropped above lies in orbits of a larger group.
+
+    A branch is cut when the clique plus all candidates cannot beat the
+    best clique so far, and the whole search ends once the best reaches
+    ``limit``.  Branches go in ascending order and only a strictly larger
+    clique replaces the best one, so the first maximum clique found is the
+    lexicographically least: each rule above removes a vertex only after a
+    branch on a smaller vertex that holds a clique as large as any through
+    the removed one.
     """
-    index = {r.coords: i for i, r in enumerate(reps)}
-    simple = [(a.coords, sum(x * x for x in a.coords)) for a in phi.simple_roots]
-    seen = [False] * len(reps)
-    orbits: list[list[int]] = []
-    for start in range(len(reps)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        for v in orbit:
-            x = reps[v].coords
-            for a, aa in simple:
-                k = 2 * sum(map(mul, x, a)) // aa
+    best: list[int] = []
+    path: list[int] = []
+
+    def expand(cand: int, key: int) -> bool:
+        """Search below the current path; True once ``limit`` is reached."""
+        if not cand:
+            if len(path) > len(best):
+                best[:] = path
+            return len(best) == limit
+        while cand and len(path) + cand.bit_count() > len(best):
+            low = cand & -cand
+            v = low.bit_length() - 1
+            neigh, v_key = row(v)
+            path.append(v)
+            done = expand(cand & neigh, key & v_key)
+            path.pop()
+            if done:
+                return True
+            if cand & ~neigh == low:
+                return False
+            cand &= ~orbit(v, key)
+        return False
+
+    expand((1 << n) - 1, (1 << n) - 1)
+    return tuple(best)
+
+
+class LazyRootGraph:
+    """The strong orthogonality graph of a root system, for
+    :func:`orbit_clique_search`: rows built on demand and per-node Weyl
+    orbits.
+
+    Vertices are the antipodal pairs, indexed by ``reps`` (the
+    lexicographically greater root of each pair, in ascending order).  A
+    vertex's row is built when the search first branches on it: one sparse
+    dot product over the support of its doubled coordinates against every
+    vertex, and for each orthogonal one a lookup of a+b (for orthogonal
+    roots s_b(a+b) = a-b, so a+b is a root iff a-b is).  Its key is the
+    mask of the vertices orthogonal to it, so the key of a node whose
+    chosen set is C holds the positive roots of Phi' = Phi meet C-perp.
+
+    The pointwise stabiliser of C in the Weyl group is generated by the
+    reflections it contains (Steinberg, Trans. AMS 112, 1964), which are
+    the reflections in Phi'; so it is W(Phi'), generated by the simple
+    reflections of Phi'.  With the lex-positive roots as positive system,
+    every positive root that is not simple is a simple root plus a smaller
+    positive root, and simple roots differ by no root; so the simple roots
+    of Phi' are the roots of the key, in ascending order, that no simple
+    root found before them subtracts to a root.  Orbits are closed under
+    s_a(x) = x - (2(x,a)/(a,a)) a in exact integers.  The stabiliser of a
+    larger C lies inside that of a smaller one, as the search requires.
+    """
+
+    def __init__(self, phi: RootSystem):
+        self.phi = phi
+        self.reps = phi.positive_representatives()
+        self._coords = [r.coords for r in self.reps]
+        self._index = {c: i for i, c in enumerate(self._coords)}
+        self._columns = list(zip(*self._coords))
+        self._zero = (0,) * phi.ambient_dim
+        self._rows: dict[int, tuple[int, int]] = {}
+        self._reflections: dict[int, list[tuple[list[tuple[int, int]], int]]] = {}
+
+    def row(self, v: int) -> tuple[int, int]:
+        """Masks of the vertices strongly orthogonal and orthogonal to v."""
+        if v not in self._rows:
+            coords, a = self._coords, self._coords[v]
+            dots = [0] * len(coords)
+            for i, x in enumerate(a):
+                if x:
+                    dots = [d + x * c for d, c in zip(dots, self._columns[i])]
+            orth = [w for w, d in enumerate(dots) if not d]
+            neigh = [w for w in orth
+                     if not self.phi.contains_coords(tuple(map(add, a, coords[w])))]
+            self._rows[v] = sum(1 << w for w in neigh), sum(1 << w for w in orth)
+        return self._rows[v]
+
+    def _simple_reflections(self, key: int) -> list[tuple[list[tuple[int, int]], int]]:
+        """(support, squared length) of each simple root of the subsystem
+        whose positive roots are the vertices of ``key``."""
+        simple: list[tuple[int, ...]] = []
+        for i, beta in enumerate(self._coords):
+            if key >> i & 1 and not any(
+                    self.phi.contains_coords(tuple(map(sub, beta, alpha)))
+                    for alpha in simple):
+                simple.append(beta)
+        return [([(i, c) for i, c in enumerate(alpha) if c], sum(map(mul, alpha, alpha)))
+                for alpha in simple]
+
+    def orbit(self, v: int, key: int) -> int:
+        """Mask of the orbit of vertex v under the Weyl group of the
+        subsystem whose positive roots are the vertices of ``key``."""
+        if key not in self._reflections:
+            self._reflections[key] = self._simple_reflections(key)
+        reflections = self._reflections[key]
+        found, queue = 1 << v, [v]
+        for u in queue:
+            x = self._coords[u]
+            for support, norm in reflections:
+                k = 2 * sum(x[i] * c for i, c in support) // norm
                 if not k:
                     continue
-                y = tuple(xi - k * ai for xi, ai in zip(x, a))
-                w = index[max(y, tuple(-c for c in y))]
-                if not seen[w]:
-                    seen[w] = True
-                    orbit.append(w)
-        orbits.append(orbit)
-    return orbits
+                y = list(x)
+                for i, c in support:
+                    y[i] -= k * c
+                y = tuple(y)
+                w = self._index[y if y > self._zero else tuple(-c for c in y)]
+                if not found >> w & 1:
+                    found |= 1 << w
+                    queue.append(w)
+        return found
 
 
-def clique_number(phi: RootSystem, reps: Sequence[Root], neigh: Sequence[int]) -> int:
-    """Clique number of the strong orthogonality graph of ``phi``.
-
-    A Weyl group element preserves the root system and inner products, so
-    it maps strongly orthogonal pairs to strongly orthogonal pairs and
-    maximum cliques to maximum cliques.  Every maximum clique has a vertex
-    u in some orbit, and an element carrying u to that orbit's
-    representative v carries the clique to a maximum clique through v.
-    Hence the clique number is the maximum over orbit representatives v of
-    1 + (clique number of the neighbourhood of v).
-
-    Strongly orthogonal roots are nonzero and pairwise orthogonal, hence
-    linearly independent, so no clique exceeds the rank.  Orbits are
-    searched largest first, and no further orbit is searched once the
-    maximum so far equals the rank.
-    """
-    best = 0
-    for orbit in sorted(vertex_orbits(phi, reps), key=len, reverse=True):
-        best = max(best, 1 + max_clique_size(neigh, neigh[orbit[0]]))
-        if best == phi.type.rank:
-            break
-    return best
+def require_searchable(t: RootSystemType) -> None:
+    """Raise :class:`InvalidType` if the rank of ``t`` exceeds
+    :data:`MAX_SEARCH_RANK`, before any root is built."""
+    if t.rank > MAX_SEARCH_RANK:
+        raise InvalidType(
+            f"rank {t.rank} of {t} exceeds the exact search limit "
+            f"{MAX_SEARCH_RANK}"
+        )
 
 
 def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
-    """Exact strong orthogonal rank with a canonical witnessing certificate."""
+    """Exact strong orthogonal rank with a canonical witnessing certificate,
+    by :func:`orbit_clique_search`.  Ranks above :data:`MAX_SEARCH_RANK`
+    raise :class:`InvalidType`."""
     return _sork_exact_cached(phi.type)
 
 
 @lru_cache(maxsize=None)
 def _sork_exact_cached(t: RootSystemType) -> tuple[int, OrthCertificate]:
-    phi = build_root_system(t)
-    reps, neigh = strong_orthogonality_graph(phi)
-    size, clique = lex_min_max_clique(neigh, size=clique_number(phi, reps, neigh))
-    cert = OrthCertificate(t, tuple(reps[v] for v in clique))
-    return size, cert
+    require_searchable(t)
+    graph = LazyRootGraph(build_root_system(t))
+    # Strongly orthogonal roots are nonzero and pairwise orthogonal, hence
+    # linearly independent: no clique exceeds the rank.
+    clique = orbit_clique_search(len(graph.reps), graph.row, graph.orbit, t.rank)
+    return len(clique), OrthCertificate(t, tuple(graph.reps[v] for v in clique))
 
 
 def verify_certificate(cert: OrthCertificate, phi: RootSystem | None = None) -> CertCheck:

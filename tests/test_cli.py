@@ -37,6 +37,19 @@ class TestSork:
         assert code == EXIT_ERROR
         assert "error:" in err
 
+    def test_rank_above_search_cap_is_refused_before_construction(
+            self, capsys, monkeypatch):
+        from sorklie import roots
+        from sorklie.sork import MAX_SEARCH_RANK
+
+        def refuse(t):
+            raise RuntimeError("root system built")
+
+        monkeypatch.setattr(roots, "build_root_system", refuse)
+        code, out, err = run(capsys, "sork", f"B{MAX_SEARCH_RANK + 1}")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: ") and "exact search limit" in err
+
 
 class TestNu:
     def test_simple(self, capsys):
@@ -84,6 +97,16 @@ class TestNu:
             capture_output=True, text=True, timeout=10)
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["nu"] == nu
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 400 + "su(2)" + ")" * 400,
+        "fi(" * 400 + "su(2)" + ")" * 400,
+        " * ".join(["su(2)"] * 1000),
+    ], ids=["brackets", "fi", "free_product_chain"])
+    def test_deep_nesting_is_a_syntax_error(self, capsys, expr):
+        code, out, err = run(capsys, "nu", expr)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: expression nests deeper than")
 
     def test_rank_above_cap_is_an_error(self):
         proc = subprocess.run(
@@ -149,6 +172,20 @@ class TestCertify:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_deep_nesting_is_a_typed_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        code, out, err = run(capsys, "certify", str(path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: certificate document nests deeper than")
+
+    def test_brackets_inside_strings_do_not_nest(self, tmp_path, capsys):
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"system_type": "A2", "roots": [],
+                                    "note": "[" * 100 + '"\\' + "{" * 100}))
+        code, out, _ = run(capsys, "certify", str(path))
+        assert (code, out) == (EXIT_OK, "valid certificate: 0 strongly orthogonal roots in A2\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent/cert.json")
         assert code == EXIT_ERROR
@@ -167,6 +204,11 @@ class TestVerifyTables:
         assert [d["audit"] for d in docs] == ["table1", "table2", "table3"]
         assert all(d["ok"] for d in docs)
 
+    def test_rank_cap_below_four_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify-tables", "--rank-cap", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--rank-cap: must be at least 4" in err
+
 
 class TestVerifyKronecker:
     def test_pass(self, capsys):
@@ -174,6 +216,14 @@ class TestVerifyKronecker:
                            "--max-size", "3")
         assert code == EXIT_OK
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("flag,value,low", [
+        ("--max-size", "1", 2), ("--samples", "0", 1), ("--samples", "-5", 1),
+    ])
+    def test_value_below_its_minimum_is_a_usage_error(self, capsys, flag, value, low):
+        code, out, err = run(capsys, "verify-kronecker", flag, value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{flag}: must be at least {low}" in err
 
 
 class TestDumpRoots:

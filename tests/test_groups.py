@@ -14,6 +14,7 @@ from sorklie import (
     SimpleLie,
     SolvableAtom,
     nu_eval,
+    nu_simple,
     nu_upper_bound,
     parse_group_expr,
     pretty,
@@ -21,7 +22,8 @@ from sorklie import (
     so,
     su,
 )
-from sorklie.groups import MAX_POWER, simple_factors
+from sorklie import groups
+from sorklie.groups import MAX_NESTING, MAX_POWER, nu_walk, simple_factors
 
 
 def _su2():
@@ -94,6 +96,24 @@ class TestEval:
         e = DirectProduct((_su2(), FiniteIndex(_sl2r()), SolvableAtom("Z")))
         assert nu_eval(e) == nu_upper_bound(e) == 2
 
+    @pytest.mark.parametrize("text,value,exact", [
+        ("su(2) x ext(Z, sl(3,R), central) x fi(so(9,1))", 6, True),
+        ("(su(2) x Z/3) * ext(solvable, so(7,1), general) x su(2)^2", 5, False),
+    ])
+    def test_walk_evaluates_each_factor_once(self, monkeypatch, text, value, exact):
+        e = parse_group_expr(text)
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return nu_simple(d)
+
+        monkeypatch.setattr(groups, "nu_simple", counted)
+        got_value, got_exact, factors = nu_walk(e)
+        assert (got_value, got_exact) == (value, exact)
+        assert calls == [d for d, _ in factors] == simple_factors(e)
+        assert [res for _, res in factors] == [nu_simple(d) for d in calls]
+
 
 class TestParser:
     @pytest.mark.parametrize("text,expected", [
@@ -160,6 +180,27 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_group_expr("(su(2) x Z)^600")
         assert exc.value.offset == 12
+
+    def test_nesting_cap(self):
+        def brackets(k):
+            return "(" * k + "su(2)" + ")" * k
+
+        assert parse_group_expr(brackets(MAX_NESTING)) == _su2()
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_group_expr(brackets(MAX_NESTING + 1))
+        assert exc.value.offset == MAX_NESTING
+        # a chain of k free products is a tree of depth k + 1
+        chain = " * ".join(["su(2)"] * MAX_NESTING)
+        assert nu_eval(parse_group_expr(chain)) == 1
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_group_expr(chain + " * Z")
+        assert exc.value.offset == len(chain) + 1
+        fi = "fi(" * (MAX_NESTING - 1) + "Z" + ")" * (MAX_NESTING - 1)
+        assert nu_eval(parse_group_expr(fi)) == 0
+        with pytest.raises(ExprSyntaxError):
+            parse_group_expr(f"fi({fi})")
+        # products stay flat, so long ones are not deep
+        assert nu_eval(parse_group_expr(" x ".join(["su(2)"] * 1000))) == 1000
 
     def test_syntax_error_carries_offset(self):
         with pytest.raises(ExprSyntaxError) as exc:

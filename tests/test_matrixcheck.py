@@ -91,6 +91,10 @@ class TestBracketSplit:
     def test_random_trials(self):
         assert random_bracket_split_trials(200, max_size=4)
 
+    def test_random_trials_size_bound(self):
+        with pytest.raises(ShapeError):
+            random_bracket_split_trials(5, max_size=1)
+
     def test_random_trials_deterministic(self):
         # fixed seed means fixed sample sequence; both runs see the same inputs
         assert random_bracket_split_trials(50, seed=123)

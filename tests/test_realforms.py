@@ -196,6 +196,7 @@ def no_search(monkeypatch):
 
     monkeypatch.setattr(sork, "max_clique_size", refuse)
     monkeypatch.setattr(sork, "strong_orthogonality_graph", refuse)
+    monkeypatch.setattr(sork, "orbit_clique_search", refuse)
     monkeypatch.setattr(sork, "_sork_exact_cached",
                         _fresh_cache(sork._sork_exact_cached))
     monkeypatch.setattr(realforms, "_certified_sork",

@@ -19,12 +19,16 @@ from sorklie import (
     sork_formula,
     verify_certificate,
 )
+from sorklie import sork
 from sorklie.roots import is_strongly_orthogonal
 from sorklie.sork import (
+    MAX_SEARCH_RANK,
+    LazyRootGraph,
     lex_min_max_clique,
     max_clique_size,
+    orbit_clique_search,
+    require_searchable,
     strong_orthogonality_graph,
-    vertex_orbits,
 )
 
 
@@ -204,6 +208,21 @@ class TestCliqueSolver:
                         neigh[j] |= 1 << i
             assert max_clique_size(neigh) == max_clique_bruteforce(neigh)
 
+    def test_orbit_search_with_trivial_group(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randint(1, 14)
+            neigh = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < rng.choice((0.2, 0.5, 0.8)):
+                        neigh[i] |= 1 << j
+                        neigh[j] |= 1 << i
+            clique = orbit_clique_search(n, lambda v: (neigh[v], 0),
+                                         lambda v, key: 1 << v, n)
+            assert len(clique) == max_clique_bruteforce(neigh)
+            assert (len(clique), clique) == lex_min_max_clique(neigh)
+
     def test_given_size_too_large_raises(self):
         neigh = [0b0110, 0b0101, 0b0011, 0b0000]
         assert lex_min_max_clique(neigh, size=3) == (3, (0, 1, 2))
@@ -248,24 +267,89 @@ class TestGraph:
         assert neigh == ref
 
 
+class TestLazyRows:
+    @pytest.mark.parametrize("t", list(all_types(8)), ids=str)
+    def test_rows_match_full_graph(self, t):
+        phi = build_root_system(t)
+        reps, neigh = strong_orthogonality_graph(phi)
+        graph = LazyRootGraph(phi)
+        assert graph.reps == reps
+        for v, a in enumerate(reps):
+            orth = sum(1 << w for w, b in enumerate(reps)
+                       if sum(p * q for p, q in zip(a.coords, b.coords)) == 0)
+            assert graph.row(v) == (neigh[v], orth)
+
+
 ORBIT_COUNTS = {"A": 1, "B": 2, "C": 2, "D": 1, "E": 1, "F": 2, "G": 2}
 
 
+def _node_orbits(graph, key):
+    """The orbits that the per-node orbit step finds for every vertex."""
+    orbits, left = [], (1 << len(graph.reps)) - 1
+    while left:
+        orbit = graph.orbit((left & -left).bit_length() - 1, key)
+        orbits.append(orbit)
+        left &= ~orbit
+    return orbits
+
+
+def _reflection_orbit(reps, start, mirrors):
+    """Orbit of reps[start] under the reflections in every root of
+    ``mirrors``, closed by the plain formula on antipodal pairs."""
+    index = {r.coords: i for i, r in enumerate(reps)}
+    seen, queue = {start}, [start]
+    for u in queue:
+        x = reps[u].coords
+        for a in mirrors:
+            k = 2 * sum(p * q for p, q in zip(x, a)) // sum(p * p for p in a)
+            y = tuple(p - k * q for p, q in zip(x, a))
+            w = index[max(y, tuple(-p for p in y))]
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return sum(1 << w for w in seen)
+
+
 class TestWeylOrbits:
+    """The per-node orbit step of the search, ``LazyRootGraph.orbit``."""
+
     @pytest.mark.parametrize("t", list(all_types(8)), ids=str)
     def test_orbits_partition_vertices(self, t):
-        phi = build_root_system(t)
-        reps, _ = strong_orthogonality_graph(phi)
-        orbits = vertex_orbits(phi, reps)
-        assert sorted(v for orbit in orbits for v in orbit) == list(range(len(reps)))
+        graph = LazyRootGraph(build_root_system(t))
+        full = (1 << len(graph.reps)) - 1
+        orbits = _node_orbits(graph, full)
+        assert sum(orbits) == full  # disjoint and covering
         expected = 2 if t.is_reducible else ORBIT_COUNTS[t.family]
         assert len(orbits) == expected
 
     def test_d2_orbits_have_equal_length(self):
-        phi = _phi("D2")
-        reps, _ = strong_orthogonality_graph(phi)
-        assert vertex_orbits(phi, reps) == [[0], [1]]
-        assert len({sum(c * c for c in r.coords) for r in reps}) == 1
+        graph = LazyRootGraph(_phi("D2"))
+        assert _node_orbits(graph, 0b11) == [0b01, 0b10]
+        assert len({sum(c * c for c in r.coords) for r in graph.reps}) == 1
+
+    @pytest.mark.parametrize("t", list(all_types(7)), ids=str)
+    def test_node_orbits_match_all_orthogonal_reflections(self, t):
+        # at the nodes along the canonical clique, the simple reflections of
+        # the orthogonal subsystem give the orbits that all its reflections
+        # give, and the candidates are a union of orbits
+        phi = build_root_system(t)
+        graph = LazyRootGraph(phi)
+        reps = graph.reps
+        chosen = [reps.index(r) for r in canonical_certificate(t).roots]
+        key = cand = (1 << len(reps)) - 1
+        for depth in range(min(3, len(chosen)) + 1):
+            mirrors = [r.coords for r in reps
+                       if all(sum(p * q for p, q in zip(r.coords, reps[c].coords)) == 0
+                              for c in chosen[:depth])]
+            assert key == sum(1 << reps.index(Root(m)) for m in mirrors)
+            for orbit in _node_orbits(graph, key):
+                v = (orbit & -orbit).bit_length() - 1
+                assert orbit == _reflection_orbit(reps, v, mirrors)
+                assert orbit & cand in (0, orbit)
+            if depth < len(chosen):
+                neigh, orth = graph.row(chosen[depth])
+                key &= orth
+                cand &= neigh
 
 
 class TestOrbitSearchAgainstFullGraph:
@@ -286,12 +370,13 @@ class TestOrbitSearchAgainstFullGraph:
         assert verify_certificate(cert, phi)
 
 
-BEYOND_12 = [RootSystemType("B", 13), RootSystemType("D", 13), RootSystemType("D", 14)]
+UP_TO_SEARCH_CAP = [RootSystemType(fam, r) for fam in "ABCD"
+                    for r in range(13, MAX_SEARCH_RANK + 1)]
 LARGE_RANKS = [RootSystemType(fam, r) for fam in "ABCD" for r in (32, 48, 64)]
 
 
 class TestCanonicalCertificate:
-    @pytest.mark.parametrize("t", list(all_types(12)) + BEYOND_12, ids=str)
+    @pytest.mark.parametrize("t", list(all_types(12)) + UP_TO_SEARCH_CAP, ids=str)
     def test_equals_exact_search(self, t):
         assert canonical_certificate(t) == sork_exact(build_root_system(t))[1]
 
@@ -305,3 +390,17 @@ class TestCanonicalCertificate:
         for label in ("A65", "B65", "D99999999"):
             with pytest.raises(InvalidType):
                 canonical_certificate(RootSystemType.parse(label))
+
+
+class TestSearchCap:
+    def test_rank_above_search_cap_refused_before_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("search started")
+
+        monkeypatch.setattr(sork, "orbit_clique_search", refuse)
+        for fam in "ABCD":
+            t = RootSystemType(fam, MAX_SEARCH_RANK + 1)
+            with pytest.raises(InvalidType, match="exact search limit"):
+                require_searchable(t)
+            with pytest.raises(InvalidType, match="exact search limit"):
+                sork_exact(build_root_system(t))
