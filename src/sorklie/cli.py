@@ -31,6 +31,14 @@ EXIT_USAGE = 64
 MAX_JSON_NESTING = 16
 _JSON_BRACKETS = r'"(?:[^"\\]|\\.)*"|[][{}]'  # a whole string, or one bracket
 
+# Upper limits of the audit commands, each a usage error before any output.
+# The rank cap equals roots.MAX_BUILD_RANK (a test pins it; importing roots
+# here would load a layer for --help).  The worst allowed Kronecker run,
+# --max-size 8 --samples 1000, takes 7.7 s on a 2-vCPU host.
+MAX_RANK_CAP = 64
+MAX_KRONECKER_SIZE = 8
+MAX_KRONECKER_SAMPLES = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -39,13 +47,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``, else a usage
+def _in_range(low: int, high: int):
+    """argparse type: an integer from ``low`` to ``high``, else a usage
     error before any work."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"  # named in argparse's "invalid int value" message
     return parse
@@ -72,13 +82,16 @@ def _build_parser() -> _Parser:
     cp.add_argument("path", help="path to a certificate file, or - for stdin")
 
     tp = sub.add_parser("verify-tables", help="audit the subalgebra tables")
-    tp.add_argument("--rank-cap", type=_at_least(4), default=24)
+    tp.add_argument("--rank-cap", type=_in_range(4, MAX_RANK_CAP), default=24,
+                    help=f"largest rank audited, 4 to {MAX_RANK_CAP} (default 24)")
     tp.add_argument("--json", action="store_true")
 
     kp = sub.add_parser("verify-kronecker",
                         help="verify the Kronecker bracket identity")
-    kp.add_argument("--max-size", type=_at_least(2), default=4)
-    kp.add_argument("--samples", type=_at_least(1), default=200)
+    kp.add_argument("--max-size", type=_in_range(2, MAX_KRONECKER_SIZE), default=4,
+                    help=f"largest matrix size, 2 to {MAX_KRONECKER_SIZE} (default 4)")
+    kp.add_argument("--samples", type=_in_range(1, MAX_KRONECKER_SAMPLES), default=200,
+                    help=f"random trials, 1 to {MAX_KRONECKER_SAMPLES} (default 200)")
     kp.add_argument("--json", action="store_true")
 
     dp = sub.add_parser("dump-roots", help="dump a root system as JSON")

@@ -10,8 +10,6 @@ is kept strictly separate from exact evaluation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ExprSyntaxError, InvalidRealForm, InvalidType, RuleNotApplicable
 from .realforms import (
@@ -30,7 +28,7 @@ from .realforms import (
     split_form,
     su,
 )
-from .roots import RootSystemType
+from .roots import RootSystemType, Value, _set
 
 # Largest number of atoms that one ``^k`` may expand to: k times the atoms
 # of its base.  Counting atoms rather than k alone also bounds nested
@@ -46,57 +44,79 @@ MAX_POWER = 1000
 MAX_NESTING = 100
 
 
-class GroupExpr:
+class GroupExpr(Value):
     """Base class for AST nodes.  All nodes are immutable values."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class SimpleLie(GroupExpr):
+    __slots__ = ("descriptor",)
     descriptor: RealFormDescriptor
 
+    def __init__(self, descriptor: RealFormDescriptor):
+        _set(self, "descriptor", descriptor)
 
-@dataclass(frozen=True)
+
 class SolvableAtom(GroupExpr):
     """An infinite solvable atom with free subgroup rank zero: Z, R^n, or a
     generic solvable group."""
 
+    __slots__ = ("label",)
     label: str  # "Z", "R^3", "solvable"
 
+    def __init__(self, label: str):
+        _set(self, "label", label)
 
-@dataclass(frozen=True)
+
 class FiniteAtom(GroupExpr):
+    __slots__ = ("order",)
     order: int
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int):
+        if order < 1:
             raise ExprSyntaxError("finite group order must be >= 1", 0)
+        _set(self, "order", order)
 
 
-@dataclass(frozen=True)
 class DirectProduct(GroupExpr):
+    __slots__ = ("factors",)
     factors: tuple[GroupExpr, ...]
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[GroupExpr, ...]):
+        if not factors:
             raise ValueError("direct product needs at least one factor")
+        _set(self, "factors", factors)
 
 
-@dataclass(frozen=True)
 class FreeProduct(GroupExpr):
+    __slots__ = ("left", "right")
     left: GroupExpr
     right: GroupExpr
 
+    def __init__(self, left: GroupExpr, right: GroupExpr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+
 class Extension(GroupExpr):
+    __slots__ = ("kernel", "quotient", "mode")
     kernel: GroupExpr
     quotient: GroupExpr
     mode: str  # "split" | "central" | "general"
 
+    def __init__(self, kernel: GroupExpr, quotient: GroupExpr, mode: str):
+        _set(self, "kernel", kernel)
+        _set(self, "quotient", quotient)
+        _set(self, "mode", mode)
 
-@dataclass(frozen=True)
+
 class FiniteIndex(GroupExpr):
+    __slots__ = ("inner",)
     inner: GroupExpr
+
+    def __init__(self, inner: GroupExpr):
+        _set(self, "inner", inner)
 
 
 def _is_trivial(e: GroupExpr) -> bool:
@@ -223,11 +243,16 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Value):
+    __slots__ = ("kind", "text", "offset")
     kind: str  # "name" | "int" | "sym" | "end"
     text: str
     offset: int
+
+    def __init__(self, kind: str, text: str, offset: int):
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "offset", offset)
 
 
 def _tokenize(text: str) -> list[_Token]:

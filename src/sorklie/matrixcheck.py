@@ -9,7 +9,7 @@ Seeded random trials on integer matrices act as an independent oracle.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ShapeError
 

@@ -13,13 +13,12 @@ clique search is not on this path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import InvalidRealForm, InvalidType
-from .roots import RootSystemType, build_root_system
+from .roots import RootSystemType, Value, _set, build_root_system
 from .sork import OrthCertificate, canonical_certificate, sork_formula, verify_certificate
 
 # Known exceptional real forms by (family+rank, signature), excluding the
@@ -40,8 +39,7 @@ class NuCase(Enum):
     SOPQ_EXCEPTION = "SopqException"
 
 
-@dataclass(frozen=True, order=True)
-class RealFormDescriptor:
+class RealFormDescriptor(Value):
     """A named real simple Lie algebra.
 
     kind is one of: complex, split, compact (carrying ``base``), or a
@@ -49,9 +47,16 @@ class RealFormDescriptor:
     so*(2n)), sp (p,q), exc (rank, signature with ``base``).
     """
 
+    __slots__ = ("kind", "params", "base")
     kind: str
-    params: tuple[int, ...] = ()
-    base: RootSystemType | None = None
+    params: tuple[int, ...]
+    base: RootSystemType | None
+
+    def __init__(self, kind: str, params: tuple[int, ...] = (),
+                 base: RootSystemType | None = None):
+        _set(self, "kind", kind)
+        _set(self, "params", params)
+        _set(self, "base", base)
 
     def __str__(self) -> str:
         k = self.kind
@@ -90,12 +95,19 @@ class RealFormDescriptor:
         return f"<{k}>"  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class NuResult:
+class NuResult(Value):
+    __slots__ = ("nu", "case", "sork_of_complexification", "certificate")
     nu: int
     case: NuCase
     sork_of_complexification: int
-    certificate: OrthCertificate | None = None
+    certificate: OrthCertificate | None
+
+    def __init__(self, nu: int, case: NuCase, sork_of_complexification: int,
+                 certificate: OrthCertificate | None = None):
+        _set(self, "nu", nu)
+        _set(self, "case", case)
+        _set(self, "sork_of_complexification", sork_of_complexification)
+        _set(self, "certificate", certificate)
 
 
 def complex_simple(t: RootSystemType) -> RealFormDescriptor:

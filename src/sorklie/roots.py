@@ -8,15 +8,17 @@ reduce to integer comparisons.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionError, InvalidType, MembershipError
 
 # The predicates work on the doubled integer coordinates.  Only the three
 # functions that build a Fraction import it, so a process that calls none
-# of them never loads ``fractions``.
+# of them never loads ``fractions``.  Annotations are never evaluated, and
+# type checkers take any name TYPE_CHECKING as true, so ``typing`` is not
+# imported either.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -40,8 +42,71 @@ _CARDINALITY = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class RootSystemType:
+_set = object.__setattr__  # how a Value's __init__ writes its fields
+
+
+class Value:
+    """Base of the immutable records of every layer.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its own
+    ``__init__`` through ``object.__setattr__``; its arguments are the
+    fields in slot order.  Equality, hashing, order and ``repr`` are keyed
+    on the tuple of the fields, and an instance equals or orders only
+    against one of the same class.  Fields whose names start with an
+    underscore are left out of ``repr``.  Assigning or deleting a field
+    raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() <= other._key()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() > other._key()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() >= other._key()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which assignment refuses
+        return self.__class__, self._key()
+
+
+class RootSystemType(Value):
     """A family letter A-G together with a rank.
 
     Low rank aliases are normalized at construction: B1 and C1 become A1.
@@ -49,20 +114,18 @@ class RootSystemType:
     D3 is isomorphic to A3).
     """
 
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
-    def __post_init__(self):
-        fam, rank = self.family, self.rank
-        if fam not in _FAMILIES:
-            raise InvalidType(f"unknown family {fam!r}; expected one of A-G")
+    def __init__(self, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise InvalidType(f"unknown family {family!r}; expected one of A-G")
         if rank < 1:
             raise InvalidType(f"rank must be positive, got {rank}")
-        if fam in ("B", "C") and rank == 1:
-            # low rank isomorphism B1 = C1 = A1
-            object.__setattr__(self, "family", "A")
-            return
-        bounds_ok = {
+        if family in ("B", "C") and rank == 1:
+            family = "A"  # low rank isomorphism B1 = C1 = A1
+        elif not {
             "A": rank >= 1,
             "B": rank >= 2,
             "C": rank >= 2,
@@ -70,9 +133,10 @@ class RootSystemType:
             "E": rank in (6, 7, 8),
             "F": rank == 4,
             "G": rank == 2,
-        }[fam]
-        if not bounds_ok:
-            raise InvalidType(f"rank {rank} out of bounds for family {fam}")
+        }[family]:
+            raise InvalidType(f"rank {rank} out of bounds for family {family}")
+        _set(self, "family", family)
+        _set(self, "rank", rank)
 
     @property
     def is_reducible(self) -> bool:
@@ -102,15 +166,26 @@ class RootSystemType:
         return entry(self.rank) if callable(entry) else entry[self.rank]
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(Value):
     """A root stored as doubled coordinates (all entries are integers)."""
 
+    __slots__ = ("coords",)
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        if not any(self.coords):
+    def __init__(self, coords: tuple[int, ...]):
+        if not any(coords):
             raise InvalidType("a root cannot be the zero vector")
+        _set(self, "coords", coords)
+
+    # Hot in sets and lookups: read the one field directly.
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def ambient_dim(self) -> int:
@@ -144,15 +219,24 @@ def _vsub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Value):
     """The full set of roots of one type, with simple roots in Bourbaki order."""
 
+    __slots__ = ("type", "roots", "simple_roots", "ambient_dim", "_coord_set")
     type: RootSystemType
     roots: tuple[Root, ...]
     simple_roots: tuple[Root, ...]
     ambient_dim: int
-    _coord_set: frozenset[tuple[int, ...]] = field(repr=False)
+    _coord_set: frozenset[tuple[int, ...]]
+
+    def __init__(self, type: RootSystemType, roots: tuple[Root, ...],
+                 simple_roots: tuple[Root, ...], ambient_dim: int,
+                 _coord_set: frozenset[tuple[int, ...]]):
+        _set(self, "type", type)
+        _set(self, "roots", roots)
+        _set(self, "simple_roots", simple_roots)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "_coord_set", _coord_set)
 
     def __contains__(self, root: Root) -> bool:
         return root.coords in self._coord_set

@@ -31,16 +31,17 @@ are kept as the generic cross-check for the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Callable, Sequence
 
 from .errors import CertificateError, InvalidType
 from .roots import (
     Root,
     RootSystem,
     RootSystemType,
+    Value,
+    _set,
     build_root_system,
     require_buildable,
 )
@@ -52,13 +53,17 @@ from .roots import (
 MAX_SEARCH_RANK = 20
 
 
-@dataclass(frozen=True)
-class OrthCertificate:
+class OrthCertificate(Value):
     """An explicit pairwise strongly orthogonal set, sorted lexicographically
     on doubled coordinates."""
 
+    __slots__ = ("system_type", "roots")
     system_type: RootSystemType
     roots: tuple[Root, ...]
+
+    def __init__(self, system_type: RootSystemType, roots: tuple[Root, ...]):
+        _set(self, "system_type", system_type)
+        _set(self, "roots", roots)
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,14 +95,18 @@ def _is_int(x: object) -> bool:
     return type(x) is int  # JSON true/false load as bool, a subclass of int
 
 
-@dataclass(frozen=True)
-class CertCheck:
+class CertCheck(Value):
     """Verification outcome; ``reason`` is one of NotARoot,
     NotStronglyOrthogonal, NotCanonical, CountMismatch when ``ok`` is
     false."""
 
+    __slots__ = ("ok", "reason")
     ok: bool
-    reason: str | None = None
+    reason: str | None
+
+    def __init__(self, ok: bool, reason: str | None = None):
+        _set(self, "ok", ok)
+        _set(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -250,18 +259,12 @@ def max_clique_size(neigh: Sequence[int], cand: int | None = None,
     return best
 
 
-def lex_min_max_clique(neigh: Sequence[int],
-                       size: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """Clique number plus the lexicographically least maximum clique
-    (as an increasing tuple of vertex indices).
-
-    ``size`` is the clique number if the caller already knows it; when None
-    it is found by a full search.
-    """
+def lex_min_max_clique(neigh: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Clique number, found by a full search, plus the lexicographically
+    least maximum clique (as an increasing tuple of vertex indices)."""
     n = len(neigh)
     full = (1 << n) - 1
-    if size is None:
-        size = max_clique_size(neigh, full)
+    size = max_clique_size(neigh, full)
     chosen: list[int] = []
     cand = full
     for v in range(n):

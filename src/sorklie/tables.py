@@ -7,25 +7,38 @@ for every row instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
-from .roots import RootSystemType
+from .roots import RootSystemType, Value, _set
 from .sork import sork_formula
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(Value):
+    __slots__ = ("row_id", "claim", "recomputed", "encoded", "passed")
     row_id: str
     claim: str
     recomputed: object
     encoded: object
     passed: bool
 
+    def __init__(self, row_id: str, claim: str, recomputed: object,
+                 encoded: object, passed: bool):
+        _set(self, "row_id", row_id)
+        _set(self, "claim", claim)
+        _set(self, "recomputed", recomputed)
+        _set(self, "encoded", encoded)
+        _set(self, "passed", passed)
 
-@dataclass
-class AuditReport:
-    entries: list[AuditEntry] = field(default_factory=list)
+
+class AuditReport(Value):
+    """The entries of one audit, appended as its rows are checked."""
+
+    __slots__ = ("entries",)
+    __hash__ = None  # the entries list grows
+    entries: list[AuditEntry]
+
+    def __init__(self, entries: list[AuditEntry] | None = None):
+        _set(self, "entries", [] if entries is None else entries)
 
     @property
     def ok(self) -> bool:

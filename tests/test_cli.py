@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from sorklie import cli
 from sorklie.cli import EXIT_AUDIT_FAIL, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
+from sorklie.roots import MAX_BUILD_RANK
 
 
 def run(capsys, *argv):
@@ -209,6 +212,16 @@ class TestVerifyTables:
         assert (code, out) == (EXIT_USAGE, "")
         assert "--rank-cap: must be at least 4" in err
 
+    def test_rank_cap_above_its_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify-tables", "--rank-cap",
+                             str(cli.MAX_RANK_CAP + 1))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"--rank-cap: must be at most {cli.MAX_RANK_CAP}" in err
+
+    def test_rank_cap_limit_is_the_construction_limit(self):
+        # cli.py must not import roots for it, so the test pins the value
+        assert cli.MAX_RANK_CAP == MAX_BUILD_RANK
+
 
 class TestVerifyKronecker:
     def test_pass(self, capsys):
@@ -224,6 +237,18 @@ class TestVerifyKronecker:
         code, out, err = run(capsys, "verify-kronecker", flag, value)
         assert (code, out) == (EXIT_USAGE, "")
         assert f"{flag}: must be at least {low}" in err
+
+    @pytest.mark.parametrize("flag,high", [
+        ("--max-size", cli.MAX_KRONECKER_SIZE),
+        ("--samples", cli.MAX_KRONECKER_SAMPLES),
+    ])
+    def test_value_above_its_limit_is_a_usage_error(self, capsys, flag, high):
+        code, out, err = run(capsys, "verify-kronecker", flag, str(high + 1))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{flag}: must be at most {high}" in err
+
+    def test_limits_are_the_documented_ones(self):
+        assert (cli.MAX_KRONECKER_SIZE, cli.MAX_KRONECKER_SAMPLES) == (8, 1000)
 
 
 class TestDumpRoots:
@@ -247,7 +272,8 @@ class TestUsage:
 
 
 # Runs main(argv) in a fresh interpreter, then prints the loaded sorklie
-# modules other than the package, cli and errors, and whether fractions is.
+# modules other than the package, cli and errors, and which of the standard
+# modules a subcommand should not need are loaded.
 _LOADED = """
 import contextlib, io, json, sys
 from sorklie.cli import main
@@ -255,7 +281,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
 names = [m.split(".")[1] for m in sys.modules if m.startswith("sorklie.")]
 print(json.dumps({"layers": sorted(set(names) - {"cli", "errors"}),
-                  "fractions": "fractions" in sys.modules}))
+                  "unwanted": [m for m in ("fractions", "dataclasses", "inspect")
+                               if m in sys.modules]}))
 """
 
 
@@ -267,14 +294,27 @@ class TestImportLayering:
         (["dump-roots", "G2"], ["roots"]),
         (["nu", "su(2)"], ["groups", "realforms", "roots", "sork"]),
         (["certify", "-"], ["roots", "sork"]),
-    ], ids=["help", "sork", "verify-kronecker", "dump-roots", "nu", "certify"])
+        (["verify-tables", "--rank-cap", "4"], ["roots", "sork", "tables"]),
+    ], ids=["help", "sork", "verify-kronecker", "dump-roots", "nu", "certify",
+            "verify-tables"])
     def test_subcommand_imports_only_its_layers(self, argv, layers):
         proc = subprocess.run(
             [sys.executable, "-c", _LOADED, *argv],
             input='{"system_type": "E6", "roots": []}',
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"layers": layers, "fractions": False}
+        assert json.loads(proc.stdout) == {"layers": layers, "unwanted": []}
+
+    def test_layers_import_no_typing_without_site(self):
+        # site may import typing itself; with -S only the layers could
+        src = str(Path(cli.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import sorklie.cli, "
+                "sorklie.groups, sorklie.tables, sorklie.matrixcheck; "
+                "print([m for m in ('typing', 'dataclasses', 'inspect') "
+                "if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 class TestConsoleScript:

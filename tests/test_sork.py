@@ -223,11 +223,20 @@ class TestCliqueSolver:
             assert len(clique) == max_clique_bruteforce(neigh)
             assert (len(clique), clique) == lex_min_max_clique(neigh)
 
-    def test_given_size_too_large_raises(self):
+    def test_given_size_too_large_raises(self, monkeypatch):
+        # A clique number one too large, as a faulty full search would
+        # report it, makes the extraction fall short and raise.
         neigh = [0b0110, 0b0101, 0b0011, 0b0000]
-        assert lex_min_max_clique(neigh, size=3) == (3, (0, 1, 2))
-        with pytest.raises(AssertionError):
-            lex_min_max_clique(neigh, size=4)
+        assert lex_min_max_clique(neigh) == (3, (0, 1, 2))
+        real = sork.max_clique_size
+
+        def one_too_many(neigh, cand=None, stop_at=None):
+            found = real(neigh, cand, stop_at)
+            return found + 1 if stop_at is None else found
+
+        monkeypatch.setattr(sork, "max_clique_size", one_too_many)
+        with pytest.raises(AssertionError, match="search bug"):
+            lex_min_max_clique(neigh)
 
     def test_stop_at_short_circuit(self):
         # complete graph on 10 vertices
