@@ -9,14 +9,23 @@ function: ``--help`` and usage errors import none, ``dump-roots`` only
 ``roots``, ``verify-kronecker`` only ``matrixcheck``.  The imports read the
 module attributes at call time, so a function patched on its module is the
 one called.
+
+The grammar lives in one table, ``_GRAMMAR``, read by two parsers.
+``_parse`` takes every plain command line, ``CMD [POS] [--flag | --opt
+N]...``, and imports nothing.  Anything else (``--help``, a usage error, an
+out-of-range value, an abbreviated or ``--opt=N`` option, ``--``) goes to
+the ``argparse`` parser that ``_build_parser`` makes from the same table.
+So ``argparse``, ``gettext`` and ``locale`` are loaded only for help,
+usage errors and those rarer spellings.  Both parsers convert an int
+option with the same ``_in_range`` converter, so each bound is stated
+once.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
+from types import SimpleNamespace
 
 from .errors import CertificateError, SorklieError
 
@@ -40,63 +49,121 @@ MAX_KRONECKER_SIZE = 8
 MAX_KRONECKER_SAMPLES = 1000
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _in_range(low: int, high: int):
-    """argparse type: an integer from ``low`` to ``high``, else a usage
-    error before any work."""
+    """Converter of a bounded int option, for both parsers: an integer from
+    ``low`` to ``high``, else a usage error before any work.  Only a value
+    out of range imports ``argparse``, for its ``ArgumentTypeError``."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
-        return value
+        if low <= value <= high:
+            return value
+        import argparse
+
+        bound = f"at least {low}" if value < low else f"at most {high}"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
     parse.__name__ = "int"  # named in argparse's "invalid int value" message
     return parse
 
 
-def _build_parser() -> _Parser:
+def _int_option(flag: str, low: int, high: int, default: int, what: str):
+    return flag, _in_range(low, high), default, \
+        f"{what}, {low} to {high} (default {default})"
+
+
+# The grammar.  Per subcommand: its help, its positional (name, help) or
+# None, its bounded int options (flag, converter, default, help) and its
+# boolean flags (flag, help).  argparse shows the arguments in this order.
+_GRAMMAR = {
+    "sork": ("strong orthogonal rank of a root system",
+             ("type", "root system type, e.g. E8 or B7"), (),
+             (("--certificate", "also emit the witnessing certificate as JSON"),
+              ("--json", None))),
+    "nu": ("free subgroup rank of a group expression",
+           ("expr", 'group expression, e.g. "SL(2,R) x SU(2)^3"'), (),
+           (("--certificate", "include per-factor certificates in JSON output"),
+            ("--json", None))),
+    "certify": ("verify a certificate JSON document",
+                ("path", "path to a certificate file, or - for stdin"), (), ()),
+    "verify-tables": ("audit the subalgebra tables", None,
+                      (_int_option("--rank-cap", 4, MAX_RANK_CAP, 24,
+                                   "largest rank audited"),),
+                      (("--json", None),)),
+    "verify-kronecker": ("verify the Kronecker bracket identity", None,
+                         (_int_option("--max-size", 2, MAX_KRONECKER_SIZE, 4,
+                                      "largest matrix size"),
+                          _int_option("--samples", 1, MAX_KRONECKER_SAMPLES, 200,
+                                      "random trials")),
+                         (("--json", None),)),
+    "dump-roots": ("dump a root system as JSON",
+                   ("type", "root system type, e.g. F4"), (), ()),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _build_parser():
+    """The argparse parser of ``_GRAMMAR``, for help and usage errors."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
     # --help shows the first two paragraphs: the summary and the exit codes.
-    p = _Parser(prog="sorklie", description="\n\n".join(__doc__.split("\n\n")[:2]))
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sp = sub.add_parser("sork", help="strong orthogonal rank of a root system")
-    sp.add_argument("type", help="root system type, e.g. E8 or B7")
-    sp.add_argument("--certificate", action="store_true",
-                    help="also emit the witnessing certificate as JSON")
-    sp.add_argument("--json", action="store_true")
-
-    np = sub.add_parser("nu", help="free subgroup rank of a group expression")
-    np.add_argument("expr", help='group expression, e.g. "SL(2,R) x SU(2)^3"')
-    np.add_argument("--certificate", action="store_true",
-                    help="include per-factor certificates in JSON output")
-    np.add_argument("--json", action="store_true")
-
-    cp = sub.add_parser("certify", help="verify a certificate JSON document")
-    cp.add_argument("path", help="path to a certificate file, or - for stdin")
-
-    tp = sub.add_parser("verify-tables", help="audit the subalgebra tables")
-    tp.add_argument("--rank-cap", type=_in_range(4, MAX_RANK_CAP), default=24,
-                    help=f"largest rank audited, 4 to {MAX_RANK_CAP} (default 24)")
-    tp.add_argument("--json", action="store_true")
-
-    kp = sub.add_parser("verify-kronecker",
-                        help="verify the Kronecker bracket identity")
-    kp.add_argument("--max-size", type=_in_range(2, MAX_KRONECKER_SIZE), default=4,
-                    help=f"largest matrix size, 2 to {MAX_KRONECKER_SIZE} (default 4)")
-    kp.add_argument("--samples", type=_in_range(1, MAX_KRONECKER_SAMPLES), default=200,
-                    help=f"random trials, 1 to {MAX_KRONECKER_SAMPLES} (default 200)")
-    kp.add_argument("--json", action="store_true")
-
-    dp = sub.add_parser("dump-roots", help="dump a root system as JSON")
-    dp.add_argument("type", help="root system type, e.g. F4")
+    p = Parser(prog="sorklie", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for command, (summary, positional, options, flags) in _GRAMMAR.items():
+        sp = sub.add_parser(command, help=summary)
+        if positional is not None:
+            sp.add_argument(positional[0], help=positional[1])
+        for flag, convert, default, help_ in options:
+            sp.add_argument(flag, type=convert, default=default, help=help_)
+        for flag, help_ in flags:
+            sp.add_argument(flag, action="store_true", help=help_)
     return p
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for a plain command line ``CMD [POS]
+    [--flag | --opt N]...``, or None for any other, which ``main`` hands to
+    argparse: no command, help, an abbreviation, ``--opt=N``, ``--``, a
+    second positional, a positional other than ``-`` that starts with
+    ``-``, or a value the converter refuses."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, positional, options, flags = _GRAMMAR[argv[0]]
+    args = {"command": argv[0]}
+    converters = {}
+    for flag, convert, default, _ in options:
+        args[_dest(flag)] = default
+        converters[flag] = convert
+    switches = {flag for flag, _ in flags}
+    args.update((_dest(flag), False) for flag in switches)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in converters:
+            text = next(tokens, "-")
+            if text.startswith("-"):  # a missing value, a negative or an option
+                return None
+            try:
+                args[_dest(token)] = converters[token](text)
+            except Exception:  # int()'s ValueError or the ArgumentTypeError
+                return None
+        elif token in switches:
+            args[_dest(token)] = True
+        elif token.startswith("-") and token != "-":
+            return None
+        elif positional is None or positional[0] in args:
+            return None
+        else:
+            args[positional[0]] = token
+    if positional is not None and positional[0] not in args:
+        return None
+    return SimpleNamespace(**args)
 
 
 def _cmd_sork(args) -> int:
@@ -170,6 +237,8 @@ def _cmd_certify(args) -> int:
 def _json_nesting(raw: str) -> int:
     """Deepest bracket nesting of a JSON text, not counting brackets inside
     strings."""
+    import re
+
     depth = deepest = 0
     for m in re.finditer(_JSON_BRACKETS, raw):
         token = m.group()
@@ -246,11 +315,14 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
     except SorklieError as err:

@@ -133,21 +133,23 @@ def _require_simple_type(t: RootSystemType) -> None:
 def su(p: int, q: int) -> RealFormDescriptor:
     p, q = max(p, q), min(p, q)
     if q == 0:
-        return compact_form(RootSystemType("A", p - 1)) if p >= 2 else _fail("su", p, q)
+        if p < 2:
+            _fail(f"su({p},{q})")
+        return compact_form(RootSystemType("A", p - 1))
     if p < 1 or q < 1:
-        _fail("su", p, q)
+        _fail(f"su({p},{q})")
     return RealFormDescriptor("su", (p, q))
 
 
 def sl_R(n: int) -> RealFormDescriptor:
     if n < 2:
-        _fail("sl(n,R)", n)
+        _fail(f"sl({n},R)")
     return split_form(RootSystemType("A", n - 1))
 
 
 def sl_H(n: int) -> RealFormDescriptor:
     if n < 1:
-        _fail("sl(n,H)", n)
+        _fail(f"sl({n},H)")
     if n == 1:
         # sl(1,H) = su(2)
         return compact_form(RootSystemType("A", 1))
@@ -158,7 +160,7 @@ def so(p: int, q: int) -> RealFormDescriptor:
     p, q = max(p, q), min(p, q)
     n = p + q
     if n < 3 or q < 0:
-        _fail("so", p, q)
+        _fail(f"so({p},{q})")
     if q == 0:
         if n == 4:
             raise InvalidRealForm("so(4) is not simple")
@@ -175,13 +177,13 @@ def so(p: int, q: int) -> RealFormDescriptor:
 
 def so_star(two_n: int) -> RealFormDescriptor:
     if two_n % 2 or two_n < 6:
-        _fail("so*", two_n)
+        _fail(f"so*({two_n})")
     return RealFormDescriptor("so_star", (two_n // 2,))
 
 
 def sp_R(n: int) -> RealFormDescriptor:
     if n < 1:
-        _fail("sp(n,R)", n)
+        _fail(f"sp({n},R)")
     return split_form(RootSystemType("C", n))
 
 
@@ -189,7 +191,7 @@ def sp(p: int, q: int) -> RealFormDescriptor:
     p, q = max(p, q), min(p, q)
     if q == 0:
         if p < 1:
-            _fail("sp", p, q)
+            _fail(f"sp({p},{q})")
         return compact_form(RootSystemType("C", p))
     return RealFormDescriptor("sp", (p, q))
 
@@ -206,8 +208,8 @@ def exceptional_form(family: str, rank: int, signature: int) -> RealFormDescript
     raise InvalidRealForm(f"unknown exceptional real form {family}{rank}({signature})")
 
 
-def _fail(name: str, *params: int) -> None:
-    raise InvalidRealForm(f"{name}{params} does not describe a simple Lie algebra")
+def _fail(descriptor: str) -> None:
+    raise InvalidRealForm(f"{descriptor} does not describe a simple Lie algebra")
 
 
 def complexification_type(d: RealFormDescriptor) -> RootSystemType:

@@ -270,20 +270,30 @@ class TestUsage:
     def test_bad_flag(self, capsys):
         assert run(capsys, "sork", "E8", "--bogus")[0] == EXIT_USAGE
 
+    # Help text, byte for byte: the parser is built from cli._GRAMMAR.
+    _HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+    @pytest.mark.parametrize("argv", sorted(_HELP))
+    def test_help_text_is_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv.split()) == (EXIT_OK, self._HELP[argv], "")
+
 
 # Runs main(argv) in a fresh interpreter, then prints the loaded sorklie
 # modules other than the package, cli and errors, and which of the standard
-# modules a subcommand should not need are loaded.
+# modules that argv[1] names, comma-separated, are loaded.
 _LOADED = """
 import contextlib, io, json, sys
 from sorklie.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    main(sys.argv[1:])
+    main(sys.argv[2:])
 names = [m.split(".")[1] for m in sys.modules if m.startswith("sorklie.")]
 print(json.dumps({"layers": sorted(set(names) - {"cli", "errors"}),
-                  "unwanted": [m for m in ("fractions", "dataclasses", "inspect")
-                               if m in sys.modules]}))
+                  "unwanted": [m for m in sys.argv[1].split(",") if m in sys.modules]}))
 """
+_UNWANTED = ("fractions", "dataclasses", "inspect")
+# loaded by the argparse parser, which only --help and usage errors need
+_PARSER_MODULES = ("argparse", "gettext", "locale")
 
 
 class TestImportLayering:
@@ -298,8 +308,9 @@ class TestImportLayering:
     ], ids=["help", "sork", "verify-kronecker", "dump-roots", "nu", "certify",
             "verify-tables"])
     def test_subcommand_imports_only_its_layers(self, argv, layers):
+        unwanted = _UNWANTED if argv == ["--help"] else _UNWANTED + _PARSER_MODULES
         proc = subprocess.run(
-            [sys.executable, "-c", _LOADED, *argv],
+            [sys.executable, "-c", _LOADED, ",".join(unwanted), *argv],
             input='{"system_type": "E6", "roots": []}',
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr

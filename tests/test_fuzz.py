@@ -1,6 +1,7 @@
 """Hostile input to ``nu`` and ``certify``: every run ends with a documented
 exit code (0, 1, 2 or 64), never with an uncaught exception, and in
-bounded time."""
+bounded time.  Arbitrary command lines: the argparse-free parser either
+declines or agrees with argparse."""
 
 import contextlib
 import io
@@ -11,6 +12,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sorklie import cli
 from sorklie.cli import main
 
 EXIT_CODES = {0, 1, 2, 64}
@@ -77,3 +79,48 @@ def test_certify_on_arbitrary_documents(raw):
     code, seconds = _run(["certify", "-"], stdin=raw)
     assert code in EXIT_CODES
     assert seconds < SECONDS
+
+
+_TOKENS = st.sampled_from([
+    *cli._GRAMMAR, "--json", "--certificate", "--rank-cap", "--max-size",
+    "--samples", "--cert", "--rank", "--rank-cap=8", "-h", "--help", "--", "-",
+    "-1", "8", "65", "x", "A3", "",
+])
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# Most draws start with a command, so most reach the subcommand's grammar.
+_ARGVS = st.builds(lambda command, rest: [command, *rest],
+                   st.sampled_from(list(cli._GRAMMAR)), st.lists(_TOKENS, max_size=4)) \
+    | st.lists(_TOKENS, max_size=5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ARGVS)
+def test_parse_declines_or_agrees_with_argparse(argv):
+    fast, slow = cli._parse(argv), _argparse_vars(argv)
+    if slow is None:
+        assert fast is None
+    if fast is not None:
+        assert vars(fast) == slow
+
+
+def test_parse_takes_every_benchmark_shape():
+    for argv in (["sork", "B12", "--json", "--certificate"],
+                 ["nu", "su(2)^3 x sl(2,R)", "--json"],
+                 ["certify", "bench/data/certificates/E8.json"],
+                 ["verify-tables", "--rank-cap", "24"],
+                 ["verify-kronecker"],
+                 ["dump-roots", "E8"]):
+        fast = cli._parse(argv)
+        assert fast is not None, argv
+        assert vars(fast) == _argparse_vars(argv)

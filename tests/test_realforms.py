@@ -15,6 +15,7 @@ from sorklie import (
     is_sopq_exception,
     nu_one_catalog,
     nu_simple,
+    parse_group_expr,
     sl_H,
     sl_R,
     so,
@@ -79,6 +80,18 @@ class TestNormalization:
     def test_non_simple_rejected(self, bad):
         with pytest.raises(InvalidRealForm):
             bad()
+
+    # one expression per _fail caller, plus su(1), which su reads as su(1,0)
+    @pytest.mark.parametrize("expr,written", [
+        ("su(1,0)", "su(1,0)"), ("su(1)", "su(1,0)"), ("sl(1,R)", "sl(1,R)"),
+        ("sl(0,H)", "sl(0,H)"), ("so(1,1)", "so(1,1)"), ("so*(4)", "so*(4)"),
+        ("sp(0,R)", "sp(0,R)"), ("sp(0,0)", "sp(0,0)"),
+    ])
+    def test_rejection_names_the_descriptor(self, expr, written):
+        with pytest.raises(InvalidRealForm) as info:
+            parse_group_expr(expr)
+        assert str(info.value) == \
+            f"{written} does not describe a simple Lie algebra (at offset 0)"
 
 
 class TestComplexification:

@@ -36,6 +36,11 @@ class TestTable2:
         with pytest.raises(ValueError):
             table2_audit(rank_cap=3)
 
+    def test_no_row_restates_the_formula(self):
+        # the s+t rule is sork_formula restated; only encoded data is audited
+        claims = {e.claim for e in table2_audit(rank_cap=24).entries}
+        assert "n column (s+t rule)" not in claims
+
     def test_known_rows_present(self):
         ids = {e.row_id for e in table2_audit(rank_cap=12).entries}
         assert "A5: A1 x A2 (s=2, t=3)" in ids
