@@ -19,10 +19,25 @@ So ``argparse``, ``gettext`` and ``locale`` are loaded only for help,
 usage errors and those rarer spellings.  Both parsers convert an int
 option with the same ``_in_range`` converter, so each bound is stated
 once.
+
+A CLI process runs ``run()``: it is the ``sorklie`` console script and the
+body of ``python -m sorklie.cli``.  It calls ``main()``, flushes stdout and
+exits with ``main()``'s code, and on every path out it first calls
+``gc.freeze()``.  Interpreter teardown runs full cyclic collections, and
+without the freeze each of them walks every tracked object that start-up,
+``site`` and the layers made (about 11,700 after ``nu``), none of which is
+garbage.  One such collection takes 2.2 ms, frozen almost none; per process
+that is about 5 ms, e.g. the benchmark's median ``nu`` op 50.5 -> 44.6 ms
+(2-vCPU host).  Teardown still runs ``atexit`` handlers, profilers and the
+stream flushes, which a hard exit past teardown would skip.  A failed write
+of the answer is an ``error: ...`` line on stderr and exit code 1, with
+nothing left buffered for teardown to retry.  ``main()`` itself never
+freezes, so a caller in the same process sees no change.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from types import SimpleNamespace
@@ -333,5 +348,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+def run() -> None:
+    """Run ``main()`` as the whole process and exit with its code; see the
+    module docstring."""
+    try:
+        code = main()
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            code = EXIT_ERROR
+            # Teardown flushes stdout again: send what is still buffered to
+            # the null device, as the Python docs advise for a broken pipe.
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:
+        gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    run()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from operator import mul
 
 from .errors import ShapeError
 
@@ -32,12 +33,10 @@ def zeros(n: int) -> IntMatrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    n, k = len(a), len(a[0])
-    if len(b) != k:
+    if len(b) != len(a[0]):
         raise ShapeError("inner dimensions do not match")
-    m = len(b[0])
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -58,18 +57,8 @@ def trace(a: Sequence[Sequence[int]]) -> int:
 
 
 def kronecker(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    out = [[0] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            aij = a[i][j]
-            if aij == 0:
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = aij * b[k][l]
-    return out
+    # Row i*len(b) + k of a (x) b is the Kronecker product of rows a[i], b[k].
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
 
 
 def kronecker_sum(g: Sequence[Sequence[int]], k: Sequence[Sequence[int]]) -> IntMatrix:

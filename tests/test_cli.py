@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -343,3 +344,66 @@ class TestConsoleScript:
             [sys.executable, "-m", "sorklie.cli", "certify", "-"],
             input=json.dumps(doc), capture_output=True, text=True)
         assert proc.returncode == EXIT_OK
+
+
+def cli_process(*argv, env=None, stdout=subprocess.PIPE):
+    """``python -m sorklie.cli ARGV``, which runs ``cli.run()``."""
+    return subprocess.run([sys.executable, "-m", "sorklie.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=30, env=env)
+
+
+# Registers an atexit handler, then runs cli.run() as the process would.
+_ATEXIT = """
+import atexit, gc, sys
+from sorklie import cli
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+sys.argv[1:] = ["sork", "A2"]
+cli.run()
+"""
+
+
+class TestRun:
+    def test_profiler_still_reports(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "sorklie.cli", "sork", "A2"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("sork(A2) = 1\n")
+        assert "function calls" in proc.stdout
+
+    def test_atexit_handlers_run_on_the_frozen_heap(self):
+        proc = subprocess.run([sys.executable, "-c", _ATEXIT],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_OK, "sork(A2) = 1\nfrozen at exit: True\n", "")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["sork", "A5", "--json", "--certificate"], EXIT_OK),
+        (["sork", "Q3"], EXIT_ERROR),
+        (["certify", "{mismatch}"], EXIT_AUDIT_FAIL),
+        (["sork"], EXIT_USAGE),
+    ], ids=["ok", "error", "audit-fail", "usage"])
+    def test_same_output_and_code_as_main(self, capsys, monkeypatch, tmp_path,
+                                          argv, code):
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps({"system_type": "A2", "n": 2, "roots": []}))
+        argv = [str(path) if a == "{mismatch}" else a for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = run(capsys, *argv)
+        proc = cli_process(*argv)
+        assert expected[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_failed_write_is_an_error(self, unbuffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = cli_process("sork", "A2", env=env, stdout=full)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
