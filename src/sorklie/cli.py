@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success / all checks pass, 1 computation error (bad type,
-syntax error, inapplicable rule), 2 audit or verification failure,
-64 usage error.
+Exit codes: 0 success / all checks pass, 1 error (bad type, syntax error,
+inapplicable rule, unreadable or malformed certify file, failed write of
+the answer), 2 audit or verification failure, 64 usage error.
 
 Each subcommand imports only the layers it runs, inside its ``_cmd_*``
 function: ``--help`` and usage errors import none, ``dump-roots`` only

@@ -481,42 +481,28 @@ class _Parser:
             raise ExprSyntaxError(str(err), tok.offset) from err
 
 
-def _classical_descriptor(lname: str, args: list, offset: int) -> RealFormDescriptor:
-    def bad() -> ExprSyntaxError:
-        return ExprSyntaxError(f"bad arguments for {lname}{tuple(args)!r}", offset)
+# (name, argument shape) -> builder called with the integer arguments.  The
+# shape has "n" for an integer and the marker itself for R or H.
+_CLASSICAL = {
+    ("su", ("n",)): lambda n: su(n, 0),
+    ("su", ("n", "n")): su,
+    ("sl", ("n", "R")): sl_R,
+    ("sl", ("n", "H")): sl_H,
+    ("so", ("n",)): lambda n: so(n, 0),
+    ("so", ("n", "n")): so,
+    ("so*", ("n",)): so_star,
+    ("sp", ("n",)): lambda n: sp(n, 0),
+    ("sp", ("n", "R")): sp_R,
+    ("sp", ("n", "n")): sp,
+}
 
-    ints = [a for a in args if isinstance(a, int)]
-    if lname == "su":
-        if len(args) == 1 and len(ints) == 1:
-            return su(ints[0], 0)
-        if len(args) == 2 and len(ints) == 2:
-            return su(*ints)
-        raise bad()
-    if lname == "sl":
-        if len(args) == 2 and len(ints) == 1 and args[1] == "R":
-            return sl_R(ints[0])
-        if len(args) == 2 and len(ints) == 1 and args[1] == "H":
-            return sl_H(ints[0])
-        raise bad()
-    if lname == "so":
-        if len(args) == 1 and len(ints) == 1:
-            return so(ints[0], 0)
-        if len(args) == 2 and len(ints) == 2:
-            return so(*ints)
-        raise bad()
-    if lname == "so*":
-        if len(args) == 1 and len(ints) == 1:
-            return so_star(ints[0])
-        raise bad()
-    if lname == "sp":
-        if len(args) == 1 and len(ints) == 1:
-            return sp(ints[0], 0)
-        if len(args) == 2 and len(ints) == 1 and args[1] == "R":
-            return sp_R(ints[0])
-        if len(args) == 2 and len(ints) == 2:
-            return sp(*ints)
-        raise bad()
-    raise bad()  # pragma: no cover
+
+def _classical_descriptor(lname: str, args: list, offset: int) -> RealFormDescriptor:
+    shape = tuple("n" if isinstance(a, int) else a for a in args)
+    builder = _CLASSICAL.get((lname, shape))
+    if builder is None:
+        raise ExprSyntaxError(f"bad arguments for {lname}{tuple(args)!r}", offset)
+    return builder(*(a for a in args if isinstance(a, int)))
 
 
 def _direct_product(left: GroupExpr, right: GroupExpr) -> DirectProduct:

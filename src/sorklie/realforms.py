@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidRealForm, InvalidType
-from .roots import RootSystemType, Value, _set, build_root_system
+from .roots import RootSystemType, Value, _set, all_types, build_root_system
 from .sork import OrthCertificate, canonical_certificate, sork_formula, verify_certificate
 
 # Known exceptional real forms by (family+rank, signature), excluding the
@@ -292,20 +292,7 @@ def catalog(max_pq: int = 8, max_n: int = 8) -> Iterator[RealFormDescriptor]:
     su(1,1) is omitted (it is sl(2,R), already present as the split A1),
     as are the flagged D2/D3 labels for the complex/split/compact series.
     """
-    types: list[RootSystemType] = []
-    for r in range(1, max_n + 1):
-        types.append(RootSystemType("A", r))
-    for fam, lo in (("B", 2), ("C", 2), ("D", 4)):
-        for r in range(lo, max_n + 1):
-            types.append(RootSystemType(fam, r))
-    for r in (6, 7, 8):
-        if r <= max_n:
-            types.append(RootSystemType("E", r))
-    if max_n >= 4:
-        types.append(RootSystemType("F", 4))
-    if max_n >= 2:
-        types.append(RootSystemType("G", 2))
-
+    types = list(all_types(max_n, include_flagged_d=False))
     for t in types:
         yield complex_simple(t)
     for t in types:
@@ -321,8 +308,7 @@ def catalog(max_pq: int = 8, max_n: int = 8) -> Iterator[RealFormDescriptor]:
         for q in range(1, total // 2 + 1):
             yield so(total - q, q)
     for n in range(3, max_n + 1):
-        if 2 * n <= 2 * max_n:
-            yield so_star(2 * n)
+        yield so_star(2 * n)
     for total in range(2, max_pq + 1):
         for q in range(1, total // 2 + 1):
             yield sp(total - q, q)

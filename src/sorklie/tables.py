@@ -1,13 +1,14 @@
 """Dynkin subalgebra tables encoded as data, with mechanical audits.
 
 The encoded m and n columns are never trusted: each audit recomputes them
-from the strong orthogonal rank formula and compares, then checks m >= n
-for every row instance.
+from the strong orthogonal rank formula and compares.  One row rule then
+holds for every row instance of every table: m >= n, checked by
+``AuditReport.add_bound`` with the recomputed m and n, never the encoded ones.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .roots import RootSystemType, Value, _set
 from .sork import sork_formula
@@ -55,6 +56,10 @@ class AuditReport(Value):
 
     def add_check(self, row_id: str, claim: str, recomputed, encoded, passed: bool) -> None:
         self.entries.append(AuditEntry(row_id, claim, recomputed, encoded, passed))
+
+    def add_bound(self, row_id: str, claim: str, m: int, n: int) -> None:
+        """The row rule: the ambient's m is at least the subalgebra's n."""
+        self.add_check(row_id, claim, (m, n), "m >= n", m >= n)
 
     def to_json_list(self) -> list[dict]:
         return [
@@ -107,8 +112,86 @@ def table1_audit() -> AuditReport:
         n = max(_sork_sum(_t(f) for f in sub) for sub in subalgebras)
         report.add(ambient_label, "m column", m, m_enc)
         report.add(ambient_label, "n column", n, n_enc)
-        report.add_check(ambient_label, "m >= n", (m, n), "m >= n", m >= n)
+        report.add_bound(ambient_label, "m >= n", m, n)
     return report
+
+
+# The category III families, sorted: the order their counts are reported in.
+_TABLE2_FAMILIES = (
+    "A: A(s-1) x A(t-1)", "B: B_s x B_t", "C: C1 x D2", "C: C_s x B_t",
+    "C: C_s x D_t", "D: B_s x D_t", "D: C_s x C_t", "D: D_s x B_t",
+    "D: D_s x D_t",
+)
+# named _<ambient>_<factors>
+_A_AA, _B_BB, _C_C1D2, _C_CB, _C_CD, _D_BD, _D_CC, _D_DB, _D_DD = _TABLE2_FAMILIES
+
+# Ambient family -> (smallest rank, encoded m column as a function of r).
+# D2 is included: the equality case noted alongside A3.
+_TABLE2_M = {
+    "A": (1, lambda r: (r + 1) // 2),
+    "B": (2, lambda r: r),
+    "C": (2, lambda r: r),
+    "D": (2, lambda r: r if r % 2 == 0 else r - 1),
+}
+
+
+def _table2_rows(family: str, r: int) -> Iterator[tuple]:
+    """Yield (family label, row id, factors, encoded n or None) for ambient family_r."""
+
+    def row(label, a, s, b, t, n_encoded, suffix=""):
+        # ids keep the table's labels: RootSystemType("B", 1) prints as A1
+        return (label, f"{family}{r}: {a}{s} x {b}{t}{suffix}",
+                (RootSystemType(a, s), RootSystemType(b, t)), n_encoded)
+
+    if family == "A":
+        # A_{s-1} x A_{t-1}, 2 <= s <= t, st = r + 1
+        for s in range(2, r + 2):
+            t, rem = divmod(r + 1, s)
+            if rem == 0 and t >= s:
+                yield row(_A_AA, "A", s - 1, "A", t - 1, s // 2 + t // 2,
+                          f" (s={s}, t={t})")
+    elif family == "B":
+        # B_s x B_t, 1 <= s <= t, (2s+1)(2t+1) = 2r+1
+        for s in range(1, r + 1):
+            q, rem = divmod(2 * r + 1, 2 * s + 1)
+            t = (q - 1) // 2
+            if rem == 0 and t >= s:
+                yield row(_B_BB, "B", s, "B", t, s + t)
+    elif family == "C":
+        for s in range(1, r + 1):
+            # C_s x B_t with s(2t+1) = r, t >= 1
+            q, rem = divmod(r, s)
+            t = (q - 1) // 2
+            if rem == 0 and q % 2 == 1 and t >= 1:
+                yield row(_C_CB, "C", s, "B", t, s + t)
+            # C_s x D_t with 2st = r, t >= 3
+            t, rem = divmod(r, 2 * s)
+            if rem == 0 and t >= 3:
+                yield row(_C_CD, "C", s, "D", t, None)
+        if r == 4:
+            yield row(_C_C1D2, "C", 1, "D", 2, 3)
+    else:
+        # C_s x C_t, 1 <= s <= t, 2st = r
+        for s in range(1, r + 1):
+            t, rem = divmod(r, 2 * s)
+            if rem == 0 and t >= s:
+                yield row(_D_CC, "C", s, "C", t, None)
+        # B_s x D_t, 1 <= s < t, (2s+1)t = r, t != 2
+        for s in range(1, r + 1):
+            t, rem = divmod(r, 2 * s + 1)
+            if rem == 0 and t > s and t != 2:
+                yield row(_D_BD, "B", s, "D", t, None)
+        # D_s x B_t, 2 < s <= t, s(2t+1) = r
+        for s in range(3, r + 1):
+            q, rem = divmod(r, s)
+            t = (q - 1) // 2
+            if rem == 0 and q % 2 == 1 and t >= s:
+                yield row(_D_DB, "D", s, "B", t, None)
+        # D_s x D_t, 2 < s <= t, 2st = r
+        for s in range(3, r + 1):
+            t, rem = divmod(r, 2 * s)
+            if rem == 0 and t >= s:
+                yield row(_D_DD, "D", s, "D", t, None)
 
 
 def table2_audit(rank_cap: int = 24) -> AuditReport:
@@ -116,156 +199,35 @@ def table2_audit(rank_cap: int = 24) -> AuditReport:
 
     Checks, per instance: the m column equals the ambient sork, the encoded
     n column (where the table gives one) equals the sum of factor sorks,
-    and m >= n.  Families with no instance below the cap are flagged as
-    informational entries, never as failures.
+    and m >= n with that recomputed n.  Families with no instance below the
+    cap are flagged as informational entries, never as failures.
     """
     if rank_cap < 4:
         raise ValueError("rank_cap must be at least 4")
     report = AuditReport()
+    counts = dict.fromkeys(_TABLE2_FAMILIES, 0)
+    for family, (first_rank, m_encoded) in _TABLE2_M.items():
+        for r in range(first_rank, rank_cap + 1):
+            m = sork_formula(RootSystemType(family, r))
+            report.add(f"{family}{r}", "m column", m, m_encoded(r))
+            rows = list(_table2_rows(family, r))
+            for label, row_id, factors, n_encoded in rows:
+                counts[label] += 1
+                n = _sork_sum(factors)
+                if n_encoded is not None:
+                    report.add(row_id, "n column", n, n_encoded)
+                if label == _C_C1D2:  # the one row with its own m column
+                    report.add(row_id, "m column", m, 4)
+                report.add_bound(row_id, "m >= n", m, n)
+            if family == "B" and _is_prime(2 * r + 1):
+                report.add_check(f"B{r}", "no row when 2r+1 prime", bool(rows),
+                                 False, not rows)
 
-    def instance(row_id: str, ambient: RootSystemType,
-                 factors: list[RootSystemType]) -> None:
-        m = sork_formula(ambient)
-        n = _sork_sum(factors)
-        report.add_check(row_id, "m >= n", (m, n), "m >= n", m >= n)
-
-    counts: dict[str, int] = {}
-
-    def bump(family: str) -> None:
-        counts[family] = counts.get(family, 0) + 1
-
-    # A_r: A_{s-1} x A_{t-1}, 2 <= s <= t, st = r + 1
-    for r in range(1, rank_cap + 1):
-        ambient = RootSystemType("A", r)
-        m = sork_formula(ambient)
-        report.add(f"A{r}", "m column", m, (r + 1) // 2)
-        for s in range(2, r + 2):
-            if (r + 1) % s:
-                continue
-            t = (r + 1) // s
-            if t < s:
-                continue
-            bump("A: A(s-1) x A(t-1)")
-            row = f"A{r}: A{s - 1} x A{t - 1} (s={s}, t={t})"
-            factors = [RootSystemType("A", s - 1), RootSystemType("A", t - 1)]
-            n_table = s // 2 + t // 2
-            report.add(row, "n column", _sork_sum(factors), n_table)
-            report.add_check(row, "m >= n", (m, _sork_sum(factors)), "m >= n",
-                             m >= _sork_sum(factors))
-
-    # B_r: B_s x B_t, 1 <= s <= t, (2s+1)(2t+1) = 2r+1
-    for r in range(2, rank_cap + 1):
-        ambient = RootSystemType("B", r)
-        m = sork_formula(ambient)
-        report.add(f"B{r}", "m column", m, r)
-        found = False
-        for s in range(1, r + 1):
-            if (2 * r + 1) % (2 * s + 1):
-                continue
-            tt = (2 * r + 1) // (2 * s + 1)
-            if tt % 2 == 0 or tt < 2 * s + 1:
-                continue
-            t = (tt - 1) // 2
-            found = True
-            bump("B: B_s x B_t")
-            row = f"B{r}: B{s} x B{t}"
-            factors = [RootSystemType("B", s), RootSystemType("B", t)]
-            report.add(row, "n column", _sork_sum(factors), s + t)
-            report.add_check(row, "m >= n", (m, s + t), "m >= n", m >= s + t)
-        if _is_prime(2 * r + 1):
-            report.add_check(f"B{r}", "no row when 2r+1 prime", found, False,
-                             not found)
-
-    # C_r rows
-    for r in range(2, rank_cap + 1):
-        ambient = RootSystemType("C", r)
-        m = sork_formula(ambient)
-        report.add(f"C{r}", "m column", m, r)
-        for s in range(1, r + 1):
-            # C_s x B_t with s(2t+1) = r, t >= 1
-            if r % s == 0:
-                q = r // s
-                if q % 2 == 1 and q >= 3:
-                    t = (q - 1) // 2
-                    bump("C: C_s x B_t")
-                    row = f"C{r}: C{s} x B{t}"
-                    factors = [RootSystemType("C", s), RootSystemType("B", t)]
-                    report.add(row, "n column", _sork_sum(factors), s + t)
-                    report.add_check(row, "m >= n", (m, s + t), "m >= n",
-                                     m >= s + t)
-            # C_s x D_t with 2st = r, t >= 3
-            if r % (2 * s) == 0:
-                t = r // (2 * s)
-                if t >= 3:
-                    bump("C: C_s x D_t")
-                    instance(f"C{r}: C{s} x D{t}", ambient,
-                             [RootSystemType("C", s), RootSystemType("D", t)])
-        if r == 4:
-            bump("C: C1 x D2")
-            row = "C4: C1 x D2"
-            factors = [RootSystemType("C", 1), RootSystemType("D", 2)]
-            report.add(row, "n column", _sork_sum(factors), 3)
-            report.add(row, "m column", m, 4)
-            report.add_check(row, "m >= n", (m, 3), "m >= n", m >= 3)
-
-    # D_r rows (D2 included: the equality case noted alongside A3)
-    for r in range(2, rank_cap + 1):
-        ambient = RootSystemType("D", r)
-        m = sork_formula(ambient)
-        report.add(f"D{r}", "m column", m, r if r % 2 == 0 else r - 1)
-        # C_s x C_t, 1 <= s <= t, 2st = r
-        for s in range(1, r + 1):
-            if r % (2 * s):
-                continue
-            t = r // (2 * s)
-            if t < s:
-                continue
-            bump("D: C_s x C_t")
-            instance(f"D{r}: C{s} x C{t}", ambient,
-                     [RootSystemType("C", s), RootSystemType("C", t)])
-        # B_s x D_t, 1 <= s < t, (2s+1)t = r, t != 2
-        for s in range(1, r + 1):
-            if r % (2 * s + 1):
-                continue
-            t = r // (2 * s + 1)
-            if t <= s or t == 2 or t < 2:
-                continue
-            bump("D: B_s x D_t")
-            instance(f"D{r}: B{s} x D{t}", ambient,
-                     [RootSystemType("B", s), RootSystemType("D", t)])
-        # D_s x B_t, 2 < s < t + 1, s(2t+1) = r
-        for s in range(3, r + 1):
-            if r % s:
-                continue
-            q = r // s
-            if q % 2 == 0 or q < 3:
-                continue
-            t = (q - 1) // 2
-            if not (s < t + 1):
-                continue
-            bump("D: D_s x B_t")
-            instance(f"D{r}: D{s} x B{t}", ambient,
-                     [RootSystemType("D", s), RootSystemType("B", t)])
-        # D_s x D_t, 2 < s <= t, 2st = r
-        for s in range(3, r + 1):
-            if r % (2 * s):
-                continue
-            t = r // (2 * s)
-            if t < s:
-                continue
-            bump("D: D_s x D_t")
-            instance(f"D{r}: D{s} x D{t}", ambient,
-                     [RootSystemType("D", s), RootSystemType("D", t)])
-
-    for family, count in sorted(counts.items()):
-        report.add_check(f"[family] {family}", "instances found", count,
-                         "(informational)", True)
-    for family in ("A: A(s-1) x A(t-1)", "B: B_s x B_t", "C: C_s x B_t",
-                   "C: C_s x D_t", "D: C_s x C_t", "D: B_s x D_t",
-                   "D: D_s x B_t", "D: D_s x D_t"):
-        if family not in counts:
-            report.add_check(f"[family] {family}", "instances found", 0,
-                             "(flagged: empty below cap)", True)
+    # families with instances first, then those flagged empty (a stable sort)
+    for label in sorted(_TABLE2_FAMILIES, key=lambda f: not counts[f]):
+        report.add_check(f"[family] {label}", "instances found", counts[label],
+                         "(informational)" if counts[label]
+                         else "(flagged: empty below cap)", True)
     return report
 
 
@@ -289,16 +251,10 @@ def table3_audit(rank_cap: int = 24) -> AuditReport:
     def check_type(row_id: str, t: RootSystemType, mindim: int, classical: bool) -> None:
         n = sork_formula(t)
         k0 = mindim + 1 if classical else mindim
-        m_sl = k0 // 2
         k_sp = k0 if k0 % 2 == 0 else k0 + 1
-        m_sp = k_sp // 2
-        m_so = _so_ambient_m(k0)
-        report.add_check(row_id, f"sl ambient: m(k={k0}) >= n", (m_sl, n),
-                         "m >= n", m_sl >= n)
-        report.add_check(row_id, f"sp ambient: m(k={k_sp}) >= n", (m_sp, n),
-                         "m >= n", m_sp >= n)
-        report.add_check(row_id, f"so ambient: m(k={k0}) >= n", (m_so, n),
-                         "m >= n", m_so >= n)
+        for ambient, k, m in (("sl", k0, k0 // 2), ("sp", k_sp, k_sp // 2),
+                              ("so", k0, _so_ambient_m(k0))):
+            report.add_bound(row_id, f"{ambient} ambient: m(k={k}) >= n", m, n)
 
     for fam, (formula, min_rank) in MINDIM_CLASSICAL.items():
         for r in range(min_rank, rank_cap + 1):
@@ -311,19 +267,10 @@ def table3_audit(rank_cap: int = 24) -> AuditReport:
 
     # Special pair so_{2r-1} in so_{2r}: n = r - 1, m = sork(D_r).
     for r in range(3, rank_cap + 1):
-        n = r - 1
-        m = sork_formula(RootSystemType("D", r))
-        report.add_check(f"so{2 * r - 1} in so{2 * r}", "m >= n = r-1",
-                         (m, n), "m >= n", m >= n)
+        report.add_bound(f"so{2 * r - 1} in so{2 * r}", "m >= n = r-1",
+                         sork_formula(RootSystemType("D", r)), r - 1)
     return report
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))

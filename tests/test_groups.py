@@ -18,8 +18,12 @@ from sorklie import (
     nu_upper_bound,
     parse_group_expr,
     pretty,
+    sl_H,
     sl_R,
     so,
+    so_star,
+    sp,
+    sp_R,
     su,
 )
 from sorklie import groups
@@ -206,6 +210,31 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_group_expr("su(2) x ! su(3)")
         assert exc.value.offset == 8
+
+    # Each (name, argument shape) of the classical descriptor table, any case.
+    @pytest.mark.parametrize("text,expected", [
+        ("su(3)", su(3, 0)), ("SU(2,1)", su(2, 1)), ("sl(3,R)", sl_R(3)),
+        ("Sl(2,h)", sl_H(2)), ("so(5)", so(5, 0)), ("so(3,2)", so(3, 2)),
+        ("so*(8)", so_star(8)), ("sp(2)", sp(2, 0)), ("sp(2,R)", sp_R(2)),
+        ("sp(1,1)", sp(1, 1)),
+    ])
+    def test_classical_descriptors(self, text, expected):
+        assert parse_group_expr(text) == SimpleLie(expected)
+
+    @pytest.mark.parametrize("text,message", [
+        ("sl(3)", "bad arguments for sl(3,)"),
+        ("sl(R,3)", "bad arguments for sl('R', 3)"),
+        ("su(2,R)", "bad arguments for su(2, 'R')"),
+        ("sp(2,H)", "bad arguments for sp(2, 'H')"),
+        ("so*(8,1)", "bad arguments for so*(8, 1)"),
+        ("so*(R)", "bad arguments for so*('R',)"),
+        ("SU(2,2,2)", "bad arguments for su(2, 2, 2)"),
+        ("so(1,2,3)", "bad arguments for so(1, 2, 3)"),
+    ])
+    def test_classical_bad_arguments(self, text, message):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_group_expr(text)
+        assert str(exc.value) == f"{message} at offset 0"
 
     @pytest.mark.parametrize("text", ["so(4)", "so(2,2)", "E8(0)", "su(0)"])
     def test_invalid_algebras(self, text):

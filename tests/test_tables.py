@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
-from sorklie import table1_audit, table2_audit, table3_audit
+from sorklie import table1_audit, table2_audit, table3_audit, tables
+from sorklie.cli import main
 from sorklie.tables import TABLE1, _is_prime, _so_ambient_m
 
 
@@ -59,12 +62,53 @@ class TestTable2:
         )
         assert primes_checked == sum(1 for r in range(2, 13) if _is_prime(2 * r + 1))
 
+    @staticmethod
+    def _flagged(rank_cap):
+        return [e.row_id for e in table2_audit(rank_cap).entries
+                if e.encoded == "(flagged: empty below cap)"]
+
     def test_every_family_represented_at_default_cap(self):
-        ids = {e.row_id for e in table2_audit().entries}
-        flagged = [i for i in ids if "flagged: empty below cap" in str(i)]
         for e in table2_audit().entries:
             assert "flagged" not in str(e.encoded) or e.passed
-        assert not flagged  # every parameter family has an instance by rank 24
+        assert not self._flagged(24)  # every family has an instance by rank 24
+
+    def test_families_empty_below_cap_are_flagged(self):
+        # the first D_s x D_t row is D18, the first D_s x B_t row D21
+        assert self._flagged(12) == ["[family] D: D_s x B_t",
+                                     "[family] D: D_s x D_t"]
+
+    def test_bound_uses_recomputed_n(self, monkeypatch):
+        # B2 over-reported: B12: B2 x B2 recomputes n = 6 against the encoded
+        # s + t = 4, and the m >= n entry must carry the recomputed 6
+        real = tables.sork_formula
+        monkeypatch.setattr(tables, "sork_formula",
+                            lambda t: 3 if str(t) == "B2" else real(t))
+        entries = {(e.row_id, e.claim): e for e in table2_audit(12).entries}
+        n_column = entries["B12: B2 x B2", "n column"]
+        assert (n_column.recomputed, n_column.encoded, n_column.passed) == \
+            (6, 4, False)
+        assert entries["B12: B2 x B2", "m >= n"].recomputed == (12, 6)
+
+
+# sha256 of `verify-tables` stdout, taken before the table-2 audit became
+# one row table: the audits' output is pinned byte for byte.
+_VERIFY_TABLES_SHA256 = {
+    ("4", False): "0a83bf27c3ea032e153b8f5855c6277535ad5dedc686a59810c805067a6f58f5",
+    ("4", True): "e0e29531daeab2a3749d91c7d9323c6a7231728da87419240d8099c0353365c9",
+    ("24", False): "572ed2309e5a7885e044423fe201cd64a1388dbe9ed0ac71432962b3ff80570a",
+    ("24", True): "6ffec93960a10b52969ff792e4931f800ecf80d5ef1d73f31777a112f108f590",
+    ("64", False): "1290e781a38865c686510b6692e7eedc31a9c590dfd26bfb809aba089024fe5c",
+    ("64", True): "0531b785cf8c2041f0c986d54feec1672f190c1b6dcd921824a56f5cd93fcbc0",
+}
+
+
+@pytest.mark.parametrize("cap,as_json", sorted(_VERIFY_TABLES_SHA256))
+def test_verify_tables_output_is_pinned(capsys, cap, as_json):
+    argv = ["verify-tables", "--rank-cap", cap] + (["--json"] if as_json else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _VERIFY_TABLES_SHA256[cap, as_json]
 
 
 class TestTable3:
