@@ -183,10 +183,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 
 def _cmd_sork(args) -> int:
     from .roots import RootSystemType, build_root_system
-    from .sork import require_searchable, sork_exact
+    from .sork import sork_exact
 
     t = RootSystemType.parse(args.type)
-    require_searchable(t)
     n, cert = sork_exact(build_root_system(t))
     if args.json:
         doc = {"system_type": str(t), "n": n}

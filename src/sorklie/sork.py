@@ -12,28 +12,31 @@ a root and its negative) and whose edges join strongly orthogonal pairs.
 :func:`orbit_clique_search`, on a :class:`LazyRootGraph`:
 
 - a row of the graph is built only when the search branches on its vertex,
-  from a sparse integer dot product and one membership lookup per
-  orthogonal pair, so most rows are never built;
+  from per-coordinate value masks and one membership lookup per orthogonal
+  pair whose squared lengths add up to a root length, so most rows are
+  never built;
 - at every node, once a branch on v returns, v's orbit under the Weyl
   group of the roots orthogonal to the chosen set (its pointwise
-  stabiliser) is dropped, and a v adjacent to every other candidate
+  stabiliser) is dropped: the roots of v's length in v's irreducible
+  component of that subsystem.  A v adjacent to every other candidate
   closes the node;
 - the rank bounds the clique (strongly orthogonal roots are linearly
   independent), so a greedy path that reaches it ends the search.
 
 Branching in ascending order makes the first maximum clique found the
 lexicographically least, so the same search returns the clique number and
-the canonical certificate.  Ranks above :data:`MAX_SEARCH_RANK` are
-refused.  ``strong_orthogonality_graph``, ``max_clique_size`` and
-``lex_min_max_clique`` (full graph, greedy colouring bound, lex-min probes)
-are kept as the generic cross-check for the tests.
+the canonical certificate.  It answers every rank that
+``build_root_system`` builds.  ``strong_orthogonality_graph``,
+``max_clique_size`` and ``lex_min_max_clique`` (full graph, greedy
+colouring bound, lex-min probes) are kept as the generic cross-check for
+the tests.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import CertificateError, InvalidType
 from .roots import (
@@ -45,13 +48,6 @@ from .roots import (
     build_root_system,
     require_buildable,
 )
-
-# Largest rank that the exact search answers.  Every A, B, C and D type up
-# to this rank is answered in well under 10 s end to end; the search time
-# grows fastest in even B, so a higher cap needs new measurements.  The
-# closed formula and canonical_certificate answer every buildable rank.
-MAX_SEARCH_RANK = 20
-
 
 class OrthCertificate(Value):
     """An explicit pairwise strongly orthogonal set, sorted lexicographically
@@ -318,11 +314,14 @@ def orbit_clique_search(n: int, row: Callable[[int], tuple[int, int]],
     from all ones) and hands to ``orbit``.  ``orbit(v, key)`` gives the
     bitmask of the whole orbit of v under a group of automorphisms that
     fix every chosen vertex; the group it uses at a node must lie inside
-    the one used at the node's parent.  ``limit`` bounds the clique number from
-    above.  Rows and orbits are asked for only when needed: a row when the
-    search branches on its vertex, an orbit when a branch returns without
-    ending the search, so a greedy path that reaches ``limit`` computes no
-    orbit at all.
+    the one used at the node's parent.  It is asked only for a candidate
+    v; when every row's neighbours lie inside its key, as in
+    :class:`LazyRootGraph`, the candidates of a node lie inside its key,
+    the only vertices that ``LazyRootGraph.orbit`` is defined for.
+    ``limit`` bounds the clique number from above.  Rows and orbits are
+    asked for only when needed: a row when the search branches on its
+    vertex, an orbit when a branch returns without ending the search, so
+    a greedy path that reaches ``limit`` computes no orbit at all.
 
     A node holds the chosen clique C and its candidates, the common
     neighbours of C still in play.  It branches on the least candidate v,
@@ -376,106 +375,103 @@ class LazyRootGraph:
     orbits.
 
     Vertices are the antipodal pairs, indexed by ``reps`` (the
-    lexicographically greater root of each pair, in ascending order).  A
-    vertex's row is built when the search first branches on it: one sparse
-    dot product over the support of its doubled coordinates against every
-    vertex, and for each orthogonal one a lookup of a+b (for orthogonal
-    roots s_b(a+b) = a-b, so a+b is a root iff a-b is).  Its key is the
-    mask of the vertices orthogonal to it, so the key of a node whose
-    chosen set is C holds the positive roots of Phi' = Phi meet C-perp.
+    lexicographically greater root of each pair, in ascending order).  For
+    every coordinate and value there is a mask of the vertices that have
+    that value at that coordinate.  The vertices orthogonal to v are those
+    whose partial dot products with v over v's support end at 0: a map
+    from partial sum to mask, folded one support coordinate at a time.  A
+    vertex's row is built when the search first branches on it.  An
+    orthogonal w is a neighbour of v unless v+w is a root (for orthogonal
+    roots s_w(v+w) = v-w, so v+w is a root iff v-w is); since then
+    |v+w|^2 = |v|^2 + |w|^2, v+w is looked up only for the w whose squared
+    length plus v's is a root length.  The key of v is the mask of the
+    vertices orthogonal to it, so the key of a node whose chosen set is C
+    holds the positive roots of Phi' = Phi meet C-perp.
 
-    The pointwise stabiliser of C in the Weyl group is generated by the
-    reflections it contains (Steinberg, Trans. AMS 112, 1964), which are
-    the reflections in Phi'; so it is W(Phi'), generated by the simple
-    reflections of Phi'.  With the lex-positive roots as positive system,
-    every positive root that is not simple is a simple root plus a smaller
-    positive root, and simple roots differ by no root; so the simple roots
-    of Phi' are the roots of the key, in ascending order, that no simple
-    root found before them subtracts to a root.  Orbits are closed under
-    s_a(x) = x - (2(x,a)/(a,a)) a in exact integers.  The stabiliser of a
-    larger C lies inside that of a smaller one, as the search requires.
+    The pointwise stabiliser of C in the Weyl group is W(Phi'), generated
+    by the reflections it contains (Steinberg, Trans. AMS 112, 1964).  The
+    Weyl group of an irreducible root system is transitive on the roots of
+    each length (Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, §10.4 Lemma C), and the reflections of one
+    irreducible component of Phi' fix every other.  So the orbit of a v in
+    Phi' is the set of roots of Phi' of v's length in v's component, the
+    closure of v under non-orthogonality inside the key.  The stabiliser of
+    a larger C lies inside that of a smaller one, as the search requires.
     """
 
     def __init__(self, phi: RootSystem):
         self.phi = phi
         self.reps = phi.positive_representatives()
         self._coords = [r.coords for r in self.reps]
-        self._index = {c: i for i, c in enumerate(self._coords)}
-        self._columns = list(zip(*self._coords))
-        self._zero = (0,) * phi.ambient_dim
-        self._rows: dict[int, tuple[int, int]] = {}
-        self._reflections: dict[int, list[tuple[list[tuple[int, int]], int]]] = {}
+        self._norms = [sum(map(mul, a, a)) for a in self._coords]
+        self._lengths: dict[int, int] = {}  # squared length -> mask
+        self._values: list[dict[int, int]] = [{} for _ in range(phi.ambient_dim)]
+        for w, a in enumerate(self._coords):
+            bit, norm = 1 << w, self._norms[w]
+            self._lengths[norm] = self._lengths.get(norm, 0) | bit
+            for i, c in enumerate(a):
+                if c:
+                    values = self._values[i]
+                    values[c] = values.get(c, 0) | bit
+        self._all = (1 << len(self.reps)) - 1
+        for values in self._values:
+            values[0] = self._all & ~sum(values.values())  # the masks are disjoint
+        self._orth: dict[int, int] = {}
+        self._neigh: dict[int, int] = {}
+
+    def _orthogonal(self, v: int) -> int:
+        """Mask of the vertices orthogonal to v."""
+        if v not in self._orth:
+            partial = {0: self._all}
+            for i, x in enumerate(self._coords[v]):
+                if x:
+                    folded: dict[int, int] = {}
+                    for s, mask in partial.items():
+                        for c, column in self._values[i].items():
+                            if hit := mask & column:
+                                folded[s + x * c] = folded.get(s + x * c, 0) | hit
+                    partial = folded
+            self._orth[v] = partial.get(0, 0)
+        return self._orth[v]
 
     def row(self, v: int) -> tuple[int, int]:
         """Masks of the vertices strongly orthogonal and orthogonal to v."""
-        if v not in self._rows:
-            coords, a = self._coords, self._coords[v]
-            dots = [0] * len(coords)
-            for i, x in enumerate(a):
-                if x:
-                    dots = [d + x * c for d, c in zip(dots, self._columns[i])]
-            orth = [w for w, d in enumerate(dots) if not d]
-            neigh = [w for w in orth
-                     if not self.phi.contains_coords(tuple(map(add, a, coords[w])))]
-            self._rows[v] = sum(1 << w for w in neigh), sum(1 << w for w in orth)
-        return self._rows[v]
-
-    def _simple_reflections(self, key: int) -> list[tuple[list[tuple[int, int]], int]]:
-        """(support, squared length) of each simple root of the subsystem
-        whose positive roots are the vertices of ``key``."""
-        simple: list[tuple[int, ...]] = []
-        for i, beta in enumerate(self._coords):
-            if key >> i & 1 and not any(
-                    self.phi.contains_coords(tuple(map(sub, beta, alpha)))
-                    for alpha in simple):
-                simple.append(beta)
-        return [([(i, c) for i, c in enumerate(alpha) if c], sum(map(mul, alpha, alpha)))
-                for alpha in simple]
+        orth = self._orthogonal(v)
+        if v not in self._neigh:
+            a, norm, lengths = self._coords[v], self._norms[v], self._lengths
+            ask = orth & sum(m for n, m in lengths.items() if norm + n in lengths)
+            neigh = orth & ~ask
+            while ask:
+                low = ask & -ask
+                ask ^= low
+                b = self._coords[low.bit_length() - 1]
+                if not self.phi.contains_coords(tuple(map(add, a, b))):
+                    neigh |= low
+            self._neigh[v] = neigh
+        return self._neigh[v], orth
 
     def orbit(self, v: int, key: int) -> int:
         """Mask of the orbit of vertex v under the Weyl group of the
-        subsystem whose positive roots are the vertices of ``key``."""
-        if key not in self._reflections:
-            self._reflections[key] = self._simple_reflections(key)
-        reflections = self._reflections[key]
-        found, queue = 1 << v, [v]
-        for u in queue:
-            x = self._coords[u]
-            for support, norm in reflections:
-                k = 2 * sum(x[i] * c for i, c in support) // norm
-                if not k:
-                    continue
-                y = list(x)
-                for i, c in support:
-                    y[i] -= k * c
-                y = tuple(y)
-                w = self._index[y if y > self._zero else tuple(-c for c in y)]
-                if not found >> w & 1:
-                    found |= 1 << w
-                    queue.append(w)
-        return found
-
-
-def require_searchable(t: RootSystemType) -> None:
-    """Raise :class:`InvalidType` if the rank of ``t`` exceeds
-    :data:`MAX_SEARCH_RANK`, before any root is built."""
-    if t.rank > MAX_SEARCH_RANK:
-        raise InvalidType(
-            f"rank {t.rank} of {t} exceeds the exact search limit "
-            f"{MAX_SEARCH_RANK}"
-        )
+        subsystem whose positive roots are the vertices of ``key``.  Only
+        defined for v in ``key``, as every candidate of the search is."""
+        component = todo = 1 << v
+        while todo and component != key:
+            low = todo & -todo
+            todo ^= low
+            grow = key & ~self._orthogonal(low.bit_length() - 1) & ~component
+            component |= grow
+            todo |= grow
+        return component & self._lengths[self._norms[v]]
 
 
 def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
     """Exact strong orthogonal rank with a canonical witnessing certificate,
-    by :func:`orbit_clique_search`.  Ranks above :data:`MAX_SEARCH_RANK`
-    raise :class:`InvalidType`."""
+    by :func:`orbit_clique_search`.  Every buildable rank is answered."""
     return _sork_exact_cached(phi.type)
 
 
 @lru_cache(maxsize=None)
 def _sork_exact_cached(t: RootSystemType) -> tuple[int, OrthCertificate]:
-    require_searchable(t)
     graph = LazyRootGraph(build_root_system(t))
     # Strongly orthogonal roots are nonzero and pairwise orthogonal, hence
     # linearly independent: no clique exceeds the rank.

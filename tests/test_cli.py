@@ -8,7 +8,8 @@ import pytest
 
 from sorklie import cli
 from sorklie.cli import EXIT_AUDIT_FAIL, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
-from sorklie.roots import MAX_BUILD_RANK
+from sorklie.roots import MAX_BUILD_RANK, RootSystemType
+from sorklie.sork import canonical_certificate, sork_formula
 
 
 def run(capsys, *argv):
@@ -41,18 +42,28 @@ class TestSork:
         assert code == EXIT_ERROR
         assert "error:" in err
 
-    def test_rank_above_search_cap_is_refused_before_construction(
+    @pytest.mark.parametrize("label", ["A64", "B64", "C64", "D64"])
+    def test_rank_64_answers_with_canonical_certificate(self, capsys, label):
+        t = RootSystemType.parse(label)
+        code, out, err = run(capsys, "sork", label, "--json", "--certificate")
+        doc = json.loads(out)
+        assert (code, err) == (EXIT_OK, "")
+        assert doc["n"] == len(doc["roots"]) == sork_formula(t)
+        assert doc["roots"] == canonical_certificate(t).to_json_dict()["roots"]
+
+    def test_rank_above_construction_cap_is_refused_before_construction(
             self, capsys, monkeypatch):
         from sorklie import roots
-        from sorklie.sork import MAX_SEARCH_RANK
 
         def refuse(t):
             raise RuntimeError("root system built")
 
-        monkeypatch.setattr(roots, "build_root_system", refuse)
-        code, out, err = run(capsys, "sork", f"B{MAX_SEARCH_RANK + 1}")
-        assert (code, out) == (EXIT_ERROR, "")
-        assert err.startswith("error: ") and "exact search limit" in err
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(roots, "_classical_roots", refuse)
+            code, out, err = run(capsys, "sork", f"B{MAX_BUILD_RANK + 1}")
+            assert (code, out) == (EXIT_ERROR, "")
+            assert err.startswith("error: ") and "construction limit" in err
 
 
 class TestNu:

@@ -22,12 +22,10 @@ from sorklie import (
 from sorklie import sork
 from sorklie.roots import is_strongly_orthogonal
 from sorklie.sork import (
-    MAX_SEARCH_RANK,
     LazyRootGraph,
     lex_min_max_clique,
     max_clique_size,
     orbit_clique_search,
-    require_searchable,
     strong_orthogonality_graph,
 )
 
@@ -277,7 +275,8 @@ class TestGraph:
 
 
 class TestLazyRows:
-    @pytest.mark.parametrize("t", list(all_types(8)), ids=str)
+    @pytest.mark.parametrize(
+        "t", list(all_types(8)) + [RootSystemType(fam, 16) for fam in "BCD"], ids=str)
     def test_rows_match_full_graph(self, t):
         phi = build_root_system(t)
         reps, neigh = strong_orthogonality_graph(phi)
@@ -293,8 +292,9 @@ ORBIT_COUNTS = {"A": 1, "B": 2, "C": 2, "D": 1, "E": 1, "F": 2, "G": 2}
 
 
 def _node_orbits(graph, key):
-    """The orbits that the per-node orbit step finds for every vertex."""
-    orbits, left = [], (1 << len(graph.reps)) - 1
+    """The orbits that the per-node orbit step finds for the vertices of
+    ``key``, the only ones it is defined for."""
+    orbits, left = [], key
     while left:
         orbit = graph.orbit((left & -left).bit_length() - 1, key)
         orbits.append(orbit)
@@ -319,6 +319,25 @@ def _reflection_orbit(reps, start, mirrors):
     return sum(1 << w for w in seen)
 
 
+def _check_node_orbits(graph, chosen, key, cand, checked):
+    """At the node with the chosen vertices ``chosen``: the key holds the
+    vertices orthogonal to them, every orbit of the key is its orbit under
+    the reflections in every root of the key, and the candidates are a
+    union of orbits.  ``checked`` holds the (key, vertex) pairs already
+    compared with the reflection oracle."""
+    reps = graph.reps
+    mirrors = [r.coords for r in reps
+               if all(sum(p * q for p, q in zip(r.coords, reps[c].coords)) == 0
+                      for c in chosen)]
+    assert key == sum(1 << reps.index(Root(m)) for m in mirrors)
+    for orbit in _node_orbits(graph, key):
+        v = (orbit & -orbit).bit_length() - 1
+        if (key, v) not in checked:
+            assert orbit == _reflection_orbit(reps, v, mirrors)
+            checked.add((key, v))
+        assert orbit & cand in (0, orbit)
+
+
 class TestWeylOrbits:
     """The per-node orbit step of the search, ``LazyRootGraph.orbit``."""
 
@@ -338,25 +357,36 @@ class TestWeylOrbits:
 
     @pytest.mark.parametrize("t", list(all_types(7)), ids=str)
     def test_node_orbits_match_all_orthogonal_reflections(self, t):
-        # at the nodes along the canonical clique, the simple reflections of
-        # the orthogonal subsystem give the orbits that all its reflections
-        # give, and the candidates are a union of orbits
-        phi = build_root_system(t)
-        graph = LazyRootGraph(phi)
+        # at the nodes along the canonical clique, the orbits of the key are
+        # those that all reflections of the orthogonal subsystem give, and
+        # the candidates are a union of orbits
+        graph = LazyRootGraph(build_root_system(t))
         reps = graph.reps
         chosen = [reps.index(r) for r in canonical_certificate(t).roots]
         key = cand = (1 << len(reps)) - 1
         for depth in range(min(3, len(chosen)) + 1):
-            mirrors = [r.coords for r in reps
-                       if all(sum(p * q for p, q in zip(r.coords, reps[c].coords)) == 0
-                              for c in chosen[:depth])]
-            assert key == sum(1 << reps.index(Root(m)) for m in mirrors)
-            for orbit in _node_orbits(graph, key):
-                v = (orbit & -orbit).bit_length() - 1
-                assert orbit == _reflection_orbit(reps, v, mirrors)
-                assert orbit & cand in (0, orbit)
+            _check_node_orbits(graph, chosen[:depth], key, cand, set())
             if depth < len(chosen):
                 neigh, orth = graph.row(chosen[depth])
+                key &= orth
+                cand &= neigh
+
+    @pytest.mark.parametrize("t", list(all_types(8)), ids=str)
+    def test_orbits_along_random_chains(self, t):
+        # the same at every node of random strongly orthogonal chains
+        graph = LazyRootGraph(build_root_system(t))
+        rng = random.Random(f"chains {t}")
+        checked = set()
+        for _ in range(30):
+            chosen, key = [], (1 << len(graph.reps)) - 1
+            cand = key
+            while True:
+                _check_node_orbits(graph, chosen, key, cand, checked)
+                if not cand:
+                    break
+                v = rng.choice([w for w in range(len(graph.reps)) if cand >> w & 1])
+                chosen.append(v)
+                neigh, orth = graph.row(v)
                 key &= orth
                 cand &= neigh
 
@@ -379,13 +409,13 @@ class TestOrbitSearchAgainstFullGraph:
         assert verify_certificate(cert, phi)
 
 
-UP_TO_SEARCH_CAP = [RootSystemType(fam, r) for fam in "ABCD"
-                    for r in range(13, MAX_SEARCH_RANK + 1)]
+SEARCHED_RANKS = [RootSystemType(fam, r) for fam in "ABCD"
+                  for r in (*range(13, 21), 24, 32, 48, 63, 64)]
 LARGE_RANKS = [RootSystemType(fam, r) for fam in "ABCD" for r in (32, 48, 64)]
 
 
 class TestCanonicalCertificate:
-    @pytest.mark.parametrize("t", list(all_types(12)) + UP_TO_SEARCH_CAP, ids=str)
+    @pytest.mark.parametrize("t", list(all_types(12)) + SEARCHED_RANKS, ids=str)
     def test_equals_exact_search(self, t):
         assert canonical_certificate(t) == sork_exact(build_root_system(t))[1]
 
@@ -399,17 +429,3 @@ class TestCanonicalCertificate:
         for label in ("A65", "B65", "D99999999"):
             with pytest.raises(InvalidType):
                 canonical_certificate(RootSystemType.parse(label))
-
-
-class TestSearchCap:
-    def test_rank_above_search_cap_refused_before_search(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise RuntimeError("search started")
-
-        monkeypatch.setattr(sork, "orbit_clique_search", refuse)
-        for fam in "ABCD":
-            t = RootSystemType(fam, MAX_SEARCH_RANK + 1)
-            with pytest.raises(InvalidType, match="exact search limit"):
-                require_searchable(t)
-            with pytest.raises(InvalidType, match="exact search limit"):
-                sork_exact(build_root_system(t))
