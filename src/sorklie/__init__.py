@@ -33,13 +33,13 @@ _EXPORTS = {
         "so", "so_star", "sp", "sp_R", "split_form", "su",
     ), "realforms"),
     **dict.fromkeys((
-        "Root", "RootSystem", "RootSystemType", "a1n_subsystem", "all_types",
-        "build_root_system", "inner_product", "is_closed_subsystem",
-        "is_strongly_orthogonal",
+        "Root", "RootSystem", "RootSystemType", "all_types",
+        "build_root_system", "is_closed_subsystem",
     ), "roots"),
     **dict.fromkeys((
-        "CertCheck", "OrthCertificate", "canonical_certificate", "sork_exact",
-        "sork_formula", "verify_certificate",
+        "CertCheck", "OrthCertificate", "a1n_subsystem",
+        "canonical_certificate", "sork_exact", "sork_formula",
+        "verify_certificate",
     ), "sork"),
     **dict.fromkeys((
         "AuditReport", "table1_audit", "table2_audit", "table3_audit",

@@ -238,8 +238,10 @@ def simple_factors(e: GroupExpr) -> list[RealFormDescriptor]:
 
 # --- lexer -----------------------------------------------------------------
 
+# Digits are ASCII only, as in names: ``\d`` would match any Unicode digit,
+# which int() reads as its value.  Whitespace stays Unicode (no re.ASCII).
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*\*?)|(?P<int>-?\d+)|(?P<sym>[()^/,*]))"
+    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*\*?)|(?P<int>-?[0-9]+)|(?P<sym>[()^/,*]))"
 )
 
 

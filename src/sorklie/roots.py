@@ -11,16 +11,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .errors import DimensionError, InvalidType, MembershipError
-
-# The predicates work on the doubled integer coordinates.  Only the three
-# functions that build a Fraction import it, so a process that calls none
-# of them never loads ``fractions``.  Annotations are never evaluated, and
-# type checkers take any name TYPE_CHECKING as true, so ``typing`` is not
-# imported either.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .errors import InvalidType, MembershipError
 
 _FAMILIES = "ABCDEFG"
 
@@ -157,9 +148,11 @@ class RootSystemType(Value):
     @classmethod
     def parse(cls, text: str) -> "RootSystemType":
         text = text.strip()
-        if len(text) < 2 or text[0].upper() not in _FAMILIES or not text[1:].isdigit():
+        rank = text[1:]
+        if (len(text) < 2 or text[0].upper() not in _FAMILIES
+                or not (rank.isascii() and rank.isdigit())):
             raise InvalidType(f"cannot parse root system type {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(text[0].upper(), int(rank))
 
     def root_count(self) -> int:
         entry = _CARDINALITY[self.family]
@@ -195,28 +188,13 @@ class Root(Value):
         return Root(tuple(-c for c in self.coords))
 
     def __str__(self) -> str:
-        from fractions import Fraction
-
-        return "(" + ", ".join(str(Fraction(c, 2)) for c in self.coords) + ")"
-
-
-def inner_product(a: Root, b: Root) -> Fraction:
-    """Exact Euclidean inner product of the true (undoubled) coordinates."""
-    from fractions import Fraction
-
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionError(
-            f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
-        )
-    return Fraction(sum(x * y for x, y in zip(a.coords, b.coords)), 4)
+        """The true coordinates: an integer, or an odd numerator over 2."""
+        return "(" + ", ".join(str(c // 2) if c % 2 == 0 else f"{c}/2"
+                               for c in self.coords) + ")"
 
 
 def _vadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 class RootSystem(Value):
@@ -250,9 +228,12 @@ class RootSystem(Value):
 
     def positive_representatives(self) -> tuple[Root, ...]:
         """One root per antipodal pair, the lexicographically greater one,
-        returned in ascending lexicographic order."""
-        reps = {max(r.coords, tuple(-c for c in r.coords)) for r in self.roots}
-        return tuple(Root(c) for c in sorted(reps))
+        returned in ascending lexicographic order.
+
+        The roots are sorted and negation reverses lexicographic order, so
+        the greater root of each pair lies above the zero tuple and these
+        are exactly the upper half of ``roots``."""
+        return self.roots[len(self.roots) // 2:]
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,18 +403,6 @@ def build_root_system(t: RootSystemType) -> RootSystem:
     )
 
 
-def is_strongly_orthogonal(a: Root, b: Root, phi: RootSystem) -> bool:
-    """True iff (a, b) = 0 and neither a+b nor a-b is a root of ``phi``."""
-    phi.require_member(a)
-    phi.require_member(b)
-    if inner_product(a, b) != 0:
-        return False
-    return not (
-        phi.contains_coords(_vadd(a.coords, b.coords))
-        or phi.contains_coords(_vsub(a.coords, b.coords))
-    )
-
-
 def is_closed_subsystem(sigma: Iterable[Root], phi: RootSystem) -> bool:
     """True iff sigma is closed under addition within phi."""
     sig = set(sigma)
@@ -445,51 +414,6 @@ def is_closed_subsystem(sigma: Iterable[Root], phi: RootSystem) -> bool:
         if phi.contains_coords(s) and s not in coord_sig:
             return False
     return True
-
-
-def a1n_subsystem(cert, phi: RootSystem) -> frozenset[Root]:
-    """Union of a valid certificate's roots with their negatives.
-
-    The result is a negation-closed, closed subsystem of type (A1)^n.
-    Raises :class:`CertificateError` for invalid certificates.
-    """
-    from .errors import CertificateError
-    from .sork import verify_certificate
-
-    check = verify_certificate(cert, phi)
-    if not check:
-        raise CertificateError(f"invalid certificate: {check.reason}")
-    out: set[Root] = set()
-    for r in cert.roots:
-        out.add(r)
-        out.add(-r)
-    return frozenset(out)
-
-
-def simple_root_coefficients(root: Root, phi: RootSystem) -> tuple[Fraction, ...]:
-    """Coordinates of ``root`` in the simple-root basis, solved exactly."""
-    from fractions import Fraction
-
-    phi.require_member(root)
-    basis = [s.coords for s in phi.simple_roots]
-    n = len(basis)
-    # Solve the normal equations G x = b over Q (G is the Gram matrix of the
-    # simple roots, which is invertible).
-    gram = [[sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(n)]
-            for i in range(n)]
-    rhs = [sum(a * b for a, b in zip(basis[i], root.coords)) for i in range(n)]
-    mat = [[Fraction(gram[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if mat[i][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    return tuple(mat[i][n] for i in range(n))
 
 
 def all_types(max_rank: int, include_flagged_d: bool = True) -> Iterator[RootSystemType]:

@@ -26,15 +26,14 @@ a root and its negative) and whose edges join strongly orthogonal pairs.
 Branching in ascending order makes the first maximum clique found the
 lexicographically least, so the same search returns the clique number and
 the canonical certificate.  It answers every rank that
-``build_root_system`` builds.  ``strong_orthogonality_graph``,
-``max_clique_size`` and ``lex_min_max_clique`` (full graph, greedy
-colouring bound, lex-min probes) are kept as the generic cross-check for
-the tests.
+``build_root_system`` builds.  This is the package's only clique search;
+the tests cross-check it against a generic full-graph solver and a
+brute-force oracle, which live in ``tests/oracle_utils.py``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from functools import lru_cache
 from operator import add, mul
 
@@ -198,108 +197,6 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
         if fam == "B" and r % 2:
             rows.append(vec((r - 1, 2)))
     return OrthCertificate(t, tuple(Root(c) for c in sorted(rows)))
-
-
-def _greedy_color_order(neigh: Sequence[int], cand: int) -> list[tuple[int, int]]:
-    """Greedy coloring of the candidate set; returns (vertex, color) with
-    colors nondecreasing.  The color of v bounds the largest clique in cand
-    containing v and vertices placed earlier."""
-    order: list[tuple[int, int]] = []
-    uncolored = cand
-    color = 0
-    while uncolored:
-        color += 1
-        q = uncolored
-        while q:
-            b = q & -q
-            v = b.bit_length() - 1
-            order.append((v, color))
-            uncolored ^= b
-            q &= ~neigh[v]
-            q ^= b
-            q &= uncolored
-    return order
-
-
-def max_clique_size(neigh: Sequence[int], cand: int | None = None,
-                    stop_at: int | None = None) -> int:
-    """Clique number of the graph given by bitmask adjacency ``neigh``,
-    restricted to the vertex set ``cand`` (all vertices if None).
-
-    If ``stop_at`` is given, the search returns early once a clique of that
-    size is found (the result is then min(clique number, stop_at) or more
-    precisely: >= stop_at iff a clique of size stop_at exists).
-    """
-    n = len(neigh)
-    if cand is None:
-        cand = (1 << n) - 1
-    best = 0
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if not cand:
-            if size > best:
-                best = size
-            return
-        order = _greedy_color_order(neigh, cand)
-        local = cand
-        for v, color in reversed(order):
-            if stop_at is not None and best >= stop_at:
-                return
-            if size + color <= best:
-                return
-            expand(size + 1, local & neigh[v])
-            local &= ~(1 << v)
-
-    expand(0, cand)
-    return best
-
-
-def lex_min_max_clique(neigh: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Clique number, found by a full search, plus the lexicographically
-    least maximum clique (as an increasing tuple of vertex indices)."""
-    n = len(neigh)
-    full = (1 << n) - 1
-    size = max_clique_size(neigh, full)
-    chosen: list[int] = []
-    cand = full
-    for v in range(n):
-        if len(chosen) == size:
-            break
-        if not (cand >> v) & 1:
-            continue
-        need = size - len(chosen) - 1
-        rest = cand & neigh[v]
-        if max_clique_size(neigh, rest, stop_at=need) >= need:
-            chosen.append(v)
-            cand = rest
-    if len(chosen) != size:
-        raise AssertionError(
-            f"search bug: extracted a clique of {len(chosen)} vertices, "
-            f"expected {size}"
-        )
-    return size, tuple(chosen)
-
-
-def strong_orthogonality_graph(phi: RootSystem) -> tuple[tuple[Root, ...], list[int]]:
-    """Vertices (antipodal representatives in lexicographic order) and
-    bitmask adjacency of the strong orthogonality relation.
-
-    For orthogonal roots a, b the reflection s_b maps a+b to a-b, so a+b is
-    a root iff a-b is: one lookup decides strong orthogonality.
-    """
-    reps = phi.positive_representatives()
-    coords = [r.coords for r in reps]
-    n = len(coords)
-    neigh = [0] * n
-    for i, a in enumerate(coords):
-        for j in range(i + 1, n):
-            b = coords[j]
-            if (sum(map(mul, a, b)) == 0
-                    and not phi.contains_coords(tuple(map(add, a, b)))):
-                neigh[i] |= 1 << j
-                neigh[j] |= 1 << i
-    return reps, neigh
 
 
 def orbit_clique_search(n: int, row: Callable[[int], tuple[int, int]],
@@ -483,11 +380,10 @@ def verify_certificate(cert: OrthCertificate, phi: RootSystem | None = None) -> 
     """Re-check a certificate from scratch: membership, pairwise strong
     orthogonality, and canonical (ascending lexicographic) ordering.
 
-    Each pair is checked on the doubled integer coordinates, as in
-    :func:`strong_orthogonality_graph`: a repeated root, a nonzero dot
-    product or a root a+b makes the pair not strongly orthogonal.  For
-    orthogonal roots a, b the reflection s_b maps a+b to a-b, so a+b is a
-    root iff a-b is and one lookup decides.
+    Each pair is checked on the doubled integer coordinates: a repeated
+    root, a nonzero dot product or a root a+b makes the pair not strongly
+    orthogonal.  For orthogonal roots a, b the reflection s_b maps a+b to
+    a-b, so a+b is a root iff a-b is and one lookup decides.
     """
     if phi is None:
         phi = build_root_system(cert.system_type)
@@ -503,3 +399,19 @@ def verify_certificate(cert: OrthCertificate, phi: RootSystem | None = None) -> 
     if coords != sorted(coords):
         return CertCheck(False, "NotCanonical")
     return CertCheck(True)
+
+
+def a1n_subsystem(cert: OrthCertificate, phi: RootSystem) -> frozenset[Root]:
+    """Union of a valid certificate's roots with their negatives.
+
+    The result is a negation-closed, closed subsystem of type (A1)^n.
+    Raises :class:`CertificateError` for invalid certificates.
+    """
+    check = verify_certificate(cert, phi)
+    if not check:
+        raise CertificateError(f"invalid certificate: {check.reason}")
+    out: set[Root] = set()
+    for r in cert.roots:
+        out.add(r)
+        out.add(-r)
+    return frozenset(out)

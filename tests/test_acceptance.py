@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from oracle_utils import max_clique_bruteforce
+from oracle_utils import max_clique_bruteforce, max_clique_size
 
 from sorklie import (
     DirectProduct,
@@ -41,7 +41,7 @@ from sorklie import (
 )
 from sorklie.matrixcheck import symbolic_bracket_split_2x2
 from sorklie.roots import build_root_system as _build
-from sorklie.sork import _sork_exact_cached, max_clique_size
+from sorklie.sork import _sork_exact_cached, orbit_clique_search
 
 ALL_TYPES = list(all_types(12))
 
@@ -136,8 +136,12 @@ def test_criterion_7_clique_solver_vs_bruteforce():
         fast = max_clique_size(neigh)
         slow = max_clique_bruteforce(neigh)
         assert fast == slow, f"trial {trial}: solver {fast} != oracle {slow}"
-    _report("criterion 7: clique solver agrees with the brute-force oracle "
-            "on 50 random graphs (<= 16 vertices)")
+        shipped = len(orbit_clique_search(n, lambda v: (neigh[v], 0),
+                                          lambda v, key: 1 << v, n))
+        assert shipped == slow, f"trial {trial}: search {shipped} != oracle {slow}"
+    _report("criterion 7: the full-graph solver and the shipped orbit search "
+            "agree with the brute-force oracle on 50 random graphs "
+            "(<= 16 vertices)")
 
 
 def test_criterion_8_kronecker_bracket_identity():

@@ -206,6 +206,27 @@ class TestCertify:
         assert code == EXIT_ERROR
 
 
+class TestNonAsciiDigits:
+    """A Unicode digit other than 0-9 is a typed error: exit 1, one error
+    line, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("sork", "A\u0663"), "cannot parse root system type 'A\u0663'"),
+        (("sork", "A\u00b2", "--json"), "cannot parse root system type 'A\u00b2'"),
+        (("dump-roots", "B\u0664"), "cannot parse root system type 'B\u0664'"),
+        (("nu", "su(\u0663)"), "unexpected character '\u0663' at offset 3"),
+        (("nu", "su(2)^\u0663", "--json"), "unexpected character '\u0663' at offset 6"),
+    ], ids=["sork", "sork_superscript", "dump_roots", "nu", "nu_power"])
+    def test_argument(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_ERROR, "", f"error: {message}\n")
+
+    def test_certify_system_type(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"system_type": "A\u00b2", "roots": []}))
+        assert run(capsys, "certify", str(path)) == (
+            EXIT_ERROR, "", "error: cannot parse root system type 'A\u00b2'\n")
+
+
 class TestVerifyTables:
     def test_pass(self, capsys):
         code, out, _ = run(capsys, "verify-tables", "--rank-cap", "8")

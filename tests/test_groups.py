@@ -206,6 +206,19 @@ class TestParser:
         # products stay flat, so long ones are not deep
         assert nu_eval(parse_group_expr(" x ".join(["su(2)"] * 1000))) == 1000
 
+    @pytest.mark.parametrize("text,offset", [
+        ("su(\u0663)", 3), ("su(2)^\u0663", 6), ("Z/\u0662", 2), ("so(\uff15,1)", 3),
+        ("complex(A\u0663)", 9),
+    ])
+    def test_non_ascii_digits_are_syntax_errors(self, text, offset):
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as exc:
+            parse_group_expr(text)
+        assert exc.value.offset == offset
+
+    def test_unicode_whitespace_still_separates_tokens(self):
+        assert parse_group_expr("su(2)\u00a0x\u2003su(2)") == \
+            parse_group_expr("su(2) x su(2)")
+
     def test_syntax_error_carries_offset(self):
         with pytest.raises(ExprSyntaxError) as exc:
             parse_group_expr("su(2) x ! su(3)")

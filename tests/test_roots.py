@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_utils import inner_product, is_strongly_orthogonal, simple_root_coefficients
 
 from sorklie import (
     DimensionError,
@@ -13,13 +14,12 @@ from sorklie import (
     RootSystemType,
     all_types,
     build_root_system,
-    inner_product,
     is_closed_subsystem,
-    is_strongly_orthogonal,
 )
-from sorklie.roots import MAX_BUILD_RANK, simple_root_coefficients
+from sorklie.roots import MAX_BUILD_RANK
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D2", "D3", "D4", "G2", "F4"]
+LARGE_RANKS = [RootSystemType(fam, r) for fam in "ABCD" for r in (32, 48, 64)]
 
 
 def _t(label):
@@ -34,6 +34,13 @@ class TestRootSystemType:
     @pytest.mark.parametrize("label", ["E5", "E9", "F3", "F5", "G3", "A0", "D1", "B0"])
     def test_rank_bounds_rejected(self, label):
         with pytest.raises(InvalidType):
+            _t(label)
+
+    # int() reads '\u0663' (Arabic-Indic three) as 3 and refuses '\u00b2'
+    # (superscript two) with a plain ValueError; only ASCII digits parse.
+    @pytest.mark.parametrize("label", ["A\u00b2", "A\u0663", "B\uff11\uff12", "E\u0668"])
+    def test_non_ascii_digits_rejected(self, label):
+        with pytest.raises(InvalidType, match="cannot parse root system type"):
             _t(label)
 
     def test_low_rank_normalization(self):
@@ -97,6 +104,19 @@ class TestConstruction:
             coeffs = simple_root_coefficients(r, phi)
             assert all(c.denominator == 1 for c in coeffs)
             assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+
+    @pytest.mark.parametrize("t", list(all_types(24)) + LARGE_RANKS, ids=str)
+    def test_positive_representatives_are_the_greater_of_each_pair(self, t):
+        phi = build_root_system(t)
+        reps = {max(r.coords, tuple(-c for c in r.coords)) for r in phi.roots}
+        expected = tuple(Root(c) for c in sorted(reps))
+        assert phi.positive_representatives() == expected
+
+    @pytest.mark.parametrize("t", list(all_types(12)), ids=str)
+    def test_str_prints_true_coordinates(self, t):
+        for r in build_root_system(t).roots:
+            expected = "(" + ", ".join(str(Fraction(c, 2)) for c in r.coords) + ")"
+            assert str(r) == expected
 
     def test_deterministic(self):
         a = build_root_system(_t("F4"))

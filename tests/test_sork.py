@@ -1,8 +1,16 @@
 import json
 import random
 
+import oracle_utils
 import pytest
-from oracle_utils import induced_subgraph, max_clique_bruteforce
+from oracle_utils import (
+    induced_subgraph,
+    is_strongly_orthogonal,
+    lex_min_max_clique,
+    max_clique_bruteforce,
+    max_clique_size,
+    strong_orthogonality_graph,
+)
 
 from sorklie import (
     CertificateError,
@@ -19,15 +27,7 @@ from sorklie import (
     sork_formula,
     verify_certificate,
 )
-from sorklie import sork
-from sorklie.roots import is_strongly_orthogonal
-from sorklie.sork import (
-    LazyRootGraph,
-    lex_min_max_clique,
-    max_clique_size,
-    orbit_clique_search,
-    strong_orthogonality_graph,
-)
+from sorklie.sork import LazyRootGraph, orbit_clique_search
 
 
 def _phi(label):
@@ -226,13 +226,13 @@ class TestCliqueSolver:
         # report it, makes the extraction fall short and raise.
         neigh = [0b0110, 0b0101, 0b0011, 0b0000]
         assert lex_min_max_clique(neigh) == (3, (0, 1, 2))
-        real = sork.max_clique_size
+        real = oracle_utils.max_clique_size
 
         def one_too_many(neigh, cand=None, stop_at=None):
             found = real(neigh, cand, stop_at)
             return found + 1 if stop_at is None else found
 
-        monkeypatch.setattr(sork, "max_clique_size", one_too_many)
+        monkeypatch.setattr(oracle_utils, "max_clique_size", one_too_many)
         with pytest.raises(AssertionError, match="search bug"):
             lex_min_max_clique(neigh)
 
