@@ -14,7 +14,7 @@ from importlib import import_module
 # Public name -> submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys((
-        "CertificateError", "DimensionError", "ExprSyntaxError",
+        "CertificateError", "ExprSyntaxError",
         "InvalidRealForm", "InvalidType", "MembershipError",
         "RuleNotApplicable", "ShapeError", "SorklieError",
     ), "errors"),

@@ -2,7 +2,8 @@
 
 Besides the brute-force clique oracle, this holds a generic full-graph
 clique solver (greedy colouring bound, lex-min probes) and exact
-``Fraction`` predicates on roots.  The package ships none of them: its one
+``Fraction`` predicates on roots, with the ``DimensionError`` that
+``inner_product`` raises.  The package ships none of them: its one
 clique search is the orbit search of ``sorklie.sork``, checked here.
 """
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
 
-from sorklie import DimensionError, Root, RootSystem
+from sorklie import Root, RootSystem, SorklieError
 from sorklie.roots import _vadd
 
 
@@ -144,6 +145,10 @@ def strong_orthogonality_graph(phi: RootSystem) -> tuple[tuple[Root, ...], list[
                 neigh[i] |= 1 << j
                 neigh[j] |= 1 << i
     return reps, neigh
+
+
+class DimensionError(SorklieError, ValueError):
+    """Two vectors live in ambient spaces of different dimension."""
 
 
 def inner_product(a: Root, b: Root) -> Fraction:

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sorklie import cli
 from sorklie.cli import EXIT_AUDIT_FAIL, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
@@ -208,7 +210,7 @@ class TestCertify:
 
 class TestNonAsciiDigits:
     """A Unicode digit other than 0-9 is a typed error: exit 1, one error
-    line, nothing on stdout."""
+    line, nothing on stdout.  In an option value it is a usage error."""
 
     @pytest.mark.parametrize("argv,message", [
         (("sork", "A\u0663"), "cannot parse root system type 'A\u0663'"),
@@ -225,6 +227,14 @@ class TestNonAsciiDigits:
         path.write_text(json.dumps({"system_type": "A\u00b2", "roots": []}))
         assert run(capsys, "certify", str(path)) == (
             EXIT_ERROR, "", "error: cannot parse root system type 'A\u00b2'\n")
+
+    @pytest.mark.parametrize("value", ["\u0662\u0664", "2_4"],
+                             ids=["arabic_indic", "underscore"])
+    def test_option_value(self, capsys, value):
+        # int() reads both as 24; the option takes ASCII -?[0-9]+ only
+        code, out, err = run(capsys, "verify-tables", "--rank-cap", value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"--rank-cap: invalid int value: '{value}'" in err
 
 
 class TestVerifyTables:
@@ -314,19 +324,24 @@ class TestUsage:
 
 # Runs main(argv) in a fresh interpreter, then prints the loaded sorklie
 # modules other than the package, cli and errors, and which of the standard
-# modules that argv[1] names, comma-separated, are loaded.
+# modules that argv[1] names, comma-separated, are loaded.  It looks before
+# it imports json to print them.
 _LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from sorklie.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[2:])
 names = [m.split(".")[1] for m in sys.modules if m.startswith("sorklie.")]
-print(json.dumps({"layers": sorted(set(names) - {"cli", "errors"}),
-                  "unwanted": [m for m in sys.argv[1].split(",") if m in sys.modules]}))
+doc = {"layers": sorted(set(names) - {"cli", "errors"}),
+       "loaded": [m for m in sys.argv[1].split(",") if m in sys.modules]}
+import json
+print(json.dumps(doc))
 """
 _UNWANTED = ("fractions", "dataclasses", "inspect")
 # loaded by the argparse parser, which only --help and usage errors need
 _PARSER_MODULES = ("argparse", "gettext", "locale")
+# loaded by import json, which only certify needs, to parse its input
+_JSON_MODULES = ("json", "json.decoder", "json.scanner", "json.encoder")
 
 
 class TestImportLayering:
@@ -342,12 +357,15 @@ class TestImportLayering:
             "verify-tables"])
     def test_subcommand_imports_only_its_layers(self, argv, layers):
         unwanted = _UNWANTED if argv == ["--help"] else _UNWANTED + _PARSER_MODULES
+        certify = argv[0] == "certify"
+        watched = unwanted + (("json",) if certify else _JSON_MODULES)
         proc = subprocess.run(
-            [sys.executable, "-c", _LOADED, ",".join(unwanted), *argv],
+            [sys.executable, "-c", _LOADED, ",".join(watched), *argv],
             input='{"system_type": "E6", "roots": []}',
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"layers": layers, "unwanted": []}
+        assert json.loads(proc.stdout) == {
+            "layers": layers, "loaded": ["json"] if certify else []}
 
     def test_layers_import_no_typing_without_site(self):
         # site may import typing itself; with -S only the layers could
@@ -359,6 +377,37 @@ class TestImportLayering:
         proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                               capture_output=True, text=True, timeout=30)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# JSON documents of every kind the encoder takes, with unrestricted text:
+# controls, DEL, non-BMP characters and lone surrogates.
+_text = st.text(st.characters(exclude_categories=()))
+_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | _text,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(_text, inner, max_size=6)),
+    max_leaves=30)
+
+
+class TestDumps:
+    """``cli._dumps`` writes what ``json.dumps(x, sort_keys=True)`` does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_documents)
+    @example(["\"\\\b\f\n\r\t\x00\x1f\x7f\x80\u00e9\ud800\udfff\U0001f600"])
+    @example([1, True, 0, False, None, -(10 ** 30)])
+    @example({"b": [[1, 2], [True]], "a": {}, "": []})
+    def test_same_bytes_as_json(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [
+        1.5, [0.0], (1, 2), {"roots": [(2, 0)]}, {1: "a"}, {"a": 1, 2: "b"},
+        {None: 1}, b"ab", {1, 2},
+    ], ids=["float", "float_in_list", "tuple", "tuple_in_dict", "int_key",
+            "mixed_keys", "none_key", "bytes", "set"])
+    def test_other_values_are_type_errors(self, doc):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
 
 
 class TestConsoleScript:

@@ -4,10 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import inner_product, is_strongly_orthogonal, simple_root_coefficients
+from oracle_utils import (
+    DimensionError,
+    inner_product,
+    is_strongly_orthogonal,
+    simple_root_coefficients,
+)
 
 from sorklie import (
-    DimensionError,
     InvalidType,
     MembershipError,
     Root,
