@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -154,6 +155,17 @@ class TestConstruction:
     def test_zero_root_rejected(self):
         with pytest.raises(InvalidType):
             Root((0, 0, 0))
+
+    def test_exact_coordinates_are_pinned(self):
+        # One digest of every root, simple root and ambient dimension, so a
+        # change to how roots are built cannot move a single coordinate.
+        h = hashlib.sha256()
+        for t in list(all_types(24)) + LARGE_RANKS:
+            phi = build_root_system(t)
+            h.update(repr((str(t), phi.ambient_dim, [r.coords for r in phi.roots],
+                           [r.coords for r in phi.simple_roots])).encode())
+        assert h.hexdigest() == (
+            "f7e78287d54ecb822b70d5e74d0576fd98c61670407162c3b60ef98c92675ccc")
 
 
 class TestInnerProduct:
