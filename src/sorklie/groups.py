@@ -3,8 +3,10 @@
 The evaluator implements the reduction calculus: products add, free products
 of nontrivial factors (not both of order two) give max{1, left, right},
 solvable-by-anything split or central extensions are transparent, and finite
-index changes nothing.  General extensions only yield an upper bound, which
-is kept strictly separate from exact evaluation.
+index changes nothing.  The free-product hypotheses are on each factor's
+order: through direct products and extensions the product of the parts'
+orders, with ``fi(...)`` transparent.  General extensions only yield an
+upper bound, which is kept strictly separate from exact evaluation.
 """
 
 from __future__ import annotations
@@ -119,24 +121,27 @@ class FiniteIndex(GroupExpr):
         _set(self, "inner", inner)
 
 
-def _is_trivial(e: GroupExpr) -> bool:
+def _order(e: GroupExpr) -> int | None:
+    """The order of ``e``, or None if it is infinite.  Orders above 2 read
+    as 3: the free-product rule tells only 1, 2 and more apart, and large
+    orders multiplied out could take unbounded time.  A free product counts
+    as infinite unless both sides are trivial; the rule refuses one with a
+    single trivial side when it walks it."""
     if isinstance(e, FiniteAtom):
-        return e.order == 1
-    if isinstance(e, DirectProduct):
-        return all(_is_trivial(f) for f in e.factors)
+        return min(e.order, 3)
+    if isinstance(e, FiniteIndex):
+        return _order(e.inner)
     if isinstance(e, FreeProduct):
-        return _is_trivial(e.left) and _is_trivial(e.right)
-    if isinstance(e, FiniteIndex):
-        return _is_trivial(e.inner)
-    return False
-
-
-def _has_order_two(e: GroupExpr) -> bool:
-    if isinstance(e, FiniteAtom):
-        return e.order == 2
-    if isinstance(e, FiniteIndex):
-        return _has_order_two(e.inner)
-    return False
+        return 1 if _order(e.left) == 1 and _order(e.right) == 1 else None
+    if not isinstance(e, (DirectProduct, Extension)):
+        return None  # a simple Lie group or a solvable atom
+    order = 1
+    for part in e.factors if isinstance(e, DirectProduct) else (e.kernel, e.quotient):
+        n = _order(part)
+        if n is None:
+            return None
+        order = min(order * n, 3)
+    return order
 
 
 def nu_eval(e: GroupExpr) -> int:
@@ -183,11 +188,12 @@ def nu_walk(e: GroupExpr) -> tuple[int, bool, list[tuple[RealFormDescriptor, NuR
         if isinstance(e, DirectProduct):
             return sum(walk(f) for f in e.factors)
         if isinstance(e, FreeProduct):
-            if _is_trivial(e.left) or _is_trivial(e.right):
+            left, right = _order(e.left), _order(e.right)
+            if left == 1 or right == 1:
                 raise RuleNotApplicable(
                     "free product rule needs both factors nontrivial"
                 )
-            if _has_order_two(e.left) and _has_order_two(e.right):
+            if left == right == 2:
                 raise RuleNotApplicable(
                     "free product rule excludes Z/2 * Z/2 (infinite dihedral)"
                 )

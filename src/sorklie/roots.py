@@ -1,8 +1,17 @@
 """Irreducible root systems in exact doubled-integer coordinates.
 
 Every coordinate stored here is twice the true Euclidean coordinate, so the
-half-integer entries of the E family become odd integers and all predicates
+half-integer entries of E8 and F4 become odd integers and all predicates
 reduce to integer comparisons.
+
+Every family is built from four root shapes (Humphreys, *Introduction to
+Lie Algebras and Representation Theory*, §12.1): ±e_i ± e_j for i < j, with
+all four sign pairs or only opposite signs; ±e_i or ±2e_i; the half-spin
+vectors (±1/2, ..., ±1/2), all of them or those with an even number of
+minus signs; and the simple-root chain e_i - e_(i+1).  A-D come straight
+from the shapes.  E8 is D8 plus the even half-spin vectors, and E7 and E6
+are its roots orthogonal to e7 + e8, then also to e6 + e8.  F4 is B4 plus
+all half-spin vectors, and G2 is A2 plus ±(2e_i - e_j - e_k).
 """
 
 from __future__ import annotations
@@ -10,10 +19,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from operator import add
 
 from .errors import InvalidType, MembershipError
-
-_FAMILIES = "ABCDEFG"
 
 # Largest rank that build_root_system materialises.  Labels of any rank
 # still parse, since closed formulas and table audits need no roots; above
@@ -21,7 +29,8 @@ _FAMILIES = "ABCDEFG"
 # 8192 roots, while A99999999 would never finish).
 MAX_BUILD_RANK = 64
 
-# Classical root counts, used as a construction self-check.
+# Root counts, used as a construction self-check: a formula in the rank for
+# a classical family, the count at each rank for an exceptional one.
 _CARDINALITY = {
     "A": lambda r: r * (r + 1),
     "B": lambda r: 2 * r * r,
@@ -31,6 +40,19 @@ _CARDINALITY = {
     "F": {4: 48},
     "G": {2: 12},
 }
+
+# The family table: each family letter, in order, with its valid ranks.  A
+# classical family has every rank from the smallest one given here, an
+# exceptional family the ranks it has a root count for.
+_FAMILY_TABLE = {"A": 1, "B": 2, "C": 2, "D": 2, **{f: _CARDINALITY[f] for f in "EFG"}}
+
+
+def _ranks(family: str, max_rank: int) -> Iterable[int]:
+    """The valid ranks of ``family`` up to ``max_rank``, ascending."""
+    ranks = _FAMILY_TABLE[family]
+    if isinstance(ranks, int):
+        return range(ranks, max_rank + 1)
+    return [r for r in ranks if r <= max_rank]
 
 
 _set = object.__setattr__  # how a Value's __init__ writes its fields
@@ -110,21 +132,13 @@ class RootSystemType(Value):
     rank: int
 
     def __init__(self, family: str, rank: int):
-        if family not in _FAMILIES:
+        if family not in _FAMILY_TABLE:
             raise InvalidType(f"unknown family {family!r}; expected one of A-G")
         if rank < 1:
             raise InvalidType(f"rank must be positive, got {rank}")
         if family in ("B", "C") and rank == 1:
             family = "A"  # low rank isomorphism B1 = C1 = A1
-        elif not {
-            "A": rank >= 1,
-            "B": rank >= 2,
-            "C": rank >= 2,
-            "D": rank >= 2,
-            "E": rank in (6, 7, 8),
-            "F": rank == 4,
-            "G": rank == 2,
-        }[family]:
+        elif rank not in _ranks(family, rank):
             raise InvalidType(f"rank {rank} out of bounds for family {family}")
         _set(self, "family", family)
         _set(self, "rank", rank)
@@ -149,7 +163,7 @@ class RootSystemType(Value):
     def parse(cls, text: str) -> "RootSystemType":
         text = text.strip()
         rank = text[1:]
-        if (len(text) < 2 or text[0].upper() not in _FAMILIES
+        if (len(text) < 2 or text[0].upper() not in _FAMILY_TABLE
                 or not (rank.isascii() and rank.isdigit())):
             raise InvalidType(f"cannot parse root system type {text!r}")
         return cls(text[0].upper(), int(rank))
@@ -191,10 +205,6 @@ class Root(Value):
         """The true coordinates: an integer, or an odd numerator over 2."""
         return "(" + ", ".join(str(c // 2) if c % 2 == 0 else f"{c}/2"
                                for c in self.coords) + ")"
-
-
-def _vadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 class RootSystem(Value):
@@ -243,62 +253,39 @@ class RootSystem(Value):
         }
 
 
-def _classical_roots(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    fam, r = t.family, t.rank
-
-    def unit(i: int, dim: int, scale: int = 2) -> tuple[int, ...]:
-        v = [0] * dim
-        v[i] = scale
-        return tuple(v)
-
-    def pair(i: int, j: int, si: int, sj: int, dim: int) -> tuple[int, ...]:
-        v = [0] * dim
-        v[i] = 2 * si
-        v[j] = 2 * sj
-        return tuple(v)
-
-    if fam == "A":
-        dim = r + 1
-        roots = [pair(i, j, 1, -1, dim) for i in range(dim) for j in range(dim) if i != j]
-        simple = [pair(i, i + 1, 1, -1, dim) for i in range(r)]
-        return roots, simple
-
-    dim = r
-    pm = [(i, j, si, sj) for i in range(r) for j in range(i + 1, r)
-          for si in (1, -1) for sj in (1, -1)]
-    long_short = [pair(*p, dim) for p in pm]
-    chain = [pair(i, i + 1, 1, -1, dim) for i in range(r - 1)]
-
-    if fam == "B":
-        roots = long_short + [unit(i, dim, s) for i in range(r) for s in (2, -2)]
-        simple = chain + [unit(r - 1, dim, 2)]
-    elif fam == "C":
-        roots = long_short + [unit(i, dim, s) for i in range(r) for s in (4, -4)]
-        simple = chain + [unit(r - 1, dim, 4)]
-    elif fam == "D":
-        roots = long_short
-        simple = chain + [pair(r - 2, r - 1, 1, 1, dim)]
-    else:  # pragma: no cover
-        raise InvalidType(f"not a classical family: {fam}")
-    return roots, simple
+def _vec(dim: int, *entries: tuple[int, int]) -> tuple[int, ...]:
+    """The vector of length ``dim`` with the given (index, value) entries
+    and zeros elsewhere."""
+    v = [0] * dim
+    for i, c in entries:
+        v[i] = c
+    return tuple(v)
 
 
-def _e8_roots() -> list[tuple[int, ...]]:
-    roots = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (2, -2):
-                for sj in (2, -2):
-                    v = [0] * 8
-                    v[i], v[j] = si, sj
-                    roots.append(tuple(v))
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(signs)
-    return roots
+def _pairs(dim: int, signs=((1, 1), (1, -1), (-1, 1), (-1, -1))) -> list[tuple[int, ...]]:
+    """±e_i ± e_j for i < j, with each (sign of e_i, sign of e_j) in ``signs``."""
+    return [_vec(dim, (i, 2 * si), (j, 2 * sj))
+            for i in range(dim) for j in range(i + 1, dim) for si, sj in signs]
 
 
-# Bourbaki simple roots of E8, doubled.
+def _axes(dim: int, c: int) -> list[tuple[int, ...]]:
+    """±(c/2) e_i."""
+    return [_vec(dim, (i, s)) for i in range(dim) for s in (c, -c)]
+
+
+def _half_spin(dim: int, even: bool) -> list[tuple[int, ...]]:
+    """(±1/2, ..., ±1/2); with ``even``, only those with an even number of
+    minus signs."""
+    return [v for v in itertools.product((1, -1), repeat=dim)
+            if not even or v.count(-1) % 2 == 0]
+
+
+def _chain(dim: int, length: int) -> list[tuple[int, ...]]:
+    """The simple-root chain e_i - e_(i+1) for i < ``length``."""
+    return [_vec(dim, (i, 2), (i + 1, -2)) for i in range(length)]
+
+
+# Bourbaki simple roots of E8, F4 and G2, doubled.
 _E8_SIMPLE = [
     (1, -1, -1, -1, -1, -1, -1, 1),
     (2, 2, 0, 0, 0, 0, 0, 0),
@@ -309,58 +296,31 @@ _E8_SIMPLE = [
     (0, 0, 0, 0, -2, 2, 0, 0),
     (0, 0, 0, 0, 0, -2, 2, 0),
 ]
+_F4_SIMPLE = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+_G2_SIMPLE = [(2, -2, 0), (-4, 2, 2)]
 
 
-def _exceptional_roots(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _roots(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The roots of ``t``, unsorted, and its Bourbaki simple roots."""
     fam, r = t.family, t.rank
+    if fam == "A":
+        return _pairs(r + 1, ((1, -1), (-1, 1))), _chain(r + 1, r)
+    if fam in "BC":  # the short roots ±e_i of B, the long roots ±2e_i of C
+        c = 2 if fam == "B" else 4
+        return _pairs(r) + _axes(r, c), _chain(r, r - 1) + [_vec(r, (r - 1, c))]
+    if fam == "D":
+        return _pairs(r), _chain(r, r - 1) + [_vec(r, (r - 2, 2), (r - 1, 2))]
     if fam == "E":
-        e8 = _e8_roots()
-        if r == 8:
-            return e8, list(_E8_SIMPLE)
-        if r == 7:
-            # roots of E8 orthogonal to e7 + e8
-            roots = [v for v in e8 if v[6] + v[7] == 0]
-            return roots, list(_E8_SIMPLE[:7])
-        # E6: additionally orthogonal to e6 + e8
-        roots = [v for v in e8 if v[6] + v[7] == 0 and v[5] + v[7] == 0]
-        return roots, list(_E8_SIMPLE[:6])
+        # E7 is orthogonal to e7 + e8, E6 also to e6 + e8
+        e8 = _pairs(8) + _half_spin(8, even=True)
+        roots = [v for v in e8
+                 if r == 8 or v[6] + v[7] == 0 and (r == 7 or v[5] + v[7] == 0)]
+        return roots, _E8_SIMPLE[:r]
     if fam == "F":
-        roots: list[tuple[int, ...]] = []
-        for i in range(4):
-            for s in (2, -2):
-                v = [0] * 4
-                v[i] = s
-                roots.append(tuple(v))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for si in (2, -2):
-                    for sj in (2, -2):
-                        v = [0] * 4
-                        v[i], v[j] = si, sj
-                        roots.append(tuple(v))
-        roots.extend(itertools.product((1, -1), repeat=4))
-        simple = [
-            (0, 2, -2, 0),
-            (0, 0, 2, -2),
-            (0, 0, 0, 2),
-            (1, -1, -1, -1),
-        ]
-        return roots, simple
-    if fam == "G":
-        roots = []
-        for i, j in itertools.permutations(range(3), 2):
-            v = [0] * 3
-            v[i], v[j] = 2, -2
-            roots.append(tuple(v))
-        for i in range(3):
-            j, k = [x for x in range(3) if x != i]
-            for s in (1, -1):
-                v = [0] * 3
-                v[i], v[j], v[k] = 4 * s, -2 * s, -2 * s
-                roots.append(tuple(v))
-        simple = [(2, -2, 0), (-4, 2, 2)]
-        return roots, simple
-    raise InvalidType(f"not an exceptional family: {fam}")  # pragma: no cover
+        return _roots(RootSystemType("B", 4))[0] + _half_spin(4, even=False), _F4_SIMPLE
+    g2 = [_vec(3, (i, 4 * s), ((i + 1) % 3, -2 * s), ((i + 2) % 3, -2 * s))
+          for i in range(3) for s in (1, -1)]
+    return _roots(RootSystemType("A", 2))[0] + g2, _G2_SIMPLE
 
 
 def require_buildable(t: RootSystemType) -> None:
@@ -382,10 +342,7 @@ def build_root_system(t: RootSystemType) -> RootSystem:
     for ranks above :data:`MAX_BUILD_RANK`.
     """
     require_buildable(t)
-    if t.family in "ABCD":
-        raw, simple = _classical_roots(t)
-    else:
-        raw, simple = _exceptional_roots(t)
+    raw, simple = _roots(t)
     coords = sorted(set(raw))
     if len(coords) != t.root_count():
         raise AssertionError(
@@ -410,26 +367,17 @@ def is_closed_subsystem(sigma: Iterable[Root], phi: RootSystem) -> bool:
         phi.require_member(r)
     coord_sig = {r.coords for r in sig}
     for a, b in itertools.combinations(sig, 2):
-        s = _vadd(a.coords, b.coords)
+        s = tuple(map(add, a.coords, b.coords))
         if phi.contains_coords(s) and s not in coord_sig:
             return False
     return True
 
 
 def all_types(max_rank: int, include_flagged_d: bool = True) -> Iterator[RootSystemType]:
-    """All constructible types with rank <= max_rank, plus E/F/G if in range."""
-    for r in range(1, max_rank + 1):
-        yield RootSystemType("A", r)
-    for fam in ("B", "C"):
-        for r in range(2, max_rank + 1):
-            yield RootSystemType(fam, r)
-    d_start = 2 if include_flagged_d else 4
-    for r in range(d_start, max_rank + 1):
-        yield RootSystemType("D", r)
-    for r in (6, 7, 8):
-        if r <= max_rank:
-            yield RootSystemType("E", r)
-    if max_rank >= 4:
-        yield RootSystemType("F", 4)
-    if max_rank >= 2:
-        yield RootSystemType("G", 2)
+    """All constructible types with rank <= max_rank, family by family in
+    the order A-G; D2 and D3 only with ``include_flagged_d``."""
+    for fam in _FAMILY_TABLE:
+        for r in _ranks(fam, max_rank):
+            t = RootSystemType(fam, r)
+            if include_flagged_d or t.low_rank_alias is None:
+                yield t

@@ -44,6 +44,7 @@ from .roots import (
     RootSystemType,
     Value,
     _set,
+    _vec,
     build_root_system,
     require_buildable,
 )
@@ -179,23 +180,16 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
         return OrthCertificate(t, tuple(Root(c) for c in rows))
     require_buildable(t)
     dim = r + 1 if fam == "A" else r
-
-    def vec(*entries: tuple[int, int]) -> tuple[int, ...]:
-        v = [0] * dim
-        for i, c in entries:
-            v[i] = c
-        return tuple(v)
-
     if fam == "A":
-        rows = [vec((i, 2), (i + 1, -2)) for i in range(r - 1, -1, -2)]
+        rows = [_vec(dim, (i, 2), (i + 1, -2)) for i in range(r - 1, -1, -2)]
     elif fam == "C":
-        rows = [vec((i, 4)) for i in range(r)]
+        rows = [_vec(dim, (i, 4)) for i in range(r)]
     else:
         first = 0 if fam == "B" else r % 2
-        rows = [vec((i, 2), (i + 1, s))
+        rows = [_vec(dim, (i, 2), (i + 1, s))
                 for i in range(first, r - 1, 2) for s in (-2, 2)]
         if fam == "B" and r % 2:
-            rows.append(vec((r - 1, 2)))
+            rows.append(_vec(dim, (r - 1, 2)))
     return OrthCertificate(t, tuple(Root(c) for c in sorted(rows)))
 
 

@@ -13,7 +13,6 @@ from itertools import combinations
 from operator import add, mul
 
 from sorklie import Root, RootSystem, SorklieError
-from sorklie.roots import _vadd
 
 
 def max_clique_bruteforce(neigh: list[int]) -> int:
@@ -171,7 +170,7 @@ def is_strongly_orthogonal(a: Root, b: Root, phi: RootSystem) -> bool:
     if inner_product(a, b) != 0:
         return False
     return not (
-        phi.contains_coords(_vadd(a.coords, b.coords))
+        phi.contains_coords(tuple(map(add, a.coords, b.coords)))
         or phi.contains_coords(_vsub(a.coords, b.coords))
     )
 

@@ -62,7 +62,7 @@ class TestSork:
 
         for patched in (False, True):
             if patched:
-                monkeypatch.setattr(roots, "_classical_roots", refuse)
+                monkeypatch.setattr(roots, "_roots", refuse)
             code, out, err = run(capsys, "sork", f"B{MAX_BUILD_RANK + 1}")
             assert (code, out) == (EXIT_ERROR, "")
             assert err.startswith("error: ") and "construction limit" in err
@@ -106,6 +106,11 @@ class TestNu:
         code, _, err = run(capsys, "nu", "Z/2 * Z/2")
         assert code == EXIT_ERROR
         assert "infinite dihedral" in err
+
+    def test_order_two_factor_inside_a_product_is_refused(self, capsys):
+        code, out, err = run(capsys, "nu", "(Z/2 x Z/1) * Z/2")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: ") and "infinite dihedral" in err
 
     @pytest.mark.parametrize("expr,nu", [("so(129)", 64), ("so(63,65)", 63)])
     def test_rank_64_answers_without_search(self, expr, nu):

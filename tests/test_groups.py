@@ -73,6 +73,40 @@ class TestEval:
     def test_z2_star_z3_allowed(self):
         assert nu_eval(FreeProduct(FiniteAtom(2), FiniteAtom(3))) == 1
 
+    # A factor's order is the product of its parts' orders, through direct
+    # products and extensions alike.
+    @pytest.mark.parametrize("text,message", [
+        ("ext(Z/1, Z/1, split) * Z", "nontrivial"),
+        ("ext(Z/1, Z/1, central) * Z/5", "nontrivial"),
+        ("fi(Z/1 x ext(Z/1, Z/1, general)) * su(2)", "nontrivial"),
+        ("ext(Z/1, Z/2, split) * Z/2", "infinite dihedral"),
+        ("(Z/2 x Z/1) * Z/2", "infinite dihedral"),
+        ("fi(Z/2) * ext(Z/2, fi(Z/1), central)", "infinite dihedral"),
+    ])
+    def test_free_factor_order_seen_through_products_and_extensions(
+            self, text, message):
+        e = parse_group_expr(text)
+        for evaluate in (nu_eval, nu_upper_bound):
+            with pytest.raises(RuleNotApplicable, match=message):
+                evaluate(e)
+
+    @pytest.mark.parametrize("text", [
+        "(Z/2 x Z/2) * Z/2",
+        "ext(Z/2, Z/2, split) * Z/2",
+        "Z/2 * Z/3",
+        "su(2) * Z/2",
+        "(Z/2 x Z) * Z/2",
+        "Z/99999999999999999999 * Z/2",
+    ])
+    def test_free_factor_of_order_above_two_allowed(self, text):
+        e = parse_group_expr(text)
+        assert nu_eval(e) == nu_upper_bound(e) == 1
+
+    def test_free_factor_order_of_many_large_finite_factors_is_quick(self):
+        big = "Z/" + "9" * 4000
+        e = parse_group_expr(f"({big})^1000 * ({big})^1000")
+        assert nu_eval(e) == 1
+
     def test_split_extension_transparent(self):
         e = Extension(SolvableAtom("R^3"), _sl2r(), "split")
         assert nu_eval(e) == 1

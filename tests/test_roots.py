@@ -41,6 +41,11 @@ class TestRootSystemType:
         with pytest.raises(InvalidType):
             _t(label)
 
+    @pytest.mark.parametrize("family", ["H", "a", "", "AB"])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(InvalidType, match="unknown family"):
+            RootSystemType(family, 3)
+
     # int() reads '\u0663' (Arabic-Indic three) as 3 and refuses '\u00b2'
     # (superscript two) with a plain ValueError; only ASCII digits parse.
     @pytest.mark.parametrize("label", ["A\u00b2", "A\u0663", "B\uff11\uff12", "E\u0668"])
