@@ -103,6 +103,8 @@ class TestEval:
         assert nu_eval(e) == nu_upper_bound(e) == 1
 
     def test_free_factor_order_of_many_large_finite_factors_is_quick(self):
+        # orders above 2 are not multiplied out
+        assert groups._order(parse_group_expr("Z/5 x ext(Z/7, Z/1, split)")) == 3
         big = "Z/" + "9" * 4000
         e = parse_group_expr(f"({big})^1000 * ({big})^1000")
         assert nu_eval(e) == 1
