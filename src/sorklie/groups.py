@@ -1,12 +1,13 @@
 """Group expressions: parsing, pretty-printing, and free subgroup rank rules.
 
-The evaluator implements the reduction calculus: products add, free products
-of nontrivial factors (not both of order two) give max{1, left, right},
-solvable-by-anything split or central extensions are transparent, and finite
-index changes nothing.  The free-product hypotheses are on each factor's
-order: through direct products and extensions the product of the parts'
-orders, with ``fi(...)`` transparent.  General extensions only yield an
-upper bound, which is kept strictly separate from exact evaluation.
+The evaluator implements the reduction calculus in one walk: products add, a
+chain of free products of nontrivial factors (not Z/2 * Z/2) gives max{1, ν
+of each factor}, solvable-by-anything split or central extensions are
+transparent, and finite index changes nothing.  The free-product hypotheses
+are on each factor's least possible order: the product of the parts' orders
+through direct products and extensions, and 1 for ``fi`` of a finite group.
+The walk reports the first failed hypothesis it meets, left to right.
+General extensions only yield an upper bound, kept apart from exact values.
 """
 
 from __future__ import annotations
@@ -121,27 +122,26 @@ class FiniteIndex(GroupExpr):
         _set(self, "inner", inner)
 
 
-def _order(e: GroupExpr) -> int | None:
-    """The order of ``e``, or None if it is infinite.  Orders above 2 read
-    as 3: the free-product rule tells only 1, 2 and more apart, and large
-    orders multiplied out could take unbounded time.  A free product counts
-    as infinite unless both sides are trivial; the rule refuses one with a
-    single trivial side when it walks it."""
-    if isinstance(e, FiniteAtom):
-        return min(e.order, 3)
-    if isinstance(e, FiniteIndex):
-        return _order(e.inner)
+def _parts(e: GroupExpr) -> tuple[GroupExpr, ...]:
+    """The sub-expressions of a node, left to right; none for an atom."""
+    if isinstance(e, DirectProduct):
+        return e.factors
     if isinstance(e, FreeProduct):
-        return 1 if _order(e.left) == 1 and _order(e.right) == 1 else None
-    if not isinstance(e, (DirectProduct, Extension)):
-        return None  # a simple Lie group or a solvable atom
-    order = 1
-    for part in e.factors if isinstance(e, DirectProduct) else (e.kernel, e.quotient):
-        n = _order(part)
-        if n is None:
-            return None
-        order = min(order * n, 3)
-    return order
+        return (e.left, e.right)
+    if isinstance(e, Extension):
+        return (e.kernel, e.quotient)
+    if isinstance(e, FiniteIndex):
+        return (e.inner,)
+    if isinstance(e, (SimpleLie, SolvableAtom, FiniteAtom)):
+        return ()
+    raise TypeError(f"not a group expression: {e!r}")
+
+
+def _free_factors(e: GroupExpr) -> list[GroupExpr]:
+    """The factors of the free-product chain at ``e``, brackets dropped."""
+    if not isinstance(e, FreeProduct):
+        return [e]
+    return [f for part in _parts(e) for f in _free_factors(part)]
 
 
 def nu_eval(e: GroupExpr) -> int:
@@ -149,8 +149,8 @@ def nu_eval(e: GroupExpr) -> int:
 
     Raises :class:`RuleNotApplicable` where the calculus only proves an
     inequality (general-mode extensions) or its hypotheses fail (free
-    products with a trivial factor or two order-two factors, extensions
-    with non-solvable kernel).
+    products with a factor that may be trivial or with two order-two
+    factors, extensions with non-solvable kernel).
     """
     value, exact, _ = nu_walk(e)
     if not exact:
@@ -171,75 +171,71 @@ def nu_walk(e: GroupExpr) -> tuple[int, bool, list[tuple[RealFormDescriptor, NuR
     is exact (no general-mode extension), and each simple factor with its
     :func:`nu_simple` result, in left-to-right order.
 
-    Raises :class:`RuleNotApplicable` where a hypothesis of the calculus
-    fails, as :func:`nu_upper_bound` does.
+    Raises :class:`RuleNotApplicable` for the first hypothesis of the
+    calculus that fails, left to right, as :func:`nu_upper_bound` does.
     """
     factors: list[tuple[RealFormDescriptor, NuResult]] = []
     exact = True
 
-    def walk(e: GroupExpr) -> int:
+    def walk(e: GroupExpr) -> tuple[int, int | None]:
+        """The ν bound of ``e`` and the least order it can have (None: infinite).
+        Orders above 2 read as 3: the free-product rule tells only 1, 2 and
+        more apart, and large orders multiplied out could take unbounded time."""
         nonlocal exact
         if isinstance(e, SimpleLie):
             res = nu_simple(e.descriptor)
             factors.append((e.descriptor, res))
-            return res.nu
-        if isinstance(e, (SolvableAtom, FiniteAtom)):
-            return 0
-        if isinstance(e, DirectProduct):
-            return sum(walk(f) for f in e.factors)
+            return res.nu, None
+        if isinstance(e, SolvableAtom):
+            return 0, None
+        if isinstance(e, FiniteAtom):
+            return 0, min(e.order, 3)
         if isinstance(e, FreeProduct):
-            left, right = _order(e.left), _order(e.right)
-            if left == 1 or right == 1:
-                raise RuleNotApplicable(
-                    "free product rule needs both factors nontrivial"
-                )
-            if left == right == 2:
+            nus, orders = [], []
+            for f in _free_factors(e):
+                nu, order = walk(f)
+                if order == 1:
+                    raise RuleNotApplicable(
+                        "free product rule needs both factors nontrivial"
+                    )
+                nus.append(nu)
+                orders.append(order)
+            if orders == [2, 2]:
                 raise RuleNotApplicable(
                     "free product rule excludes Z/2 * Z/2 (infinite dihedral)"
                 )
-            return max(1, walk(e.left), walk(e.right))
-        if isinstance(e, Extension):
-            if walk(e.kernel) != 0:
+            return max(1, *nus), None
+        # direct products, extensions and fi: ν adds and orders multiply
+        nu, order = 0, 1
+        for part in _parts(e):
+            if nu and isinstance(e, Extension):  # nu is the kernel's
                 raise RuleNotApplicable(
                     "extension rule needs a kernel of free subgroup rank zero"
                 )
-            if e.mode == "general":
-                exact = False
-            return walk(e.quotient)
-        if isinstance(e, FiniteIndex):
-            return walk(e.inner)
-        raise TypeError(f"not a group expression: {e!r}")
+            part_nu, part_order = walk(part)
+            nu += part_nu
+            order = None if None in (order, part_order) else min(order * part_order, 3)
+        if isinstance(e, Extension) and e.mode == "general":
+            exact = False
+        if isinstance(e, FiniteIndex) and order is not None:
+            order = 1  # the trivial subgroup has finite index in a finite group
+        return nu, order
 
-    value = walk(e)
+    value, _ = walk(e)
     return value, exact, factors
 
 
 def _atom_count(e: GroupExpr) -> int:
     """Number of atoms (simple, solvable, finite) in the expanded expression."""
-    if isinstance(e, DirectProduct):
-        return sum(_atom_count(f) for f in e.factors)
-    if isinstance(e, FreeProduct):
-        return _atom_count(e.left) + _atom_count(e.right)
-    if isinstance(e, Extension):
-        return _atom_count(e.kernel) + _atom_count(e.quotient)
-    if isinstance(e, FiniteIndex):
-        return _atom_count(e.inner)
-    return 1
+    parts = _parts(e)
+    return sum(map(_atom_count, parts)) if parts else 1
 
 
 def simple_factors(e: GroupExpr) -> list[RealFormDescriptor]:
     """All simple Lie atoms in the expression, in left-to-right order."""
     if isinstance(e, SimpleLie):
         return [e.descriptor]
-    if isinstance(e, DirectProduct):
-        return [d for f in e.factors for d in simple_factors(f)]
-    if isinstance(e, FreeProduct):
-        return simple_factors(e.left) + simple_factors(e.right)
-    if isinstance(e, Extension):
-        return simple_factors(e.kernel) + simple_factors(e.quotient)
-    if isinstance(e, FiniteIndex):
-        return simple_factors(e.inner)
-    return []
+    return [d for part in _parts(e) for d in simple_factors(part)]
 
 
 # --- lexer -----------------------------------------------------------------

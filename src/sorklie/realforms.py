@@ -1,9 +1,10 @@
 """Real simple Lie algebras and the three-case free subgroup rank computation.
 
-Descriptors are normalized at construction so every algebra has one canonical
-form: split and compact classical series fold into split(T)/compact(T), the
-exceptional split/compact signatures do the same, and so(3,1) becomes the
-complex algebra sl2(C) (the one accidental isomorphism the computation needs).
+Descriptors are normalized at construction: split and compact classical
+series fold into split(T)/compact(T), the exceptional split/compact
+signatures do the same, and so(3,1) becomes the complex algebra sl2(C).  That
+is the one accidental isomorphism folded; the others keep both names, such as
+so(3,2) and sp(2,R), or so(4,3) and split(B3), and both names give one ν.
 
 The free subgroup rank reads the strong orthogonal rank of the
 complexification from its closed formula and attaches the closed-form
@@ -287,10 +288,12 @@ def nu_simple(d: RealFormDescriptor) -> NuResult:
 
 
 def catalog(max_pq: int = 8, max_n: int = 8) -> Iterator[RealFormDescriptor]:
-    """Canonical descriptors with bounded parameters, each algebra once.
+    """Canonical descriptors with bounded parameters, each descriptor once.
 
     su(1,1) is omitted (it is sl(2,R), already present as the split A1),
     as are the flagged D2/D3 labels for the complex/split/compact series.
+    An algebra with two unfolded names, such as so(4,3) and split(B3), is
+    listed under both.
     """
     types = list(all_types(max_n, include_flagged_d=False))
     for t in types:

@@ -112,6 +112,11 @@ class TestNu:
         assert (code, out) == (EXIT_ERROR, "")
         assert err.startswith("error: ") and "infinite dihedral" in err
 
+    def test_finite_index_of_finite_free_factor_is_refused(self, capsys):
+        code, out, err = run(capsys, "nu", "fi(Z/2) * Z/3")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: ") and "nontrivial" in err
+
     @pytest.mark.parametrize("expr,nu", [("so(129)", 64), ("so(63,65)", 63)])
     def test_rank_64_answers_without_search(self, expr, nu):
         proc = subprocess.run(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sorklie import (
@@ -73,15 +73,18 @@ class TestEval:
     def test_z2_star_z3_allowed(self):
         assert nu_eval(FreeProduct(FiniteAtom(2), FiniteAtom(3))) == 1
 
-    # A factor's order is the product of its parts' orders, through direct
-    # products and extensions alike.
+    # A factor's least order is the product of its parts' orders, through
+    # direct products and extensions alike.  A finite-index subgroup of a
+    # finite group may be trivial, so fi of a finite group reads as 1.
     @pytest.mark.parametrize("text,message", [
         ("ext(Z/1, Z/1, split) * Z", "nontrivial"),
         ("ext(Z/1, Z/1, central) * Z/5", "nontrivial"),
         ("fi(Z/1 x ext(Z/1, Z/1, general)) * su(2)", "nontrivial"),
         ("ext(Z/1, Z/2, split) * Z/2", "infinite dihedral"),
         ("(Z/2 x Z/1) * Z/2", "infinite dihedral"),
-        ("fi(Z/2) * ext(Z/2, fi(Z/1), central)", "infinite dihedral"),
+        ("fi(Z/2) * ext(Z/2, fi(Z/1), central)", "nontrivial"),
+        ("fi(Z/2) * Z/3", "nontrivial"),
+        ("fi(Z/4) * Z/2", "nontrivial"),
     ])
     def test_free_factor_order_seen_through_products_and_extensions(
             self, text, message):
@@ -97,14 +100,26 @@ class TestEval:
         "su(2) * Z/2",
         "(Z/2 x Z) * Z/2",
         "Z/99999999999999999999 * Z/2",
+        "fi(su(2)) * Z/2",
+        "(fi(Z/2) x Z/3) * Z/2",
     ])
     def test_free_factor_of_order_above_two_allowed(self, text):
         e = parse_group_expr(text)
         assert nu_eval(e) == nu_upper_bound(e) == 1
 
+    # The rule runs once over a whole chain of free products, so brackets
+    # and factor order do not change the answer.
+    @pytest.mark.parametrize("text", [
+        "Z/2 * Z/2 * Z/3", "(Z/2 * Z/2) * Z/3", "Z/3 * Z/2 * Z/2",
+        "Z/2 * (Z/2 * Z/3)",
+    ])
+    def test_free_product_chain_independent_of_brackets(self, text):
+        e = parse_group_expr(text)
+        assert nu_eval(e) == nu_upper_bound(e) == 1
+
     def test_free_factor_order_of_many_large_finite_factors_is_quick(self):
         # orders above 2 are not multiplied out
-        assert groups._order(parse_group_expr("Z/5 x ext(Z/7, Z/1, split)")) == 3
+        assert nu_eval(parse_group_expr("(Z/5 x ext(Z/7, Z/1, split)) * Z/2")) == 1
         big = "Z/" + "9" * 4000
         e = parse_group_expr(f"({big})^1000 * ({big})^1000")
         assert nu_eval(e) == 1
@@ -347,6 +362,25 @@ def _exprs(draw, depth=3):
 def test_parse_pretty_round_trip(text):
     e = parse_group_expr(text)
     assert parse_group_expr(pretty(e)) == e
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_exprs(), min_size=2, max_size=4))
+@example(["Z/2", "Z/2", "Z/3"])
+def test_free_product_chain_independent_of_nesting_and_order(factors):
+    def outcome(text):
+        try:
+            value, exact, _ = nu_walk(parse_group_expr(text))
+        except RuleNotApplicable as err:
+            return type(err)
+        return value, exact
+
+    right = factors[-1]
+    for f in reversed(factors[:-1]):
+        right = f"{f} * ({right})"
+    left = " * ".join(factors)
+    backward = " * ".join(reversed(factors))
+    assert outcome(left) == outcome(right) == outcome(backward)
 
 
 @settings(max_examples=50, deadline=None)

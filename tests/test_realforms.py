@@ -66,6 +66,18 @@ class TestNormalization:
         assert exceptional_form("G", 2, -14) == compact_form(_t("G2"))
         assert exceptional_form("E", 6, -26).kind == "exc"
 
+    # Only so(3,1) = complex(A1) is folded; other accidental isomorphisms
+    # keep both names, and both must give the same answer.
+    @pytest.mark.parametrize("a,b", [
+        (so(3, 2), sp_R(2)), (so(4, 1), sp(1, 1)), (so(3, 3), sl_R(4)),
+        (so(4, 2), su(2, 2)), (so(5, 1), sl_H(2)), (so(6, 2), so_star(8)),
+        *((so(n + 1, n), split_form(_t(f"B{n}"))) for n in range(2, 13)),
+        *((so(n, n), split_form(_t(f"D{n}"))) for n in range(3, 13)),
+    ], ids=str)
+    def test_isomorphic_names_give_one_nu(self, a, b):
+        assert (nu_simple(a).nu, nu_simple(a).case) == \
+            (nu_simple(b).nu, nu_simple(b).case)
+
     def test_parameter_order_irrelevant(self):
         assert so(3, 5) == so(5, 3)
         assert su(2, 1) == su(1, 2)
