@@ -29,7 +29,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "NuCase", "NuResult", "RealFormDescriptor", "compact_form",
         "complex_simple", "complexification_type", "exceptional_form",
-        "is_sopq_exception", "nu_one_catalog", "nu_simple", "sl_H", "sl_R",
+        "is_sopq_exception", "nu_simple", "sl_H", "sl_R",
         "so", "so_star", "sp", "sp_R", "split_form", "su",
     ), "realforms"),
     **dict.fromkeys((

@@ -31,7 +31,7 @@ from .realforms import (
     split_form,
     su,
 )
-from .roots import RootSystemType, Value, _set
+from .roots import MAX_DIGITS, RootSystemType, Value, _set
 
 # Largest number of atoms that one ``^k`` may expand to: k times the atoms
 # of its base.  Counting atoms rather than k alone also bounds nested
@@ -280,6 +280,9 @@ def _tokenize(text: str) -> list[_Token]:
             else:
                 tokens.append(_Token("name", name, m.start("name")))
         elif m.group("int") is not None:
+            if len(m.group("int").lstrip("-")) > MAX_DIGITS:
+                raise ExprSyntaxError(f"integer literal has more than {MAX_DIGITS} digits",
+                                      m.start("int"))
             tokens.append(_Token("int", m.group("int"), m.start("int")))
         else:
             tokens.append(_Token("sym", m.group("sym"), m.start("sym")))
@@ -317,6 +320,13 @@ class _Parser:
         if tok.kind != "int":
             raise ExprSyntaxError("expected an integer", tok.offset)
         return int(tok.text)
+
+    def expect_positive(self, what: str) -> int:
+        tok = self.peek()
+        n = self.expect_int()
+        if n < 1:
+            raise ExprSyntaxError(f"{what} must be >= 1", tok.offset)
+        return n
 
     def nest(self, depth: int, tok: _Token) -> int:
         """Return ``depth``, or raise if it exceeds :data:`MAX_NESTING`."""
@@ -366,9 +376,7 @@ class _Parser:
         if tok.kind == "sym" and tok.text == "^":
             self.next()
             power_tok = self.peek()
-            power = self.expect_int()
-            if power < 1:
-                raise ExprSyntaxError("power must be >= 1", power_tok.offset)
+            power = self.expect_positive("power")
             if power == 1:
                 return atom, depth
             if power * _atom_count(atom) > MAX_POWER:
@@ -412,22 +420,13 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "sym" and nxt.text == "/":
                 self.next()
-                order_tok = self.peek()
-                order = self.expect_int()
-                if order < 1:
-                    raise ExprSyntaxError("finite order must be >= 1",
-                                          order_tok.offset)
-                return FiniteAtom(order), 1
+                return FiniteAtom(self.expect_positive("finite order")), 1
             return SolvableAtom("Z"), 1
         if name == "R":
             nxt = self.peek()
             if nxt.kind == "sym" and nxt.text == "^":
                 self.next()
-                dim_tok = self.peek()
-                n = self.expect_int()
-                if n < 1:
-                    raise ExprSyntaxError("dimension must be >= 1",
-                                          dim_tok.offset)
+                n = self.expect_positive("dimension")
                 return SolvableAtom(f"R^{n}"), 1
             return SolvableAtom("R^1"), 1
         if lname == "solvable":

@@ -1,10 +1,19 @@
 """Real simple Lie algebras and the three-case free subgroup rank computation.
 
+Each kind of descriptor states its facts once.  A row of ``_KINDS`` gives
+the printed name and the complexification type of a parameterised kind
+(su, sl_H, so, so_star, sp) as functions of its params; the complex, split,
+compact and exceptional kinds carry their type as ``base``, and ``_NAMED``
+gives the classical compact and split forms their defining-representation
+names (Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
+1978, Ch. X).
+
 Descriptors are normalized at construction: split and compact classical
-series fold into split(T)/compact(T), the exceptional split/compact
-signatures do the same, and so(3,1) becomes the complex algebra sl2(C).  That
-is the one accidental isomorphism folded; the others keep both names, such as
-so(3,2) and sp(2,R), or so(4,3) and split(B3), and both names give one ν.
+series fold into split(T)/compact(T), the exceptional split and compact
+signatures (the rank, minus the dimension) do the same, and so(3,1) becomes
+the complex algebra sl2(C).  That is the one accidental isomorphism folded;
+the others keep both names, such as so(3,2) and sp(2,R), or so(4,3) and
+split(B3), and both names give one ν.
 
 The free subgroup rank reads the strong orthogonal rank of the
 complexification from its closed formula and attaches the closed-form
@@ -18,20 +27,40 @@ from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
 
-from .errors import InvalidRealForm, InvalidType
+from .errors import InvalidRealForm
 from .roots import RootSystemType, Value, _set, all_types, build_root_system
 from .sork import OrthCertificate, canonical_certificate, sork_formula, verify_certificate
 
-# Known exceptional real forms by (family+rank, signature), excluding the
+# Known exceptional real forms by (family, rank, signature), excluding the
 # split and compact signatures which normalize to split()/compact().
-_EXC_OTHER = {
-    ("E6", 2), ("E6", -14), ("E6", -26),
-    ("E7", -5), ("E7", -25),
-    ("E8", -24),
-    ("F4", -20),
+_EXC_OTHER = {("E", 6, 2), ("E", 6, -14), ("E", 6, -26), ("E", 7, -5),
+              ("E", 7, -25), ("E", 8, -24), ("F", 4, -20)}
+
+
+def _so_type(n: int) -> RootSystemType:
+    """The complexification of so(n): B for odd n, D for even n."""
+    return RootSystemType("B" if n % 2 else "D", n // 2)
+
+
+# kind -> (printed name, complexification type), each a function of params.
+_KINDS = {
+    "su": (lambda p, q: f"su({p},{q})", lambda p, q: RootSystemType("A", p + q - 1)),
+    "sl_H": (lambda n: f"sl({n},H)", lambda n: RootSystemType("A", 2 * n - 1)),
+    "so": (lambda p, q: f"so({p},{q})", lambda p, q: _so_type(p + q)),
+    "so_star": (lambda n: f"so*({2 * n})", lambda n: RootSystemType("D", n)),
+    "sp": (lambda p, q: f"sp({p},{q})", lambda p, q: RootSystemType("C", p + q)),
 }
-_EXC_SPLIT = {("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)}
-_EXC_COMPACT = {("E6", -78), ("E7", -133), ("E8", -248), ("F4", -52), ("G2", -14)}
+# (kind, family) -> name as a function of the rank; the rest print as kind(T).
+_NAMED = {
+    ("compact", "A"): lambda r: f"su({r + 1})",
+    ("compact", "B"): lambda r: f"so({2 * r + 1})",
+    ("compact", "C"): lambda r: f"sp({r})",
+    ("compact", "D"): lambda r: f"so({2 * r})",
+    ("split", "A"): lambda r: f"sl({r + 1},R)",
+    ("split", "C"): lambda r: f"sp({r},R)",
+}
+# The kinds that carry their complexification type as ``base``.
+_BASED = ("complex", "split", "compact", "exc")
 
 
 class NuCase(Enum):
@@ -55,45 +84,20 @@ class RealFormDescriptor(Value):
 
     def __init__(self, kind: str, params: tuple[int, ...] = (),
                  base: RootSystemType | None = None):
+        if kind not in _KINDS and kind not in _BASED:
+            raise InvalidRealForm(f"unknown descriptor kind {kind!r}")
         _set(self, "kind", kind)
         _set(self, "params", params)
         _set(self, "base", base)
 
     def __str__(self) -> str:
-        k = self.kind
-        if k == "complex":
-            return f"complex({self.base})"
-        if k == "split":
-            fam, r = self.base.family, self.base.rank
-            if fam == "A":
-                return f"sl({r + 1},R)"
-            if fam == "C":
-                return f"sp({r},R)"
-            return f"split({self.base})"
-        if k == "compact":
-            fam, r = self.base.family, self.base.rank
-            if fam == "A":
-                return f"su({r + 1})"
-            if fam == "B":
-                return f"so({2 * r + 1})"
-            if fam == "C":
-                return f"sp({r})"
-            if fam == "D":
-                return f"so({2 * r})"
-            return f"compact({self.base})"
-        if k == "su":
-            return f"su({self.params[0]},{self.params[1]})"
-        if k == "sl_H":
-            return f"sl({self.params[0]},H)"
-        if k == "so":
-            return f"so({self.params[0]},{self.params[1]})"
-        if k == "so_star":
-            return f"so*({2 * self.params[0]})"
-        if k == "sp":
-            return f"sp({self.params[0]},{self.params[1]})"
-        if k == "exc":
-            return f"{self.base.family}{self.base.rank}({self.params[1]})"
-        return f"<{k}>"  # pragma: no cover
+        if self.kind in _KINDS:
+            return _KINDS[self.kind][0](*self.params)
+        t = self.base
+        if self.kind == "exc":
+            return f"{t}({self.params[1]})"
+        name = _NAMED.get((self.kind, t.family))
+        return name(t.rank) if name else f"{self.kind}({t})"
 
 
 class NuResult(Value):
@@ -127,19 +131,20 @@ def compact_form(t: RootSystemType) -> RealFormDescriptor:
 
 
 def _require_simple_type(t: RootSystemType) -> None:
-    if t.family == "D" and t.rank == 2:
+    if t.is_reducible:
         raise InvalidRealForm("D2 is not simple (it is A1 x A1)")
+
+
+def _compact(kind: str, *params: int) -> RealFormDescriptor:
+    """The compact form with the complexification of ``kind(params)``."""
+    return compact_form(_KINDS[kind][1](*params))
 
 
 def su(p: int, q: int) -> RealFormDescriptor:
     p, q = max(p, q), min(p, q)
-    if q == 0:
-        if p < 2:
-            _fail(f"su({p},{q})")
-        return compact_form(RootSystemType("A", p - 1))
-    if p < 1 or q < 1:
+    if q < 0 or p + q < 2:
         _fail(f"su({p},{q})")
-    return RealFormDescriptor("su", (p, q))
+    return _compact("su", p, q) if q == 0 else RealFormDescriptor("su", (p, q))
 
 
 def sl_R(n: int) -> RealFormDescriptor:
@@ -151,10 +156,8 @@ def sl_R(n: int) -> RealFormDescriptor:
 def sl_H(n: int) -> RealFormDescriptor:
     if n < 1:
         _fail(f"sl({n},H)")
-    if n == 1:
-        # sl(1,H) = su(2)
-        return compact_form(RootSystemType("A", 1))
-    return RealFormDescriptor("sl_H", (n,))
+    # sl(1,H) = su(2)
+    return _compact("sl_H", n) if n == 1 else RealFormDescriptor("sl_H", (n,))
 
 
 def so(p: int, q: int) -> RealFormDescriptor:
@@ -165,9 +168,7 @@ def so(p: int, q: int) -> RealFormDescriptor:
     if q == 0:
         if n == 4:
             raise InvalidRealForm("so(4) is not simple")
-        if n % 2 == 1:
-            return compact_form(RootSystemType("B", (n - 1) // 2))
-        return compact_form(RootSystemType("D", n // 2))
+        return _compact("so", p, q)
     if n == 4:
         if (p, q) == (3, 1):
             # accidental isomorphism so(3,1) = sl2(C)
@@ -190,21 +191,21 @@ def sp_R(n: int) -> RealFormDescriptor:
 
 def sp(p: int, q: int) -> RealFormDescriptor:
     p, q = max(p, q), min(p, q)
-    if q == 0:
-        if p < 1:
-            _fail(f"sp({p},{q})")
-        return compact_form(RootSystemType("C", p))
-    return RealFormDescriptor("sp", (p, q))
+    if q < 0 or p < 1:
+        _fail(f"sp({p},{q})")
+    return _compact("sp", p, q) if q == 0 else RealFormDescriptor("sp", (p, q))
 
 
 def exceptional_form(family: str, rank: int, signature: int) -> RealFormDescriptor:
+    """The real form of E, F or G with the given signature; the split form
+    has signature rank, the compact form minus the dimension."""
     t = RootSystemType(family, rank)
-    key = (f"{family}{rank}", signature)
-    if key in _EXC_SPLIT:
-        return split_form(t)
-    if key in _EXC_COMPACT:
-        return compact_form(t)
-    if key in _EXC_OTHER:
+    if t.family in "EFG":
+        if signature == rank:
+            return split_form(t)
+        if signature == -(t.root_count() + rank):
+            return compact_form(t)
+    if (family, rank, signature) in _EXC_OTHER:
         return RealFormDescriptor("exc", (rank, signature), base=t)
     raise InvalidRealForm(f"unknown exceptional real form {family}{rank}({signature})")
 
@@ -216,23 +217,7 @@ def _fail(descriptor: str) -> None:
 def complexification_type(d: RealFormDescriptor) -> RootSystemType:
     """Root system type of the complexified algebra (for a complex algebra,
     the underlying complex type, which is what the rank-one case uses)."""
-    k = d.kind
-    if k in ("complex", "split", "compact", "exc"):
-        return d.base
-    if k == "su":
-        return RootSystemType("A", d.params[0] + d.params[1] - 1)
-    if k == "sl_H":
-        return RootSystemType("A", 2 * d.params[0] - 1)
-    if k == "so":
-        n = d.params[0] + d.params[1]
-        if n % 2 == 1:
-            return RootSystemType("B", (n - 1) // 2)
-        return RootSystemType("D", n // 2)
-    if k == "so_star":
-        return RootSystemType("D", d.params[0])
-    if k == "sp":
-        return RootSystemType("C", d.params[0] + d.params[1])
-    raise InvalidRealForm(f"unknown descriptor kind {k!r}")  # pragma: no cover
+    return d.base if d.kind in _BASED else _KINDS[d.kind][1](*d.params)
 
 
 def is_sopq_exception(d: RealFormDescriptor) -> bool:
@@ -295,36 +280,15 @@ def catalog(max_pq: int = 8, max_n: int = 8) -> Iterator[RealFormDescriptor]:
     An algebra with two unfolded names, such as so(4,3) and split(B3), is
     listed under both.
     """
-    types = list(all_types(max_n, include_flagged_d=False))
-    for t in types:
-        yield complex_simple(t)
-    for t in types:
-        yield compact_form(t)
-    for t in types:
-        yield split_form(t)
-    for total in range(3, max_pq + 1):
-        for q in range(1, total // 2 + 1):
-            yield su(total - q, q)
-    for n in range(2, max_n // 2 + 1):
-        yield sl_H(n)
-    for total in range(5, max_pq + 1):
-        for q in range(1, total // 2 + 1):
-            yield so(total - q, q)
-    for n in range(3, max_n + 1):
-        yield so_star(2 * n)
-    for total in range(2, max_pq + 1):
-        for q in range(1, total // 2 + 1):
-            yield sp(total - q, q)
-    for (label, sig) in sorted(_EXC_OTHER):
-        t = RootSystemType.parse(label)
-        if t.rank <= max_n:
-            yield exceptional_form(t.family, t.rank, sig)
-
-
-def nu_one_catalog(max_pq: int = 8, max_n: int = 8) -> list[RealFormDescriptor]:
-    """All bounded-parameter catalog algebras with free subgroup rank one."""
-    out = []
-    for d in catalog(max_pq, max_n):
-        if nu_simple(d).nu == 1:
-            out.append(d)
-    return sorted(set(out))
+    for t in all_types(max_n, include_flagged_d=False):
+        yield from (complex_simple(t), compact_form(t), split_form(t))
+    # least p + q with q >= 1 that gives a canonical, unfolded descriptor
+    for build, least in ((su, 3), (so, 5), (sp, 2)):
+        for total in range(least, max_pq + 1):
+            for q in range(1, total // 2 + 1):
+                yield build(total - q, q)
+    yield from (sl_H(n) for n in range(2, max_n // 2 + 1))
+    yield from (so_star(2 * n) for n in range(3, max_n + 1))
+    for family, rank, sig in sorted(_EXC_OTHER):
+        if rank <= max_n:
+            yield exceptional_form(family, rank, sig)

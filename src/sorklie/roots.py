@@ -29,6 +29,11 @@ from .errors import InvalidType, MembershipError
 # 8192 roots, while A99999999 would never finish).
 MAX_BUILD_RANK = 64
 
+# Most digits an integer may be written with: a rank label here, and every
+# integer literal of a group expression.  It is Python's default limit for
+# int(), stated so that no answer depends on sys.set_int_max_str_digits.
+MAX_DIGITS = 4300
+
 # Root counts, used as a construction self-check: a formula in the rank for
 # a classical family, the count at each rank for an exceptional one.
 _CARDINALITY = {
@@ -166,6 +171,8 @@ class RootSystemType(Value):
         if (len(text) < 2 or text[0].upper() not in _FAMILY_TABLE
                 or not (rank.isascii() and rank.isdigit())):
             raise InvalidType(f"cannot parse root system type {text!r}")
+        if len(rank) > MAX_DIGITS:
+            raise InvalidType(f"rank has more than {MAX_DIGITS} digits")
         return cls(text[0].upper(), int(rank))
 
     def root_count(self) -> int:

@@ -1,0 +1,17 @@
+import sys
+
+import pytest
+
+
+@pytest.fixture(params=[4300, 0], ids=["default_limit", "no_limit"])
+def int_digit_limit(request):
+    """Run a test under Python's default limit on the digits int() reads,
+    then with no limit, and restore the limit afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on the digits int() reads")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield request.param
+    finally:
+        sys.set_int_max_str_digits(old)

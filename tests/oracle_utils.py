@@ -1,10 +1,11 @@
 """Independent oracles used to cross-check the fast paths.
 
 Besides the brute-force clique oracle, this holds a generic full-graph
-clique solver (greedy colouring bound, lex-min probes) and exact
+clique solver (greedy colouring bound, lex-min probes), exact
 ``Fraction`` predicates on roots, with the ``DimensionError`` that
-``inner_product`` raises.  The package ships none of them: its one
-clique search is the orbit search of ``sorklie.sork``, checked here.
+``inner_product`` raises, and the rank-one catalog of the acceptance
+criteria.  The package ships none of them: its one clique search is the
+orbit search of ``sorklie.sork``, checked here.
 """
 
 from collections.abc import Sequence
@@ -12,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
 
-from sorklie import Root, RootSystem, SorklieError
+from sorklie import RealFormDescriptor, Root, RootSystem, SorklieError, nu_simple
+from sorklie.realforms import catalog
 
 
 def max_clique_bruteforce(neigh: list[int]) -> int:
@@ -197,3 +199,12 @@ def simple_root_coefficients(root: Root, phi: RootSystem) -> tuple[Fraction, ...
                 f = mat[i][col]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
     return tuple(mat[i][n] for i in range(n))
+
+
+def nu_one_catalog(max_pq: int = 8, max_n: int = 8) -> list[RealFormDescriptor]:
+    """All bounded-parameter catalog algebras with free subgroup rank one."""
+    out = []
+    for d in catalog(max_pq, max_n):
+        if nu_simple(d).nu == 1:
+            out.append(d)
+    return sorted(set(out))

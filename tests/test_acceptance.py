@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from oracle_utils import max_clique_bruteforce, max_clique_size
+from oracle_utils import max_clique_bruteforce, max_clique_size, nu_one_catalog
 
 from sorklie import (
     DirectProduct,
@@ -26,7 +26,6 @@ from sorklie import (
     build_root_system,
     is_closed_subsystem,
     nu_eval,
-    nu_one_catalog,
     nu_upper_bound,
     parse_group_expr,
     sl_R,

@@ -28,6 +28,7 @@ from sorklie import (
 )
 from sorklie import groups
 from sorklie.groups import MAX_NESTING, MAX_POWER, nu_walk, simple_factors
+from sorklie.roots import MAX_DIGITS
 
 
 def _su2():
@@ -263,6 +264,19 @@ class TestParser:
     ])
     def test_non_ascii_digits_are_syntax_errors(self, text, offset):
         with pytest.raises(ExprSyntaxError, match="unexpected character") as exc:
+            parse_group_expr(text)
+        assert exc.value.offset == offset
+
+    # int() refuses more than 4300 digits by default and reads any number
+    # with no limit, so the lexer refuses them itself, the same either way.
+    @pytest.mark.parametrize("template,offset", [
+        ("Z/{}", 2), ("Z/{} * Z/2", 2), ("su(2) x sp(-{},1)", 11), ("su(2)^{}", 6),
+        ("complex(A{})", 8),
+    ])
+    def test_integer_of_too_many_digits_is_a_syntax_error(
+            self, int_digit_limit, template, offset):
+        text = template.format("9" * (MAX_DIGITS + 1))
+        with pytest.raises(ExprSyntaxError, match=f"more than {MAX_DIGITS} digits") as exc:
             parse_group_expr(text)
         assert exc.value.offset == offset
 

@@ -24,7 +24,7 @@ EXPORTS = {
     "realforms": [
         "NuCase", "NuResult", "RealFormDescriptor", "compact_form",
         "complex_simple", "complexification_type", "exceptional_form",
-        "is_sopq_exception", "nu_one_catalog", "nu_simple", "sl_H", "sl_R",
+        "is_sopq_exception", "nu_simple", "sl_H", "sl_R",
         "so", "so_star", "sp", "sp_R", "split_form", "su",
     ],
     "roots": [
@@ -43,7 +43,7 @@ PAIRS = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 58
+    assert len(NAMES) == 57
     assert sorted(sorklie.__all__) == NAMES
 
 

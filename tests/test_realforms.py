@@ -1,19 +1,24 @@
 import functools
+import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_utils import nu_one_catalog
 
 from sorklie import (
     InvalidRealForm,
     NuCase,
     OrthCertificate,
     RootSystemType,
+    SimpleLie,
+    all_types,
     build_root_system,
     compact_form,
     complex_simple,
     complexification_type,
     exceptional_form,
     is_sopq_exception,
-    nu_one_catalog,
     nu_simple,
     parse_group_expr,
     sl_H,
@@ -28,6 +33,7 @@ from sorklie import (
     verify_certificate,
 )
 from sorklie import realforms, sork
+from sorklie.cli import main
 from sorklie.realforms import catalog
 
 
@@ -97,13 +103,69 @@ class TestNormalization:
     @pytest.mark.parametrize("expr,written", [
         ("su(1,0)", "su(1,0)"), ("su(1)", "su(1,0)"), ("sl(1,R)", "sl(1,R)"),
         ("sl(0,H)", "sl(0,H)"), ("so(1,1)", "so(1,1)"), ("so*(4)", "so*(4)"),
-        ("sp(0,R)", "sp(0,R)"), ("sp(0,0)", "sp(0,0)"),
+        ("sp(0,R)", "sp(0,R)"), ("sp(0,0)", "sp(0,0)"), ("sp(3,-1)", "sp(3,-1)"),
     ])
     def test_rejection_names_the_descriptor(self, expr, written):
         with pytest.raises(InvalidRealForm) as info:
             parse_group_expr(expr)
         assert str(info.value) == \
             f"{written} does not describe a simple Lie algebra (at offset 0)"
+
+
+PAIR_CONSTRUCTORS = (su, so, sp)
+SIZE_CONSTRUCTORS = (sl_R, sl_H, so_star, sp_R)
+TYPE_CONSTRUCTORS = (complex_simple, split_form, compact_form)
+
+
+def _built(build, *args):
+    """The descriptor ``build(*args)``, or None where it is refused."""
+    try:
+        return build(*args)
+    except InvalidRealForm:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(PAIR_CONSTRUCTORS), st.integers(-3, 15), st.integers(-3, 15)),
+    st.tuples(st.sampled_from(SIZE_CONSTRUCTORS), st.integers(-3, 40)),
+))
+def test_constructor_refuses_or_has_a_complexification(call):
+    d = _built(*call)
+    if d is not None:
+        assert isinstance(complexification_type(d), RootSystemType)
+
+
+def _every_descriptor():
+    """Each descriptor built by catalog(12, 12), by every constructor over
+    small parameters, and by the type constructors over all_types(12)."""
+    calls = [(build, p, q) for build in PAIR_CONSTRUCTORS
+             for p in range(-3, 16) for q in range(-3, 16)]
+    calls += [(build, n) for build in SIZE_CONSTRUCTORS for n in range(-3, 41)]
+    calls += [(build, t) for build in TYPE_CONSTRUCTORS for t in all_types(12)]
+    built = {_built(*call) for call in calls} | set(catalog(12, 12))
+    return sorted(built - {None})
+
+
+def test_every_descriptor_reparses_to_itself():
+    descriptors = _every_descriptor()
+    assert len(descriptors) > 400
+    for d in descriptors:
+        assert parse_group_expr(str(d)) == SimpleLie(d), d
+
+
+# sha256 over `nu` stdout and exit code for each sorted catalog(12, 12)
+# descriptor in all four flag sets, taken before the kinds became one table.
+_NU_CATALOG_SHA256 = "bca6f26431c7566324f8c119faa406a46e4fa86d6951ed84376594faf282b581"
+
+
+def test_nu_output_over_the_catalog_is_pinned(capsys):
+    h = hashlib.sha256()
+    for d in sorted(catalog(12, 12)):
+        for flags in ([], ["--json"], ["--certificate"], ["--json", "--certificate"]):
+            code = main(["nu", str(d), *flags])
+            h.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert h.hexdigest() == _NU_CATALOG_SHA256
 
 
 class TestComplexification:
@@ -118,6 +180,10 @@ class TestComplexification:
     def test_named(self):
         assert complexification_type(split_form(_t("E7"))) == _t("E7")
         assert complexification_type(exceptional_form("F", 4, -20)) == _t("F4")
+
+    def test_kind_without_a_row_is_refused(self):
+        with pytest.raises(InvalidRealForm, match="unknown descriptor kind 'sx'"):
+            realforms.RealFormDescriptor("sx", (2, 1))
 
 
 class TestSopqException:

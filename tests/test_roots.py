@@ -53,6 +53,11 @@ class TestRootSystemType:
         with pytest.raises(InvalidType, match="cannot parse root system type"):
             _t(label)
 
+    def test_rank_of_too_many_digits_rejected(self, int_digit_limit):
+        with pytest.raises(InvalidType, match="rank has more than 4300 digits"):
+            _t("A" + "9" * 4301)
+        assert _t("A" + "9" * 4300).rank == 10 ** 4300 - 1
+
     def test_low_rank_normalization(self):
         # C1 and B1 are the same algebra as A1
         assert RootSystemType("C", 1) == RootSystemType("A", 1)
