@@ -15,7 +15,7 @@ from importlib import import_module
 _EXPORTS = {
     **dict.fromkeys((
         "CertificateError", "ExprSyntaxError",
-        "InvalidRealForm", "InvalidType", "MembershipError",
+        "InvalidRealForm", "InvalidType",
         "RuleNotApplicable", "ShapeError", "SorklieError",
     ), "errors"),
     **dict.fromkeys((
@@ -34,10 +34,10 @@ _EXPORTS = {
     ), "realforms"),
     **dict.fromkeys((
         "Root", "RootSystem", "RootSystemType", "all_types",
-        "build_root_system", "is_closed_subsystem",
+        "build_root_system",
     ), "roots"),
     **dict.fromkeys((
-        "CertCheck", "OrthCertificate", "a1n_subsystem",
+        "CertCheck", "OrthCertificate",
         "canonical_certificate", "sork_exact", "sork_formula",
         "verify_certificate",
     ), "sork"),

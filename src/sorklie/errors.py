@@ -9,10 +9,6 @@ class InvalidType(SorklieError, ValueError):
     """A root system label violates the rank bounds of its family."""
 
 
-class MembershipError(SorklieError, ValueError):
-    """A root was passed that does not belong to the given root system."""
-
-
 class CertificateError(SorklieError, ValueError):
     """A strongly orthogonal certificate failed verification."""
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from operator import add
 
-from .errors import InvalidType, MembershipError
+from .errors import InvalidType
 
 # Largest rank that build_root_system materialises.  Labels of any rank
 # still parse, since closed formulas and table audits need no roots; above
@@ -70,9 +69,10 @@ class Value:
     ``__init__`` through ``object.__setattr__``; its arguments are the
     fields in slot order.  Equality, hashing, order and ``repr`` are keyed
     on the tuple of the fields, and an instance equals or orders only
-    against one of the same class.  Fields whose names start with an
-    underscore are left out of ``repr``.  Assigning or deleting a field
-    raises :class:`AttributeError`.
+    against one of the same class.  Only ``<`` and ``<=`` are defined:
+    Python answers ``a > b`` and ``a >= b`` as ``b < a`` and ``b <= a``.
+    Fields whose names start with an underscore are left out of ``repr``.
+    Assigning or deleting a field raises :class:`AttributeError`.
     """
 
     __slots__ = ()
@@ -96,16 +96,6 @@ class Value:
     def __le__(self, other):
         if other.__class__ is self.__class__:
             return self._key() <= other._key()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() > other._key()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() >= other._key()
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -239,10 +229,6 @@ class RootSystem(Value):
     def contains_coords(self, coords: tuple[int, ...]) -> bool:
         return coords in self._coord_set
 
-    def require_member(self, root: Root) -> None:
-        if root not in self:
-            raise MembershipError(f"{root} is not a root of {self.type}")
-
     def positive_representatives(self) -> tuple[Root, ...]:
         """One root per antipodal pair, the lexicographically greater one,
         returned in ascending lexicographic order.
@@ -365,19 +351,6 @@ def build_root_system(t: RootSystemType) -> RootSystem:
         ambient_dim=dim,
         _coord_set=frozenset(coords),
     )
-
-
-def is_closed_subsystem(sigma: Iterable[Root], phi: RootSystem) -> bool:
-    """True iff sigma is closed under addition within phi."""
-    sig = set(sigma)
-    for r in sig:
-        phi.require_member(r)
-    coord_sig = {r.coords for r in sig}
-    for a, b in itertools.combinations(sig, 2):
-        s = tuple(map(add, a.coords, b.coords))
-        if phi.contains_coords(s) and s not in coord_sig:
-            return False
-    return True
 
 
 def all_types(max_rank: int, include_flagged_d: bool = True) -> Iterator[RootSystemType]:

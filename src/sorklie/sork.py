@@ -394,18 +394,3 @@ def verify_certificate(cert: OrthCertificate, phi: RootSystem | None = None) -> 
         return CertCheck(False, "NotCanonical")
     return CertCheck(True)
 
-
-def a1n_subsystem(cert: OrthCertificate, phi: RootSystem) -> frozenset[Root]:
-    """Union of a valid certificate's roots with their negatives.
-
-    The result is a negation-closed, closed subsystem of type (A1)^n.
-    Raises :class:`CertificateError` for invalid certificates.
-    """
-    check = verify_certificate(cert, phi)
-    if not check:
-        raise CertificateError(f"invalid certificate: {check.reason}")
-    out: set[Root] = set()
-    for r in cert.roots:
-        out.add(r)
-        out.add(-r)
-    return frozenset(out)

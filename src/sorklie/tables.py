@@ -1,5 +1,13 @@
 """Dynkin subalgebra tables encoded as data, with mechanical audits.
 
+The defining dimension c*r + e of each classical family is stated once, in
+``_DEFINING``.  Table 3 reads it as the minimal faithful dimension.  Every
+category III row a_s x b_t of Table 2 is a tensor product whose defining
+dimensions multiply to the ambient's (Dynkin, "Maximal subgroups of the
+classical groups", 1952), so the rows of X_r are read off the divisors d of
+dim(X_r) such that d and dim(X_r) / d are the dimensions of simple a_s and
+b_t.  One row is listed by hand, C4: C1 x D2, whose so(4) is not simple.
+
 The encoded m and n columns are never trusted: each audit recomputes them
 from the strong orthogonal rank formula and compares.  One row rule then
 holds for every row instance of every table: m >= n, checked by
@@ -45,10 +53,6 @@ class AuditReport(Value):
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    @property
-    def failures(self) -> list[AuditEntry]:
-        return [e for e in self.entries if not e.passed]
-
     def add(self, row_id: str, claim: str, recomputed, encoded) -> None:
         self.entries.append(
             AuditEntry(row_id, claim, recomputed, encoded, recomputed == encoded)
@@ -92,15 +96,24 @@ TABLE1: list[tuple[str, list[list[str]], int, int]] = [
     ("E8", [["A1"], ["G2", "F4"], ["A2", "A1"], ["B2"]], 8, 6),
 ]
 
-# Minimal dimensions of faithful representations, with rank restrictions.
-# Classical entries are (formula in r, min rank); exceptional entries are flat.
-MINDIM_CLASSICAL = {
-    "A": (lambda r: r + 1, 1),
-    "B": (lambda r: 2 * r + 1, 3),
-    "C": (lambda r: 2 * r, 2),
-    "D": (lambda r: 2 * r, 4),
-}
+# Each classical family's defining dimension c*r + e as (c, e), and the first
+# rank Table 3 reads: below it the type is another's (C1 = A1, B2 = C2, D3 = A3).
+_DEFINING = {"A": (1, 1, 1), "B": (2, 1, 3), "C": (2, 0, 2), "D": (2, 0, 4)}
+# Minimal faithful dimensions of the exceptional algebras.
 MINDIM_EXCEPTIONAL = {"E6": 27, "E7": 56, "E8": 248, "F4": 26, "G2": 7}
+
+
+def _dim(family: str, r: int) -> int:
+    c, e, _ = _DEFINING[family]
+    return c * r + e
+
+
+def _rank(family: str, dim: int) -> int | None:
+    """The rank of the simple algebra of ``family`` with defining dimension
+    ``dim``, or None; so(2) and so(4) are not simple, so D starts at 3."""
+    c, e, _ = _DEFINING[family]
+    r, rem = divmod(dim - e, c)
+    return r if rem == 0 and r >= (3 if family == "D" else 1) else None
 
 
 def table1_audit() -> AuditReport:
@@ -116,82 +129,46 @@ def table1_audit() -> AuditReport:
     return report
 
 
+# The category III kinds of each ambient family, as (label, a, b, encoded n
+# as a function of s and t, or None).  A kind's rows come smaller dimension
+# first, except in sp x so < sp.  The kinds of one group are tried together
+# at each divisor, group after group: the order the rows are listed in.
+_TABLE2 = {
+    "A": [[("A: A(s-1) x A(t-1)", "A", "A", lambda s, t: (s + 1) // 2 + (t + 1) // 2)]],
+    "B": [[("B: B_s x B_t", "B", "B", lambda s, t: s + t)]],
+    "C": [[("C: C_s x B_t", "C", "B", lambda s, t: s + t), ("C: C_s x D_t", "C", "D", None)]],
+    "D": [[("D: C_s x C_t", "C", "C", None)], [("D: B_s x D_t", "B", "D", None)],
+          [("D: D_s x B_t", "D", "B", None)], [("D: D_s x D_t", "D", "D", None)]],
+}
+_C1_D2 = "C: C1 x D2"  # the one row with a factor that is not simple
 # The category III families, sorted: the order their counts are reported in.
-_TABLE2_FAMILIES = (
-    "A: A(s-1) x A(t-1)", "B: B_s x B_t", "C: C1 x D2", "C: C_s x B_t",
-    "C: C_s x D_t", "D: B_s x D_t", "D: C_s x C_t", "D: D_s x B_t",
-    "D: D_s x D_t",
-)
-# named _<ambient>_<factors>
-_A_AA, _B_BB, _C_C1D2, _C_CB, _C_CD, _D_BD, _D_CC, _D_DB, _D_DD = _TABLE2_FAMILIES
+_TABLE2_FAMILIES = sorted([kind[0] for groups in _TABLE2.values()
+                           for group in groups for kind in group] + [_C1_D2])
 
 # Ambient family -> (smallest rank, encoded m column as a function of r).
 # D2 is included: the equality case noted alongside A3.
-_TABLE2_M = {
-    "A": (1, lambda r: (r + 1) // 2),
-    "B": (2, lambda r: r),
-    "C": (2, lambda r: r),
-    "D": (2, lambda r: r if r % 2 == 0 else r - 1),
-}
+_TABLE2_M = {"A": (1, lambda r: (r + 1) // 2), "B": (2, lambda r: r),
+             "C": (2, lambda r: r), "D": (2, lambda r: r if r % 2 == 0 else r - 1)}
 
 
 def _table2_rows(family: str, r: int) -> Iterator[tuple]:
     """Yield (family label, row id, factors, encoded n or None) for ambient family_r."""
-
-    def row(label, a, s, b, t, n_encoded, suffix=""):
-        # ids keep the table's labels: RootSystemType("B", 1) prints as A1
-        return (label, f"{family}{r}: {a}{s} x {b}{t}{suffix}",
-                (RootSystemType(a, s), RootSystemType(b, t)), n_encoded)
-
-    if family == "A":
-        # A_{s-1} x A_{t-1}, 2 <= s <= t, st = r + 1
-        for s in range(2, r + 2):
-            t, rem = divmod(r + 1, s)
-            if rem == 0 and t >= s:
-                yield row(_A_AA, "A", s - 1, "A", t - 1, s // 2 + t // 2,
-                          f" (s={s}, t={t})")
-    elif family == "B":
-        # B_s x B_t, 1 <= s <= t, (2s+1)(2t+1) = 2r+1
-        for s in range(1, r + 1):
-            q, rem = divmod(2 * r + 1, 2 * s + 1)
-            t = (q - 1) // 2
-            if rem == 0 and t >= s:
-                yield row(_B_BB, "B", s, "B", t, s + t)
-    elif family == "C":
-        for s in range(1, r + 1):
-            # C_s x B_t with s(2t+1) = r, t >= 1
-            q, rem = divmod(r, s)
-            t = (q - 1) // 2
-            if rem == 0 and q % 2 == 1 and t >= 1:
-                yield row(_C_CB, "C", s, "B", t, s + t)
-            # C_s x D_t with 2st = r, t >= 3
-            t, rem = divmod(r, 2 * s)
-            if rem == 0 and t >= 3:
-                yield row(_C_CD, "C", s, "D", t, None)
-        if r == 4:
-            yield row(_C_C1D2, "C", 1, "D", 2, 3)
-    else:
-        # C_s x C_t, 1 <= s <= t, 2st = r
-        for s in range(1, r + 1):
-            t, rem = divmod(r, 2 * s)
-            if rem == 0 and t >= s:
-                yield row(_D_CC, "C", s, "C", t, None)
-        # B_s x D_t, 1 <= s < t, (2s+1)t = r, t != 2
-        for s in range(1, r + 1):
-            t, rem = divmod(r, 2 * s + 1)
-            if rem == 0 and t > s and t != 2:
-                yield row(_D_BD, "B", s, "D", t, None)
-        # D_s x B_t, 2 < s <= t, s(2t+1) = r
-        for s in range(3, r + 1):
-            q, rem = divmod(r, s)
-            t = (q - 1) // 2
-            if rem == 0 and q % 2 == 1 and t >= s:
-                yield row(_D_DB, "D", s, "B", t, None)
-        # D_s x D_t, 2 < s <= t, 2st = r
-        for s in range(3, r + 1):
-            t, rem = divmod(r, 2 * s)
-            if rem == 0 and t >= s:
-                yield row(_D_DD, "D", s, "D", t, None)
+    dim = _dim(family, r)
+    # dim(a_s): the divisors of dim, up to its square root where the smaller comes first
+    divisors = [d for d in range(2, dim) if dim % d == 0 and (family == "C" or d * d <= dim)]
+    for group in _TABLE2[family]:
+        for a_dim in divisors:
+            b_dim = dim // a_dim
+            for label, a, b, n_encoded in group:
+                s, t = _rank(a, a_dim), _rank(b, b_dim)
+                if s and t:
+                    # ids keep the table's labels: RootSystemType("B", 1) prints as A1
+                    suffix = f" (s={a_dim}, t={b_dim})" if family == "A" else ""
+                    yield (label, f"{family}{r}: {a}{s} x {b}{t}{suffix}",
+                           (RootSystemType(a, s), RootSystemType(b, t)),
+                           n_encoded and n_encoded(s, t))
+    if family == "C" and r == 4:
+        yield (_C1_D2, "C4: C1 x D2", (RootSystemType("C", 1), RootSystemType("D", 2)), 3)
 
 
 def table2_audit(rank_cap: int = 24) -> AuditReport:
@@ -216,7 +193,7 @@ def table2_audit(rank_cap: int = 24) -> AuditReport:
                 n = _sork_sum(factors)
                 if n_encoded is not None:
                     report.add(row_id, "n column", n, n_encoded)
-                if label == _C_C1D2:  # the one row with its own m column
+                if label == _C1_D2:  # the one row with its own m column
                     report.add(row_id, "m column", m, 4)
                 report.add_bound(row_id, "m >= n", m, n)
             if family == "B" and _is_prime(2 * r + 1):
@@ -229,11 +206,6 @@ def table2_audit(rank_cap: int = 24) -> AuditReport:
                          "(informational)" if counts[label]
                          else "(flagged: empty below cap)", True)
     return report
-
-
-def _so_ambient_m(k: int) -> int:
-    """Maximal regular (sl2)^m inside so_k."""
-    return k // 2 - 1 if k % 4 == 2 else k // 2
 
 
 def table3_audit(rank_cap: int = 24) -> AuditReport:
@@ -250,20 +222,21 @@ def table3_audit(rank_cap: int = 24) -> AuditReport:
 
     def check_type(row_id: str, t: RootSystemType, mindim: int, classical: bool) -> None:
         n = sork_formula(t)
-        k0 = mindim + 1 if classical else mindim
-        k_sp = k0 if k0 % 2 == 0 else k0 + 1
-        for ambient, k, m in (("sl", k0, k0 // 2), ("sp", k_sp, k_sp // 2),
-                              ("so", k0, _so_ambient_m(k0))):
-            report.add_bound(row_id, f"{ambient} ambient: m(k={k}) >= n", m, n)
+        k = mindim + 1 if classical else mindim
+        k_sp = k + k % 2
+        # sl_k = A_(k-1), sp_k = C_(k/2), and so_k = B or D of rank k // 2
+        for name, size, ambient in (("sl", k, RootSystemType("A", k - 1)),
+                                    ("sp", k_sp, RootSystemType("C", k_sp // 2)),
+                                    ("so", k, RootSystemType("B" if k % 2 else "D", k // 2))):
+            report.add_bound(row_id, f"{name} ambient: m(k={size}) >= n",
+                             sork_formula(ambient), n)
 
-    for fam, (formula, min_rank) in MINDIM_CLASSICAL.items():
-        for r in range(min_rank, rank_cap + 1):
-            t = RootSystemType(fam, r)
-            row = f"{fam}{r} (min dim {formula(r)})"
-            check_type(row, t, formula(r), classical=True)
+    for fam, (_, _, first_rank) in _DEFINING.items():
+        for r in range(first_rank, rank_cap + 1):
+            d = _dim(fam, r)
+            check_type(f"{fam}{r} (min dim {d})", RootSystemType(fam, r), d, classical=True)
     for label, mindim in MINDIM_EXCEPTIONAL.items():
-        t = _t(label)
-        check_type(f"{label} (min dim {mindim})", t, mindim, classical=False)
+        check_type(f"{label} (min dim {mindim})", _t(label), mindim, classical=False)
 
     # Special pair so_{2r-1} in so_{2r}: n = r - 1, m = sork(D_r).
     for r in range(3, rank_cap + 1):

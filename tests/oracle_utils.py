@@ -3,17 +3,33 @@
 Besides the brute-force clique oracle, this holds a generic full-graph
 clique solver (greedy colouring bound, lex-min probes), exact
 ``Fraction`` predicates on roots, with the ``DimensionError`` that
-``inner_product`` raises, and the rank-one catalog of the acceptance
-criteria.  The package ships none of them: its one clique search is the
-orbit search of ``sorklie.sork``, checked here.
+``inner_product`` raises, a root membership check with its
+``MembershipError``, the closed-subsystem predicate, the (A1)^n subsystem
+of a certificate, the rank-one catalog of the acceptance criteria, the
+failed entries of an audit report, and a Table 2 row enumerator that
+solves each family's dimension relation by hand.  The package ships none
+of them: its one clique search is the orbit search of ``sorklie.sork``,
+checked here, and its Table 2 rows come from one rule in
+``sorklie.tables``, checked against the enumerator here.
 """
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
 
-from sorklie import RealFormDescriptor, Root, RootSystem, SorklieError, nu_simple
+from sorklie import (
+    AuditReport,
+    CertificateError,
+    OrthCertificate,
+    RealFormDescriptor,
+    Root,
+    RootSystem,
+    RootSystemType,
+    SorklieError,
+    nu_simple,
+    verify_certificate,
+)
 from sorklie.realforms import catalog
 
 
@@ -148,6 +164,44 @@ def strong_orthogonality_graph(phi: RootSystem) -> tuple[tuple[Root, ...], list[
     return reps, neigh
 
 
+class MembershipError(SorklieError, ValueError):
+    """A root was passed that does not belong to the given root system."""
+
+
+def require_member(phi: RootSystem, root: Root) -> None:
+    if root not in phi:
+        raise MembershipError(f"{root} is not a root of {phi.type}")
+
+
+def is_closed_subsystem(sigma: Iterable[Root], phi: RootSystem) -> bool:
+    """True iff sigma is closed under addition within phi."""
+    sig = set(sigma)
+    for r in sig:
+        require_member(phi, r)
+    coord_sig = {r.coords for r in sig}
+    for a, b in combinations(sig, 2):
+        s = tuple(map(add, a.coords, b.coords))
+        if phi.contains_coords(s) and s not in coord_sig:
+            return False
+    return True
+
+
+def a1n_subsystem(cert: OrthCertificate, phi: RootSystem) -> frozenset[Root]:
+    """Union of a valid certificate's roots with their negatives.
+
+    The result is a negation-closed, closed subsystem of type (A1)^n.
+    Raises :class:`CertificateError` for invalid certificates.
+    """
+    check = verify_certificate(cert, phi)
+    if not check:
+        raise CertificateError(f"invalid certificate: {check.reason}")
+    out: set[Root] = set()
+    for r in cert.roots:
+        out.add(r)
+        out.add(-r)
+    return frozenset(out)
+
+
 class DimensionError(SorklieError, ValueError):
     """Two vectors live in ambient spaces of different dimension."""
 
@@ -167,8 +221,8 @@ def _vsub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def is_strongly_orthogonal(a: Root, b: Root, phi: RootSystem) -> bool:
     """True iff (a, b) = 0 and neither a+b nor a-b is a root of ``phi``."""
-    phi.require_member(a)
-    phi.require_member(b)
+    require_member(phi, a)
+    require_member(phi, b)
     if inner_product(a, b) != 0:
         return False
     return not (
@@ -179,7 +233,7 @@ def is_strongly_orthogonal(a: Root, b: Root, phi: RootSystem) -> bool:
 
 def simple_root_coefficients(root: Root, phi: RootSystem) -> tuple[Fraction, ...]:
     """Coordinates of ``root`` in the simple-root basis, solved exactly."""
-    phi.require_member(root)
+    require_member(phi, root)
     basis = [s.coords for s in phi.simple_roots]
     n = len(basis)
     # Solve the normal equations G x = b over Q (G is the Gram matrix of the
@@ -208,3 +262,81 @@ def nu_one_catalog(max_pq: int = 8, max_n: int = 8) -> list[RealFormDescriptor]:
         if nu_simple(d).nu == 1:
             out.append(d)
     return sorted(set(out))
+
+
+def failures(report: AuditReport) -> list:
+    """The entries of ``report`` that did not pass."""
+    return [e for e in report.entries if not e.passed]
+
+
+# The category III families, sorted: the order their counts are reported in.
+_TABLE2_FAMILIES = (
+    "A: A(s-1) x A(t-1)", "B: B_s x B_t", "C: C1 x D2", "C: C_s x B_t",
+    "C: C_s x D_t", "D: B_s x D_t", "D: C_s x C_t", "D: D_s x B_t",
+    "D: D_s x D_t",
+)
+# named _<ambient>_<factors>
+_A_AA, _B_BB, _C_C1D2, _C_CB, _C_CD, _D_BD, _D_CC, _D_DB, _D_DD = _TABLE2_FAMILIES
+
+
+def table2_rows(family: str, r: int) -> Iterator[tuple]:
+    """Yield (family label, row id, factors, encoded n or None) for ambient family_r.
+
+    Each family's dimension relation is solved by hand in its own loop, so
+    this is independent of the one rule that ``sorklie.tables`` applies.
+    """
+
+    def row(label, a, s, b, t, n_encoded, suffix=""):
+        # ids keep the table's labels: RootSystemType("B", 1) prints as A1
+        return (label, f"{family}{r}: {a}{s} x {b}{t}{suffix}",
+                (RootSystemType(a, s), RootSystemType(b, t)), n_encoded)
+
+    if family == "A":
+        # A_{s-1} x A_{t-1}, 2 <= s <= t, st = r + 1
+        for s in range(2, r + 2):
+            t, rem = divmod(r + 1, s)
+            if rem == 0 and t >= s:
+                yield row(_A_AA, "A", s - 1, "A", t - 1, s // 2 + t // 2,
+                          f" (s={s}, t={t})")
+    elif family == "B":
+        # B_s x B_t, 1 <= s <= t, (2s+1)(2t+1) = 2r+1
+        for s in range(1, r + 1):
+            q, rem = divmod(2 * r + 1, 2 * s + 1)
+            t = (q - 1) // 2
+            if rem == 0 and t >= s:
+                yield row(_B_BB, "B", s, "B", t, s + t)
+    elif family == "C":
+        for s in range(1, r + 1):
+            # C_s x B_t with s(2t+1) = r, t >= 1
+            q, rem = divmod(r, s)
+            t = (q - 1) // 2
+            if rem == 0 and q % 2 == 1 and t >= 1:
+                yield row(_C_CB, "C", s, "B", t, s + t)
+            # C_s x D_t with 2st = r, t >= 3
+            t, rem = divmod(r, 2 * s)
+            if rem == 0 and t >= 3:
+                yield row(_C_CD, "C", s, "D", t, None)
+        if r == 4:
+            yield row(_C_C1D2, "C", 1, "D", 2, 3)
+    else:
+        # C_s x C_t, 1 <= s <= t, 2st = r
+        for s in range(1, r + 1):
+            t, rem = divmod(r, 2 * s)
+            if rem == 0 and t >= s:
+                yield row(_D_CC, "C", s, "C", t, None)
+        # B_s x D_t, 1 <= s < t, (2s+1)t = r, t != 2
+        for s in range(1, r + 1):
+            t, rem = divmod(r, 2 * s + 1)
+            if rem == 0 and t > s and t != 2:
+                yield row(_D_BD, "B", s, "D", t, None)
+        # D_s x B_t, 2 < s <= t, s(2t+1) = r
+        for s in range(3, r + 1):
+            q, rem = divmod(r, s)
+            t = (q - 1) // 2
+            if rem == 0 and q % 2 == 1 and t >= s:
+                yield row(_D_DB, "D", s, "B", t, None)
+        # D_s x D_t, 2 < s <= t, 2st = r
+        for s in range(3, r + 1):
+            t, rem = divmod(r, 2 * s)
+            if rem == 0 and t >= s:
+                yield row(_D_DD, "D", s, "D", t, None)

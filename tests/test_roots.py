@@ -7,19 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_utils import (
     DimensionError,
+    MembershipError,
     inner_product,
+    is_closed_subsystem,
     is_strongly_orthogonal,
     simple_root_coefficients,
 )
 
 from sorklie import (
     InvalidType,
-    MembershipError,
     Root,
     RootSystemType,
     all_types,
     build_root_system,
-    is_closed_subsystem,
 )
 from sorklie.roots import MAX_BUILD_RANK
 

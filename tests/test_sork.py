@@ -4,7 +4,9 @@ import random
 import oracle_utils
 import pytest
 from oracle_utils import (
+    a1n_subsystem,
     induced_subgraph,
+    is_closed_subsystem,
     is_strongly_orthogonal,
     lex_min_max_clique,
     max_clique_bruteforce,
@@ -18,11 +20,9 @@ from sorklie import (
     OrthCertificate,
     Root,
     RootSystemType,
-    a1n_subsystem,
     all_types,
     build_root_system,
     canonical_certificate,
-    is_closed_subsystem,
     sork_exact,
     sork_formula,
     verify_certificate,

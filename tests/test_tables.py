@@ -1,16 +1,19 @@
+import contextlib
 import hashlib
+import io
 
 import pytest
+from oracle_utils import failures, table2_rows
 
 from sorklie import table1_audit, table2_audit, table3_audit, tables
 from sorklie.cli import main
-from sorklie.tables import TABLE1, _is_prime, _so_ambient_m
+from sorklie.tables import TABLE1, _is_prime, _table2_rows
 
 
 class TestTable1:
     def test_all_rows_pass(self):
         report = table1_audit()
-        assert report.ok, [e.row_id for e in report.failures]
+        assert report.ok, [e.row_id for e in failures(report)]
 
     def test_covers_all_five_exceptional_algebras(self):
         assert [row[0] for row in TABLE1] == ["G2", "F4", "E6", "E7", "E8"]
@@ -30,7 +33,7 @@ class TestTable1:
 class TestTable2:
     def test_all_rows_pass_default_cap(self):
         report = table2_audit()
-        assert report.ok, [e.row_id for e in report.failures]
+        assert report.ok, [e.row_id for e in failures(report)]
 
     def test_all_rows_pass_small_cap(self):
         assert table2_audit(rank_cap=8).ok
@@ -102,6 +105,30 @@ _VERIFY_TABLES_SHA256 = {
 }
 
 
+# sha256 over `f"{code}\n{stdout}"` of `verify-tables` at every allowed
+# cap, without and with --json in that order, taken before the Table 2 rows
+# came from the defining dimensions.
+_VERIFY_TABLES_ALL_CAPS_SHA256 = \
+    "40ea7c20238f913f3f01d56bb9357cbed28b52d19a6412efa8edd173efc3ac0b"
+
+
+def test_verify_tables_output_is_pinned_at_every_cap():
+    h = hashlib.sha256()
+    for cap in range(4, 65):
+        for flags in ([], ["--json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify-tables", "--rank-cap", str(cap), *flags])
+            h.update(f"{code}\n{out.getvalue()}".encode())
+    assert h.hexdigest() == _VERIFY_TABLES_ALL_CAPS_SHA256
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_table2_rows_match_the_hand_solved_enumerator(family):
+    for r in range(1, 201):
+        assert list(_table2_rows(family, r)) == list(table2_rows(family, r)), r
+
+
 @pytest.mark.parametrize("cap,as_json", sorted(_VERIFY_TABLES_SHA256))
 def test_verify_tables_output_is_pinned(capsys, cap, as_json):
     argv = ["verify-tables", "--rank-cap", cap] + (["--json"] if as_json else [])
@@ -114,14 +141,17 @@ def test_verify_tables_output_is_pinned(capsys, cap, as_json):
 class TestTable3:
     def test_all_rows_pass(self):
         report = table3_audit()
-        assert report.ok, [e.row_id for e in report.failures]
+        assert report.ok, [e.row_id for e in failures(report)]
 
     def test_so_ambient_m(self):
-        # m drops by one when k = 2 mod 4 (odd-rank D ambient)
-        assert _so_ambient_m(8) == 4
-        assert _so_ambient_m(10) == 4
-        assert _so_ambient_m(12) == 6
-        assert _so_ambient_m(7) == 3
+        # m drops by one when k = 2 mod 4 (odd-rank D ambient); A_r has min
+        # dim r + 1, so its so ambient is so_(r+2)
+        m = {e.claim: e.recomputed[0] for e in table3_audit(24).entries
+             if e.claim.startswith("so ambient")
+             and e.row_id in ("A5 (min dim 6)", "A6 (min dim 7)",
+                              "A8 (min dim 9)", "A10 (min dim 11)")}
+        assert m == {"so ambient: m(k=7) >= n": 3, "so ambient: m(k=8) >= n": 4,
+                     "so ambient: m(k=10) >= n": 4, "so ambient: m(k=12) >= n": 6}
 
     def test_special_pair_rows_present(self):
         ids = {e.row_id for e in table3_audit(rank_cap=10).entries}

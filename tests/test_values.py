@@ -172,6 +172,10 @@ class TestOrder:
             RootSystemType("A", 1) < Root((2, -2))  # noqa: B015
         with pytest.raises(TypeError):
             SolvableAtom("Z") <= FiniteIndex(SolvableAtom("Z"))  # noqa: B015
+        with pytest.raises(TypeError):
+            RootSystemType("A", 1) > Root((2, -2))  # noqa: B015
+        with pytest.raises(TypeError):
+            SolvableAtom("Z") >= FiniteIndex(SolvableAtom("Z"))  # noqa: B015
 
 
 class TestConstructionChecks:
