@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,12 @@ from hypothesis import strategies as st
 
 from sorklie import cli
 from sorklie.cli import EXIT_AUDIT_FAIL, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
-from sorklie.roots import MAX_BUILD_RANK, RootSystemType
+from sorklie.errors import CertificateError
+from sorklie.roots import MAX_BUILD_RANK, MAX_DIGITS, RootSystemType
 from sorklie.sork import canonical_certificate, sork_formula
+
+
+_BENCH_DATA = Path(__file__).parents[1] / "bench" / "data"
 
 
 def run(capsys, *argv):
@@ -144,6 +150,30 @@ class TestNu:
         assert "Traceback" not in proc.stderr
 
 
+# A reference for the certify size check, by one token regex: a string,
+# where an unterminated one takes the rest of the text; a bracket; or the
+# start of a digit run longer than MAX_DIGITS.
+_SIZE_TOKENS = re.compile(r'"(?:[^"\\]|\\[\s\S])*"?|[][{}]|(?<![0-9])[0-9]{%d}'
+                          % (MAX_DIGITS + 1))
+
+
+def _size_error(raw):
+    """The error message of the size check on ``raw``, or None."""
+    depth = 0
+    for m in _SIZE_TOKENS.finditer(raw):
+        token = m.group()
+        if token in "[{":
+            depth += 1
+            if depth > cli.MAX_JSON_NESTING:
+                return (f"certificate document nests deeper than "
+                        f"{cli.MAX_JSON_NESTING} levels")
+        elif token in "]}":
+            depth -= 1
+        elif token[0] != '"':
+            return f"certificate document has a number of more than {MAX_DIGITS} digits"
+    return None
+
+
 class TestCertify:
     def test_valid_roundtrip(self, tmp_path, capsys):
         code, out, _ = run(capsys, "sork", "E6", "--json", "--certificate")
@@ -212,6 +242,90 @@ class TestCertify:
                                     "note": "[" * 100 + '"\\' + "{" * 100}))
         code, out, _ = run(capsys, "certify", str(path))
         assert (code, out) == (EXIT_OK, "valid certificate: 0 strongly orthogonal roots in A2\n")
+
+    @pytest.mark.parametrize("raw", [
+        '"\\' * 2 ** 19,
+        ("1" * 4300 + ",") * 244,
+        "]" * 2 ** 20,
+    ], ids=["unterminated_escapes", "digit_runs_at_the_limit", "closing_brackets"])
+    def test_one_megabyte_of_hostile_text_is_refused_in_linear_time(self, raw):
+        start = time.monotonic()
+        proc = cli_process("certify", "-", input=raw)
+        assert time.monotonic() - start < 2.0
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("digits,code", [(4300, EXIT_AUDIT_FAIL),
+                                             (4301, EXIT_ERROR),
+                                             (300_000, EXIT_ERROR)])
+    def test_digit_runs_longer_than_max_digits_are_refused(
+            self, tmp_path, capsys, int_digit_limit, digits, code):
+        path = tmp_path / "digits.json"
+        path.write_text('{"system_type": "A2", "roots": [[1%s, 0, 0]]}' % ("0" * (digits - 1)))
+        expected = ((EXIT_AUDIT_FAIL, "invalid certificate: NotARoot\n", "")
+                    if code == EXIT_AUDIT_FAIL else
+                    (EXIT_ERROR, "", "error: certificate document has a number "
+                                     f"of more than {MAX_DIGITS} digits\n"))
+        assert run(capsys, "certify", str(path)) == expected
+
+    def test_digit_limit_holds_without_an_int_limit(self):
+        raw = '{"system_type": "A2", "roots": [[1%s, 0, 0]]}' % ("0" * 299_999)
+        proc = cli_process("certify", "-", input=raw,
+                           env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_ERROR, "", "error: certificate document has a number "
+                            f"of more than {MAX_DIGITS} digits\n")
+
+    def test_digits_inside_strings_are_not_counted(self, tmp_path, capsys):
+        path = tmp_path / "note.json"
+        path.write_text(json.dumps({"system_type": "A2", "roots": [], "note": "9" * 10_000}))
+        code, out, _ = run(capsys, "certify", str(path))
+        assert (code, out) == (EXIT_OK, "valid certificate: 0 strongly orthogonal roots in A2\n")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(['"', "\\", "\\\\", "[", "]", "{", "}", "[" * 17,
+                                     ",", " ", "a", "0" * MAX_DIGITS,
+                                     "0" * (MAX_DIGITS + 1)]),
+                    max_size=40).map("".join))
+    @example('"\\\\"' + "[" * 17)  # an even run of backslashes: the string ends
+    @example('"\\\\\\"' + "[" * 17)  # an odd run: the quote is escaped
+    @example('"' + "0" * (MAX_DIGITS + 1) + '" ' + "0" * MAX_DIGITS)
+    def test_size_check_matches_the_token_regex(self, raw):
+        try:
+            cli._check_json_size(raw)
+            error = None
+        except CertificateError as err:
+            error = str(err)
+        assert error == _size_error(raw)
+
+    # bench/data/certify: exit code, stdout and stderr, byte for byte.
+    _MALFORMED = {
+        "missing_roots": (EXIT_ERROR, "", "error: roots must be a list of lists of integers\n"),
+        "n_mismatch": (EXIT_AUDIT_FAIL, "invalid certificate: CountMismatch\n", ""),
+        "not_a_root": (EXIT_AUDIT_FAIL, "invalid certificate: NotARoot\n", ""),
+        "not_canonical": (EXIT_AUDIT_FAIL, "invalid certificate: NotCanonical\n", ""),
+        "not_strongly_orthogonal": (EXIT_AUDIT_FAIL,
+                                    "invalid certificate: NotStronglyOrthogonal\n", ""),
+        "null_coordinate": (EXIT_ERROR, "", "error: roots must be a list of lists of integers\n"),
+        "string_coordinate": (EXIT_ERROR, "",
+                              "error: roots must be a list of lists of integers\n"),
+        "top_level_list": (EXIT_ERROR, "", "error: certificate must be a JSON object\n"),
+        "truncated": (EXIT_ERROR, "", "error: Expecting value: line 2 column 1 (char 34)\n"),
+        "unknown_type": (EXIT_ERROR, "", "error: cannot parse root system type 'X9'\n"),
+        "wrong_dimension": (EXIT_AUDIT_FAIL, "invalid certificate: NotARoot\n", ""),
+        "zero_root": (EXIT_ERROR, "", "error: a root cannot be the zero vector\n"),
+    }
+
+    def test_committed_documents_give_their_pinned_output(self, capsys):
+        malformed = {p.stem: run(capsys, "certify", str(p))
+                     for p in sorted((_BENCH_DATA / "certify").glob("*.json"))}
+        assert malformed == self._MALFORMED
+        for path in sorted((_BENCH_DATA / "certificates").glob("*.json")):
+            doc = json.loads(path.read_text())
+            assert run(capsys, "certify", str(path)) == (
+                EXIT_OK, f"valid certificate: {doc['n']} strongly orthogonal "
+                         f"roots in {doc['system_type']}\n", ""), path.name
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "/nonexistent/cert.json")
@@ -350,7 +464,8 @@ print(json.dumps(doc))
 _UNWANTED = ("fractions", "dataclasses", "inspect")
 # loaded by the argparse parser, which only --help and usage errors need
 _PARSER_MODULES = ("argparse", "gettext", "locale")
-# loaded by import json, which only certify needs, to parse its input
+# loaded by import json, which no subcommand needs on success: certify parses
+# with cli._loads, the rest write with cli._dumps
 _JSON_MODULES = ("json", "json.decoder", "json.scanner", "json.encoder")
 
 
@@ -367,15 +482,12 @@ class TestImportLayering:
             "verify-tables"])
     def test_subcommand_imports_only_its_layers(self, argv, layers):
         unwanted = _UNWANTED if argv == ["--help"] else _UNWANTED + _PARSER_MODULES
-        certify = argv[0] == "certify"
-        watched = unwanted + (("json",) if certify else _JSON_MODULES)
         proc = subprocess.run(
-            [sys.executable, "-c", _LOADED, ",".join(watched), *argv],
+            [sys.executable, "-c", _LOADED, ",".join(unwanted + _JSON_MODULES), *argv],
             input='{"system_type": "E6", "roots": []}',
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {
-            "layers": layers, "loaded": ["json"] if certify else []}
+        assert json.loads(proc.stdout) == {"layers": layers, "loaded": []}
 
     def test_layers_import_no_typing_without_site(self):
         # site may import typing itself; with -S only the layers could
@@ -420,6 +532,98 @@ class TestDumps:
             cli._dumps(doc)
 
 
+# JSON documents of every kind the decoder reads, floats, NaN and infinities
+# included, written out in varied layouts.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(_text, inner, max_size=6)),
+    max_leaves=30)
+_json_texts = st.builds(
+    lambda doc, indent, separators, ensure_ascii: json.dumps(
+        doc, indent=indent, separators=separators, ensure_ascii=ensure_ascii),
+    _json_values,
+    st.none() | st.integers(0, 3) | st.just("\t"),
+    st.sampled_from([None, (",", ":"), (", ", ": "), (" , ", " :\n")]),
+    st.booleans())
+# Characters that matter to JSON's grammar, for mutations.
+_JSON_CHARS = ' \t\n\r"\\/[]{},:-+.eE019uINaf\ufeff\x00\ud800'
+
+
+def _mutations(text, data):
+    """``text`` truncated, or with one character replaced, inserted or
+    deleted."""
+    i = data.draw(st.integers(0, len(text)))
+    c = data.draw(st.sampled_from(_JSON_CHARS))
+    return data.draw(st.sampled_from([text[:i], text[:i] + c + text[i + 1:],
+                                      text[:i] + c + text[i:], text[:i] + text[i + 1:]]))
+
+
+def _decoded(loads, text):
+    """What ``loads(text)`` gives: the repr of its value (NaN equals itself
+    there) or the type and message of its exception."""
+    try:
+        return repr(loads(text))
+    except Exception as err:  # compared, not handled
+        return type(err), str(err)
+
+
+# Decodes each argument with cli._loads in a fresh interpreter, before json
+# is loaded, then with json.loads, and prints whether the two agree.
+_FRESH_LOADS = """
+import sys
+from sorklie.cli import _loads
+def decoded(loads, text):
+    try:
+        return repr(loads(text))
+    except Exception as err:
+        return type(err).__name__, str(err)
+ours = [decoded(_loads, text) for text in sys.argv[1:]]
+import json
+theirs = [decoded(json.loads, text) for text in sys.argv[1:]]
+print(ours == theirs or list(zip(ours, theirs)))
+"""
+
+
+class TestLoads:
+    """``cli._loads(text)`` gives what ``json.loads(text)`` does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_json_texts)
+    def test_documents(self, text):
+        assert _decoded(cli._loads, text) == _decoded(json.loads, text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_json_texts, st.data())
+    def test_truncations_and_mutations(self, text, data):
+        text = _mutations(text, data)
+        assert _decoded(cli._loads, text) == _decoded(json.loads, text)
+
+    @pytest.mark.parametrize("text", [
+        "", " \t\n\r", "\ufeff", "\ufeff{}", " \ufeff[]", "\u00a0[]", "NaN",
+        "Infinity", "-Infinity", "[NaN, Infinity, -Infinity, -NaN]", "nan",
+        "{} x", "[1] ]", "1 2", " [1] \t\n\r", '"\\ud800"', '["\\udc00\\ud800"]',
+        '"\\ud83d\\ude00"', '"\x1f"', '"\\x"', "1" * 5000, "-" + "1" * 4300,
+        "1" * 4300, "01", "1.", ".5", "1e400", "-0", "-0.0", '{"a": 1, "a": 2}',
+        '{"a" 1}', "[1,]", "[", "{", '"', "tru", "[" * 100 + "]" * 100,
+    ])
+    def test_edge_cases(self, text):
+        assert _decoded(cli._loads, text) == _decoded(json.loads, text)
+
+    def test_errors_in_a_process_without_json_loaded(self):
+        texts = ['"\\', '"abc', '["\\x"]', '"\x01"', '"\\u12"', "[1, 2", '{"a" 1}',
+                 '{"a": 1,}', "[] x", "", " ", "\ufeff[]", "tru", "-", "[1e]"]
+        proc = subprocess.run([sys.executable, "-c", _FRESH_LOADS, *texts],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+    def test_without_the_c_scanner_json_loads_decodes(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_json", None)  # import _json fails
+        assert cli._loads(' {"roots": [[2, -0]]} ') == {"roots": [[2, 0]]}
+        with pytest.raises(json.JSONDecodeError, match="Extra data"):
+            cli._loads("[] []")
+
+
 class TestConsoleScript:
     def test_entry_point(self):
         proc = subprocess.run(
@@ -437,11 +641,11 @@ class TestConsoleScript:
         assert proc.returncode == EXIT_OK
 
 
-def cli_process(*argv, env=None, stdout=subprocess.PIPE):
+def cli_process(*argv, env=None, stdout=subprocess.PIPE, input=None):
     """``python -m sorklie.cli ARGV``, which runs ``cli.run()``."""
     return subprocess.run([sys.executable, "-m", "sorklie.cli", *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          timeout=30, env=env)
+                          timeout=30, env=env, input=input)
 
 
 # Registers an atexit handler, then runs cli.run() as the process would.
