@@ -6,13 +6,17 @@ clique solver (greedy colouring bound, lex-min probes), exact
 ``inner_product`` raises, a root membership check with its
 ``MembershipError``, the closed-subsystem predicate, the (A1)^n subsystem
 of a certificate, the rank-one catalog of the acceptance criteria, the
-failed entries of an audit report, and a Table 2 row enumerator that
-solves each family's dimension relation by hand.  The package ships none
-of them: its one clique search is the orbit search of ``sorklie.sork``,
-checked here, and its Table 2 rows come from one rule in
-``sorklie.tables``, checked against the enumerator here.
+failed entries of an audit report, a Table 2 row enumerator that
+solves each family's dimension relation by hand, and the ``argparse``
+parser of the CLI grammar.  The package ships none of them: its one
+clique search is the orbit search of ``sorklie.sork``, checked here, its
+Table 2 rows come from one rule in ``sorklie.tables``, checked against
+the enumerator here, and its one command line parser is
+``sorklie.cli._parse``, checked against the argparse parser here.
 """
 
+import argparse
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +34,7 @@ from sorklie import (
     nu_simple,
     verify_certificate,
 )
+from sorklie import cli
 from sorklie.realforms import catalog
 
 
@@ -340,3 +345,43 @@ def table2_rows(family: str, r: int) -> Iterator[tuple]:
             t, rem = divmod(r, 2 * s)
             if rem == 0 and t >= s:
                 yield row(_D_DD, "D", s, "D", t, None)
+
+
+def _in_range(low: int, high: int):
+    """argparse's converter of a bounded int option: an integer from
+    ``low`` to ``high`` in ASCII digits, ``-?[0-9]+``, else a usage error."""
+    def parse(text: str) -> int:
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"not an ASCII integer: {text!r}")
+        value = int(text)
+        if low <= value <= high:
+            return value
+        bound = f"at least {low}" if value < low else f"at most {high}"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``cli._GRAMMAR``: help on stdout and exit 0,
+    a usage error as the usage and ``error: ...`` on stderr and exit 64."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(cli.EXIT_USAGE)
+
+    # --help shows the first two paragraphs: the summary and the exit codes.
+    p = Parser(prog="sorklie", description="\n\n".join(cli.__doc__.split("\n\n")[:2]))
+    sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for command, (summary, positional, options, flags) in cli._GRAMMAR.items():
+        sp = sub.add_parser(command, help=summary)
+        if positional is not None:
+            sp.add_argument(positional[0], help=positional[1])
+        for flag, low, high, default, help_ in options:
+            sp.add_argument(flag, type=_in_range(low, high), default=default, help=help_)
+        for flag, help_ in flags:
+            sp.add_argument(flag, action="store_true", help=help_)
+    return p

@@ -437,13 +437,64 @@ class TestUsage:
     def test_bad_flag(self, capsys):
         assert run(capsys, "sork", "E8", "--bogus")[0] == EXIT_USAGE
 
-    # Help text, byte for byte: the parser is built from cli._GRAMMAR.
+    # Help text, byte for byte: it is rendered from cli._GRAMMAR.
     _HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text())
 
     @pytest.mark.parametrize("argv", sorted(_HELP))
     def test_help_text_is_pinned(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         assert run(capsys, *argv.split()) == (EXIT_OK, self._HELP[argv], "")
+
+    @pytest.mark.parametrize("columns", [None, "40", "80", "200"])
+    @pytest.mark.parametrize("argv", ["--help", "sork --help"])
+    def test_help_ignores_the_terminal_width(self, argv, columns):
+        env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+        if columns is not None:
+            env["COLUMNS"] = columns
+        proc = cli_process(*argv.split(), env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, self._HELP[argv], "")
+
+    def test_help_without_docstrings(self):
+        # python -OO drops the module docstring, whose summary --help shows
+        usage, _, rest = self._HELP["--help"].split("\n\n", 2)
+        proc = subprocess.run([sys.executable, "-OO", "-m", "sorklie.cli", "--help"],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_OK, usage + "\n\n" + rest, "")
+
+    # The usage block of each error is the first paragraph of its help.
+    _CHOICES = "'sork', 'nu', 'certify', 'verify-tables', 'verify-kronecker', 'dump-roots'"
+
+    @pytest.mark.parametrize("argv,usage,message", [
+        ((), "--help", "the following arguments are required: command"),
+        (("frobnicate",), "--help",
+         f"argument command: invalid choice: 'frobnicate' (choose from {_CHOICES})"),
+        (("sork",), "sork --help", "the following arguments are required: type"),
+        (("sork", "E8", "--bogus", "x"), "--help", "unrecognized arguments: --bogus x"),
+        (("verify-tables", "--rank-cap", "x"), "verify-tables --help",
+         "argument --rank-cap: invalid int value: 'x'"),
+        (("verify-tables", "--rank-cap=65"), "verify-tables --help",
+         "argument --rank-cap: must be at most 64, got 65"),
+        (("verify-kronecker", "--samples"), "verify-kronecker --help",
+         "argument --samples: expected one argument"),
+    ], ids=["no-command", "unknown-command", "missing-positional", "unrecognized-argument",
+            "invalid-int", "out-of-range", "missing-option-value"])
+    def test_usage_error_is_pinned(self, capsys, argv, usage, message):
+        stderr = self._HELP[usage].split("\n\n")[0] + f"\nerror: {message}\n"
+        assert run(capsys, *argv) == (EXIT_USAGE, "", stderr)
+
+    @pytest.mark.parametrize("argv,args", [
+        (("sork", "-1"), {"type": "-1"}),
+        (("nu", "--", "-h"), {"expr": "-h"}),
+        (("sork", "--cert", "--js", "E8"), {"type": "E8", "certificate": True, "json": True}),
+        (("verify-tables", "--rank=8"), {"rank_cap": 8}),
+        (("verify-kronecker", "--max", "3", "--s=7"), {"max_size": 3, "samples": 7}),
+        (("certify", "-"), {"path": "-"}),
+    ], ids=["negative-positional", "dashes", "prefixes", "prefix-equals", "prefix-values",
+            "stdin"])
+    def test_accepted_spellings(self, argv, args):
+        parsed = vars(cli._parse(list(argv)))
+        assert {k: v for k, v in parsed.items() if k in args} == args
 
 
 # Runs main(argv) in a fresh interpreter, then prints the loaded sorklie
@@ -462,8 +513,9 @@ import json
 print(json.dumps(doc))
 """
 _UNWANTED = ("fractions", "dataclasses", "inspect")
-# loaded by the argparse parser, which only --help and usage errors need
-_PARSER_MODULES = ("argparse", "gettext", "locale")
+# loaded by argparse, which no command line needs: help and usage errors
+# are rendered by cli._parse
+_PARSER_MODULES = ("argparse", "gettext", "locale", "textwrap")
 # loaded by import json, which no subcommand needs on success: certify parses
 # with cli._loads, the rest write with cli._dumps
 _JSON_MODULES = ("json", "json.decoder", "json.scanner", "json.encoder")
@@ -472,18 +524,20 @@ _JSON_MODULES = ("json", "json.decoder", "json.scanner", "json.encoder")
 class TestImportLayering:
     @pytest.mark.parametrize("argv,layers", [
         (["--help"], []),
+        (["sork"], []),
+        (["frobnicate"], []),
         (["sork", "A3"], ["roots", "sork"]),
         (["verify-kronecker"], ["matrixcheck"]),
         (["dump-roots", "G2"], ["roots"]),
         (["nu", "su(2)"], ["groups", "realforms", "roots", "sork"]),
         (["certify", "-"], ["roots", "sork"]),
         (["verify-tables", "--rank-cap", "4"], ["roots", "sork", "tables"]),
-    ], ids=["help", "sork", "verify-kronecker", "dump-roots", "nu", "certify",
-            "verify-tables"])
+    ], ids=["help", "missing-positional", "unknown-command", "sork", "verify-kronecker",
+            "dump-roots", "nu", "certify", "verify-tables"])
     def test_subcommand_imports_only_its_layers(self, argv, layers):
-        unwanted = _UNWANTED if argv == ["--help"] else _UNWANTED + _PARSER_MODULES
+        unwanted = _UNWANTED + _PARSER_MODULES + _JSON_MODULES
         proc = subprocess.run(
-            [sys.executable, "-c", _LOADED, ",".join(unwanted + _JSON_MODULES), *argv],
+            [sys.executable, "-c", _LOADED, ",".join(unwanted), *argv],
             input='{"system_type": "E6", "roots": []}',
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
@@ -699,6 +753,16 @@ class TestRun:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = cli_process("sork", "A2", env=env, stdout=full)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_write_of_help_is_an_error(self):
+        # unbuffered, the write fails inside main(), not at the flush after it
+        with open("/dev/full", "w") as full:
+            proc = cli_process("--help", env={**os.environ, "PYTHONUNBUFFERED": "1"},
+                               stdout=full)
         assert proc.returncode == EXIT_ERROR
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr

@@ -1,17 +1,49 @@
 """Hostile input to ``nu`` and ``certify``: every run ends with a documented
 exit code (0, 1, 2 or 64), never with an uncaught exception, and in
-bounded time.  Arbitrary command lines: the argparse-free parser either
-declines or agrees with argparse."""
+bounded time.  Arbitrary command lines: ``cli._parse``, the one parser,
+agrees with the argparse parser of the same grammar, the oracle in
+``oracle_utils``.  Both must give the same namespace, or the same exit code
+and the same stdout, so help text matches byte for byte; on Python 3.10
+and 3.11 stderr must match too.
+
+argparse itself reads some command lines differently from one Python to
+the next (3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13 compared on every
+argv of up to three tokens from the alphabet below, every command
+followed by three, and the same with odder tokens).  The parser keeps one
+reading, that of 3.10 and 3.11, where the package used argparse before,
+so no command line changes meaning there:
+
+- a ``--`` before the command is read as the command, an invalid choice;
+  3.13.13 drops it and reads the command after it.  The test accepts
+  either answer from the oracle;
+- the choices of an invalid command are quoted, ``'sork', 'nu'``, where
+  3.13.13 leaves them bare: stderr is compared only before 3.12;
+- ``-hx`` is ``-h`` with an ignored argument ``x``, a usage error, and
+  ``-h=h`` is help, where 3.13.0 shows help for the first and refuses the
+  second;
+- an ambiguous prefix (``--=x`` after a command) is refused before any
+  option is read, where 3.13 first acts on the options before it, ``-h``
+  included.
+
+The last two are not in the alphabet; ``test_forms_argparse_reads_differently``
+pins them.  One reading follows 3.13 instead: ``--rank-cap=--`` is an
+invalid int value, where 3.10-3.12.1 store an empty list and the audit
+then fails with a traceback."""
 
 import contextlib
 import io
 import json
+import os
+import sys
 import time
+from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import argparse_parser
 from sorklie import cli
 from sorklie.cli import main
 
@@ -83,19 +115,26 @@ def test_certify_on_arbitrary_documents(raw):
 
 _TOKENS = st.sampled_from([
     *cli._GRAMMAR, "--json", "--certificate", "--rank-cap", "--max-size",
-    "--samples", "--cert", "--rank", "--rank-cap=8", "-h", "--help", "--", "-",
-    "-1", "8", "65", "x", "A3", "",
+    "--samples", "--cert", "--rank", "--max", "--s", "--rank-cap=8", "--rank-cap=",
+    "--json=1", "-h", "--help", "-x", "--", "-", "-1", "8", "65", "x", "A3", "",
 ])
 
+_ORACLE = argparse_parser()
 
-def _argparse_vars(argv):
-    """vars() of argparse's namespace, or None where argparse exits."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+
+def _outcome(parse, argv):
+    """What ``parse(argv)`` gives: the namespace's ``vars()``, or the exit
+    code with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
-            return vars(cli._build_parser().parse_args(argv))
-        except SystemExit:
-            return None
+            args = parse(argv)
+        except SystemExit as stop:
+            args = stop.code
+    if isinstance(args, int):
+        return args, out.getvalue(), err.getvalue()
+    return vars(args)
 
 
 # Most draws start with a command, so most reach the subcommand's grammar.
@@ -104,14 +143,41 @@ _ARGVS = st.builds(lambda command, rest: [command, *rest],
     | st.lists(_TOKENS, max_size=5)
 
 
-@settings(max_examples=500, deadline=None)
+def _compared(outcome):
+    """``outcome`` as compared: a namespace whole, an exit by its code and
+    stdout, and by its stderr too before Python 3.12."""
+    if isinstance(outcome, dict) or sys.version_info < (3, 12):
+        return outcome
+    return outcome[:2]
+
+
+@settings(max_examples=1000, deadline=None)
 @given(_ARGVS)
-def test_parse_declines_or_agrees_with_argparse(argv):
-    fast, slow = cli._parse(argv), _argparse_vars(argv)
-    if slow is None:
-        assert fast is None
-    if fast is not None:
-        assert vars(fast) == slow
+def test_parse_agrees_with_argparse(argv):
+    ours = _outcome(cli._parse, argv)
+    allowed = [_compared(ours)]
+    if isinstance(ours, tuple) and "invalid choice: '--'" in ours[2]:
+        # a "--" before the command: newer argparse drops it
+        i = argv.index("--")
+        allowed.append(_compared(_outcome(cli._parse, argv[:i] + argv[i + 1:])))
+    assert _compared(_outcome(_ORACLE.parse_args, argv)) in allowed
+
+
+@pytest.mark.parametrize("argv,code,last_line", [
+    (["--", "sork", "A3"], 64, "error: argument command: invalid choice: '--' (choose from "
+                               "'sork', 'nu', 'certify', 'verify-tables', 'verify-kronecker', "
+                               "'dump-roots')"),
+    (["sork", "-hx"], 64, "error: argument -h/--help: ignored explicit argument 'x'"),
+    (["sork", "-hhx"], 64, "error: argument -h/--help: ignored explicit argument 'x'"),
+    (["sork", "-h=h"], 0, "  --json"),
+    (["sork", "-h", "--=x"], 64, "error: ambiguous option: --=x could match --help, "
+                                 "--certificate, --json"),
+    (["verify-tables", "--rank-cap=--"], 64,
+     "error: argument --rank-cap: invalid int value: '--'"),
+])
+def test_forms_argparse_reads_differently(argv, code, last_line):
+    result, out, err = _outcome(cli._parse, argv)
+    assert (result, (out or err).splitlines()[-1]) == (code, last_line)
 
 
 def test_parse_takes_every_benchmark_shape():
@@ -121,6 +187,5 @@ def test_parse_takes_every_benchmark_shape():
                  ["verify-tables", "--rank-cap", "24"],
                  ["verify-kronecker"],
                  ["dump-roots", "E8"]):
-        fast = cli._parse(argv)
-        assert fast is not None, argv
-        assert vars(fast) == _argparse_vars(argv)
+        assert isinstance(cli._parse(argv), SimpleNamespace), argv
+        assert _outcome(cli._parse, argv) == _outcome(_ORACLE.parse_args, argv)
