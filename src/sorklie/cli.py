@@ -70,10 +70,16 @@ EXIT_USAGE = 64
 # nests three levels: the object, its ``roots`` list and each root.
 MAX_JSON_NESTING = 16
 
+# Most digits of an integer in an option value or a certify document.  It
+# equals roots.MAX_DIGITS, Python's default limit for int(), so that no
+# answer depends on PYTHONINTMAXSTRDIGITS (a test pins it; importing roots
+# here would load a layer for --help and verify-kronecker).
+MAX_DIGITS = 4300
+
 # Upper limits of the audit commands, each a usage error before any output.
-# The rank cap equals roots.MAX_BUILD_RANK (a test pins it; importing roots
-# here would load a layer for --help).  The worst allowed Kronecker run,
-# --max-size 8 --samples 1000, takes 7.7 s on a 2-vCPU host.
+# The rank cap equals roots.MAX_BUILD_RANK (a test pins it, as above).  The
+# worst allowed Kronecker run, --max-size 8 --samples 1000, takes 7.7 s on
+# a 2-vCPU host.
 MAX_RANK_CAP = 64
 MAX_KRONECKER_SIZE = 8
 MAX_KRONECKER_SAMPLES = 1000
@@ -248,12 +254,13 @@ def _option(command: str | None, token: str, table: dict):
 
 def _in_range(command: str, name: str, text: str, low: int, high: int) -> int:
     """The value of a bounded int option: an integer from ``low`` to
-    ``high`` in ASCII digits, ``-?[0-9]+`` as in rank labels, else a usage
-    error before any work."""
+    ``high`` in at most ``MAX_DIGITS`` ASCII digits, ``-?[0-9]+`` as in
+    rank labels, else a usage error before any work."""
     digits = text.removeprefix("-")
     try:
-        value = int(text) if digits.isascii() and digits.isdigit() else None
-    except ValueError:  # more digits than int() reads
+        value = (int(text) if digits.isascii() and digits.isdigit()
+                 and len(digits) <= MAX_DIGITS else None)
+    except ValueError:  # PYTHONINTMAXSTRDIGITS set below MAX_DIGITS
         value = None
     if value is None:
         raise _Stop(command, f"argument {name}: invalid int value: {text!r}")
@@ -446,14 +453,12 @@ def _cmd_certify(args) -> int:
 
 def _check_json_size(raw: str) -> None:
     """Refuse, before parsing, a JSON text whose brackets nest deeper than
-    ``MAX_JSON_NESTING`` or that has a run of more than
-    ``roots.MAX_DIGITS`` digits, both counted outside strings.  The digit
-    limit keeps the answer independent of ``PYTHONINTMAXSTRDIGITS`` and
-    bounds ``int()``'s conversion, whose time is quadratic in the digits.
-    The check takes time linear in the length of the text, whatever the
-    text: an unterminated string is the rest of it."""
-    from .roots import MAX_DIGITS
-
+    ``MAX_JSON_NESTING`` or that has a run of more than ``MAX_DIGITS``
+    digits, both counted outside strings.  The digit limit keeps the
+    answer independent of ``PYTHONINTMAXSTRDIGITS`` and bounds ``int()``'s
+    conversion, whose time is quadratic in the digits.  The check takes
+    time linear in the length of the text, whatever the text: an
+    unterminated string is the rest of it."""
     depth = 0
     inside = False  # whether this part of the text lies in a string
     for part in raw.split('"'):
@@ -587,10 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         if type(args) is int:  # help shown or a usage error reported
             return args
         return _DISPATCH[args.command](args)
-    except SorklieError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, KeyError, ValueError) as err:
+    except (SorklieError, OSError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

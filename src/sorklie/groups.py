@@ -1,5 +1,7 @@
 """Group expressions: parsing, pretty-printing, and free subgroup rank rules.
 
+A chain of direct or free products is one flat node, whatever its brackets
+and powers: the products' constructor is where associativity is stated.
 The evaluator implements the reduction calculus in one walk: products add, a
 chain of free products of nontrivial factors (not Z/2 * Z/2) gives max{1, ν
 of each factor}, solvable-by-anything split or central extensions are
@@ -40,10 +42,10 @@ MAX_POWER = 1000
 
 # Deepest nesting an expression may have.  The brackets, ext(...) and
 # fi(...) open at one point are counted before the parser recurses into
-# another, and the depth of the expression tree (each free product in a
-# chain nests one level deeper) is counted as the tree is built.  Both stay
-# far inside Python's recursion limit for the parser, the evaluator and
-# ``pretty``; deeper input is an ExprSyntaxError.
+# another, and the depth of the expression tree (a product, however many
+# factors, is one level above its deepest factor) is counted as the tree is
+# built.  Both stay far inside Python's recursion limit for the parser, the
+# evaluator and ``pretty``; deeper input is an ExprSyntaxError.
 MAX_NESTING = 100
 
 
@@ -82,24 +84,30 @@ class FiniteAtom(GroupExpr):
         _set(self, "order", order)
 
 
-class DirectProduct(GroupExpr):
-    __slots__ = ("factors",)
+class _Product(GroupExpr):
+    """A direct or free product, flat by construction: a factor of the same
+    kind of product is replaced by its factors.  A subclass gives its
+    operator, the fewest factors it takes and the error for fewer."""
+
+    __slots__ = ()  # each subclass declares its own, which Value._key reads
     factors: tuple[GroupExpr, ...]
 
     def __init__(self, factors: tuple[GroupExpr, ...]):
-        if not factors:
-            raise ValueError("direct product needs at least one factor")
-        _set(self, "factors", factors)
+        flat = tuple(g for f in factors
+                     for g in (f.factors if isinstance(f, type(self)) else (f,)))
+        if len(flat) < self._fewest:
+            raise ValueError(self._too_few)
+        _set(self, "factors", flat)
 
 
-class FreeProduct(GroupExpr):
-    __slots__ = ("left", "right")
-    left: GroupExpr
-    right: GroupExpr
+class DirectProduct(_Product):
+    __slots__ = ("factors",)
+    _symbol, _fewest, _too_few = "x", 1, "direct product needs at least one factor"
 
-    def __init__(self, left: GroupExpr, right: GroupExpr):
-        _set(self, "left", left)
-        _set(self, "right", right)
+
+class FreeProduct(_Product):
+    __slots__ = ("factors",)
+    _symbol, _fewest, _too_few = "*", 2, "free product needs at least two factors"
 
 
 class Extension(GroupExpr):
@@ -124,10 +132,8 @@ class FiniteIndex(GroupExpr):
 
 def _parts(e: GroupExpr) -> tuple[GroupExpr, ...]:
     """The sub-expressions of a node, left to right; none for an atom."""
-    if isinstance(e, DirectProduct):
+    if isinstance(e, _Product):
         return e.factors
-    if isinstance(e, FreeProduct):
-        return (e.left, e.right)
     if isinstance(e, Extension):
         return (e.kernel, e.quotient)
     if isinstance(e, FiniteIndex):
@@ -135,13 +141,6 @@ def _parts(e: GroupExpr) -> tuple[GroupExpr, ...]:
     if isinstance(e, (SimpleLie, SolvableAtom, FiniteAtom)):
         return ()
     raise TypeError(f"not a group expression: {e!r}")
-
-
-def _free_factors(e: GroupExpr) -> list[GroupExpr]:
-    """The factors of the free-product chain at ``e``, brackets dropped."""
-    if not isinstance(e, FreeProduct):
-        return [e]
-    return [f for part in _parts(e) for f in _free_factors(part)]
 
 
 def nu_eval(e: GroupExpr) -> int:
@@ -192,7 +191,7 @@ def nu_walk(e: GroupExpr) -> tuple[int, bool, list[tuple[RealFormDescriptor, NuR
             return 0, min(e.order, 3)
         if isinstance(e, FreeProduct):
             nus, orders = [], []
-            for f in _free_factors(e):
+            for f in e.factors:
                 nu, order = walk(f)
                 if order == 1:
                     raise RuleNotApplicable(
@@ -242,8 +241,9 @@ def simple_factors(e: GroupExpr) -> list[RealFormDescriptor]:
 
 # Digits are ASCII only, as in names: ``\d`` would match any Unicode digit,
 # which int() reads as its value.  Whitespace stays Unicode (no re.ASCII).
+# A '*' ends a name only in so*; after any other name it is a free product.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*\*?)|(?P<int>-?[0-9]+)|(?P<sym>[()^/,*]))"
+    r"\s*(?:(?P<name>[Ss][Oo]\*|[A-Za-z][A-Za-z0-9]*)|(?P<int>-?[0-9]+)|(?P<sym>[()^/,*]))"
 )
 
 
@@ -270,28 +270,19 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             off = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", off)
-        if m.group("name") is not None:
-            name = m.group("name")
-            # a trailing '*' belongs to the name only for so*(...)
-            if name.endswith("*") and name[:-1].lower() != "so":
-                name = name[:-1]
-                tokens.append(_Token("name", name, m.start("name")))
-                tokens.append(_Token("sym", "*", m.end("name") - 1))
-            else:
-                tokens.append(_Token("name", name, m.start("name")))
-        elif m.group("int") is not None:
-            if len(m.group("int").lstrip("-")) > MAX_DIGITS:
-                raise ExprSyntaxError(f"integer literal has more than {MAX_DIGITS} digits",
-                                      m.start("int"))
-            tokens.append(_Token("int", m.group("int"), m.start("int")))
-        else:
-            tokens.append(_Token("sym", m.group("sym"), m.start("sym")))
+        kind = m.lastgroup  # "name", "int" or "sym": the one that matched
+        if kind == "int" and len(m.group(kind).lstrip("-")) > MAX_DIGITS:
+            raise ExprSyntaxError(f"integer literal has more than {MAX_DIGITS} digits",
+                                  m.start(kind))
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 # --- parser ----------------------------------------------------------------
+
+_PRODUCTS = {cls._symbol: cls for cls in (DirectProduct, FreeProduct)}
 
 
 class _Parser:
@@ -353,22 +344,15 @@ class _Parser:
 
     def parse_expr(self) -> tuple[GroupExpr, int]:
         e, depth = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "name" and tok.text == "x":
-                self.next()
-                rhs, rhs_depth = self.parse_term()
-                # the product is flat: one level above its deepest factor
-                depth = self.nest(1 + max(depth - isinstance(e, DirectProduct),
-                                          rhs_depth - isinstance(rhs, DirectProduct)), tok)
-                e = _direct_product(e, rhs)
-            elif tok.kind == "sym" and tok.text == "*":
-                self.next()
-                rhs, rhs_depth = self.parse_term()
-                depth = self.nest(1 + max(depth, rhs_depth), tok)
-                e = FreeProduct(e, rhs)
-            else:
-                return e, depth
+        # x and * have one precedence and are read left to right
+        while (cls := _PRODUCTS.get(self.peek().text)) is not None:
+            tok = self.next()
+            rhs, rhs_depth = self.parse_term()
+            # the product is flat: one level above its deepest factor
+            depth = self.nest(1 + max(depth - isinstance(e, cls),
+                                      rhs_depth - isinstance(rhs, cls)), tok)
+            e = cls((e, rhs))
+        return e, depth
 
     def parse_term(self) -> tuple[GroupExpr, int]:
         atom, depth = self.parse_atom()
@@ -508,12 +492,6 @@ def _classical_descriptor(lname: str, args: list, offset: int) -> RealFormDescri
     return builder(*(a for a in args if isinstance(a, int)))
 
 
-def _direct_product(left: GroupExpr, right: GroupExpr) -> DirectProduct:
-    lf = left.factors if isinstance(left, DirectProduct) else (left,)
-    rf = right.factors if isinstance(right, DirectProduct) else (right,)
-    return DirectProduct(lf + rf)
-
-
 def parse_group_expr(text: str) -> GroupExpr:
     """Parse a group expression.  Whitespace-insensitive and deterministic;
     raises :class:`ExprSyntaxError` with a byte offset on malformed input."""
@@ -521,25 +499,20 @@ def parse_group_expr(text: str) -> GroupExpr:
 
 
 def pretty(e: GroupExpr) -> str:
-    """Canonical text form; parse(pretty(e)) == e for parser-producible ASTs."""
+    """Canonical text form, with parse(pretty(e)) == e for every tree the
+    parser builds.  Products print flat, their product factors bracketed:
+    ``(Z * Z) * Z`` prints as ``Z * Z * Z``, ``(Z x Z)^2`` as ``Z x Z x Z x Z``."""
     if isinstance(e, SimpleLie):
         return str(e.descriptor)
     if isinstance(e, SolvableAtom):
         return e.label
     if isinstance(e, FiniteAtom):
         return f"Z/{e.order}"
-    if isinstance(e, DirectProduct):
-        return " x ".join(_pretty_child(f) for f in e.factors)
-    if isinstance(e, FreeProduct):
-        return f"{_pretty_child(e.left)} * {_pretty_child(e.right)}"
+    if isinstance(e, _Product):
+        return f" {e._symbol} ".join(f"({pretty(f)})" if isinstance(f, _Product)
+                                     else pretty(f) for f in e.factors)
     if isinstance(e, Extension):
         return f"ext({pretty(e.kernel)}, {pretty(e.quotient)}, {e.mode})"
     if isinstance(e, FiniteIndex):
         return f"fi({pretty(e.inner)})"
     raise TypeError(f"not a group expression: {e!r}")
-
-
-def _pretty_child(e: GroupExpr) -> str:
-    if isinstance(e, (DirectProduct, FreeProduct)):
-        return f"({pretty(e)})"
-    return pretty(e)

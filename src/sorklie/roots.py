@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 
 from .errors import InvalidType
 
@@ -326,7 +325,6 @@ def require_buildable(t: RootSystemType) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def build_root_system(t: RootSystemType) -> RootSystem:
     """Construct the root system of type ``t`` with Bourbaki simple roots.
 

@@ -34,7 +34,6 @@ brute-force oracle, which live in ``tests/oracle_utils.py``.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import lru_cache
 from operator import add, mul
 
 from .errors import CertificateError, InvalidType
@@ -356,18 +355,14 @@ class LazyRootGraph:
 
 
 def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
-    """Exact strong orthogonal rank with a canonical witnessing certificate,
-    by :func:`orbit_clique_search`.  Every buildable rank is answered."""
-    return _sork_exact_cached(phi.type)
-
-
-@lru_cache(maxsize=None)
-def _sork_exact_cached(t: RootSystemType) -> tuple[int, OrthCertificate]:
-    graph = LazyRootGraph(build_root_system(t))
+    """Exact strong orthogonal rank of ``phi`` with a canonical witnessing
+    certificate, by :func:`orbit_clique_search`.  Every buildable rank is
+    answered."""
+    graph = LazyRootGraph(phi)
     # Strongly orthogonal roots are nonzero and pairwise orthogonal, hence
     # linearly independent: no clique exceeds the rank.
-    clique = orbit_clique_search(len(graph.reps), graph.row, graph.orbit, t.rank)
-    return len(clique), OrthCertificate(t, tuple(graph.reps[v] for v in clique))
+    clique = orbit_clique_search(len(graph.reps), graph.row, graph.orbit, phi.type.rank)
+    return len(clique), OrthCertificate(phi.type, tuple(graph.reps[v] for v in clique))
 
 
 def verify_certificate(cert: OrthCertificate, phi: RootSystem | None = None) -> CertCheck:

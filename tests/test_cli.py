@@ -134,12 +134,16 @@ class TestNu:
     @pytest.mark.parametrize("expr", [
         "(" * 400 + "su(2)" + ")" * 400,
         "fi(" * 400 + "su(2)" + ")" * 400,
-        " * ".join(["su(2)"] * 1000),
-    ], ids=["brackets", "fi", "free_product_chain"])
+        "(" * 50 + "su(2)" + " x Z) * Z" * 50,
+    ], ids=["brackets", "fi", "tree_depth"])
     def test_deep_nesting_is_a_syntax_error(self, capsys, expr):
         code, out, err = run(capsys, "nu", expr)
         assert (code, out) == (EXIT_ERROR, "")
         assert err.startswith("error: expression nests deeper than")
+
+    def test_long_free_product_chain_is_one_level(self, capsys):
+        chain = " * ".join(["su(2)"] * 1000)
+        assert run(capsys, "nu", chain) == (EXIT_OK, "nu = 1\n", "")
 
     def test_rank_above_cap_is_an_error(self):
         proc = subprocess.run(
@@ -388,6 +392,38 @@ class TestVerifyTables:
     def test_rank_cap_limit_is_the_construction_limit(self):
         # cli.py must not import roots for it, so the test pins the value
         assert cli.MAX_RANK_CAP == MAX_BUILD_RANK
+
+
+# An int option of each audit command, its value last.
+_INT_OPTIONS = [("verify-tables", "--rank-cap", "24"),
+                ("verify-kronecker", "--samples", "1", "--max-size", "2")]
+
+
+def _padded(argv, digits):
+    """``argv`` with its last value written in ``digits`` digits, zeros first."""
+    return (*argv[:-1], argv[-1].rjust(digits, "0"))
+
+
+class TestIntOptionDigits:
+    def test_digit_limit_is_the_roots_limit(self):
+        # cli.py must not import roots for it, so the test pins the value
+        assert cli.MAX_DIGITS == MAX_DIGITS
+
+    @pytest.mark.parametrize("argv", _INT_OPTIONS, ids=lambda argv: argv[0])
+    def test_more_than_max_digits_is_a_usage_error(self, capsys, int_digit_limit, argv):
+        assert run(capsys, *_padded(argv, MAX_DIGITS))[0] == EXIT_OK
+        argv = _padded(argv, MAX_DIGITS + 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f"error: argument {argv[-2]}: invalid int value: '{argv[-1]}'\n")
+
+    @pytest.mark.parametrize("argv", _INT_OPTIONS, ids=lambda argv: argv[0])
+    def test_digit_limit_holds_without_an_int_limit(self, argv):
+        argv = _padded(argv, MAX_DIGITS + 1)
+        proc = cli_process(*argv, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"})
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr.endswith(
+            f"error: argument {argv[-2]}: invalid int value: '{argv[-1]}'\n")
 
 
 class TestVerifyKronecker:

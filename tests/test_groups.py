@@ -54,25 +54,25 @@ class TestEval:
         assert nu_eval(DirectProduct(factors)) == k + m
 
     def test_free_product_of_z(self):
-        e = FreeProduct(SolvableAtom("Z"), SolvableAtom("Z"))
+        e = FreeProduct((SolvableAtom("Z"), SolvableAtom("Z")))
         assert nu_eval(e) == 1  # F2 contains F2
 
     def test_free_product_takes_max(self):
-        e = FreeProduct(SimpleLie(so(7, 2)), _su2())
+        e = FreeProduct((SimpleLie(so(7, 2)), _su2()))
         assert nu_eval(e) == 4
 
     def test_infinite_dihedral_rejected(self):
-        e = FreeProduct(FiniteAtom(2), FiniteAtom(2))
+        e = FreeProduct((FiniteAtom(2), FiniteAtom(2)))
         with pytest.raises(RuleNotApplicable):
             nu_eval(e)
 
     def test_trivial_free_factor_rejected(self):
-        e = FreeProduct(FiniteAtom(1), _su2())
+        e = FreeProduct((FiniteAtom(1), _su2()))
         with pytest.raises(RuleNotApplicable):
             nu_eval(e)
 
     def test_z2_star_z3_allowed(self):
-        assert nu_eval(FreeProduct(FiniteAtom(2), FiniteAtom(3))) == 1
+        assert nu_eval(FreeProduct((FiniteAtom(2), FiniteAtom(3)))) == 1
 
     # A factor's least order is the product of its parts' orders, through
     # direct products and extensions alike.  A finite-index subgroup of a
@@ -204,14 +204,14 @@ class TestParser:
         assert isinstance(e, DirectProduct)
         assert len(e.factors) == 3
 
-    def test_free_product_left_assoc(self):
+    def test_free_product_flattens(self):
         e = parse_group_expr("Z * Z * Z")
         assert isinstance(e, FreeProduct)
-        assert isinstance(e.left, FreeProduct)
+        assert e.factors == (SolvableAtom("Z"),) * 3
 
     def test_parens_override(self):
         e = parse_group_expr("Z * (Z x Z)")
-        assert isinstance(e.right, DirectProduct)
+        assert isinstance(e.factors[1], DirectProduct)
 
     def test_power_expansion(self):
         e = parse_group_expr("su(2)^4")
@@ -245,18 +245,21 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_group_expr(brackets(MAX_NESTING + 1))
         assert exc.value.offset == MAX_NESTING
-        # a chain of k free products is a tree of depth k + 1
-        chain = " * ".join(["su(2)"] * MAX_NESTING)
-        assert nu_eval(parse_group_expr(chain)) == 1
+        # E(k + 1) = (E(k) x Z) * Z is a tree of depth 2k + 1 in k brackets
+        deep = "su(2)"
+        for _ in range(MAX_NESTING // 2 - 1):
+            deep = f"({deep} x Z) * Z"
+        assert nu_eval(parse_group_expr(deep)) == 1
         with pytest.raises(ExprSyntaxError) as exc:
-            parse_group_expr(chain + " * Z")
-        assert exc.value.offset == len(chain) + 1
+            parse_group_expr(f"({deep} x Z) * Z")
+        assert exc.value.offset == len(deep) + 7
         fi = "fi(" * (MAX_NESTING - 1) + "Z" + ")" * (MAX_NESTING - 1)
         assert nu_eval(parse_group_expr(fi)) == 0
         with pytest.raises(ExprSyntaxError):
             parse_group_expr(f"fi({fi})")
         # products stay flat, so long ones are not deep
         assert nu_eval(parse_group_expr(" x ".join(["su(2)"] * 1000))) == 1000
+        assert nu_eval(parse_group_expr(" * ".join(["su(2)"] * 1000))) == 1
 
     @pytest.mark.parametrize("text,offset", [
         ("su(\u0663)", 3), ("su(2)^\u0663", 6), ("Z/\u0662", 2), ("so(\uff15,1)", 3),
@@ -341,6 +344,9 @@ class TestPretty:
         assert pretty(parse_group_expr("su(2)^2")) == "su(2) x su(2)"
         assert pretty(parse_group_expr("sl(4,R)")) == "sl(4,R)"
         assert pretty(parse_group_expr("so(5)")) == "so(5)"
+        assert pretty(parse_group_expr("(Z * Z) * Z")) == "Z * Z * Z"
+        assert pretty(parse_group_expr("(su(2) x Z)^2")) == "su(2) x Z x su(2) x Z"
+        assert pretty(parse_group_expr("(Z * Z) x Z")) == "(Z * Z) x Z"
 
 
 _ATOMS = st.sampled_from([
@@ -375,6 +381,41 @@ def _exprs(draw, depth=3):
 @given(_exprs())
 def test_parse_pretty_round_trip(text):
     e = parse_group_expr(text)
+    assert parse_group_expr(pretty(e)) == e
+
+
+@st.composite
+def _regrouped(draw, depth=2):
+    """A run of x and * over smaller expressions, some of its prefixes
+    bracketed, and maybe raised to a power."""
+    if depth == 0:
+        return draw(st.one_of(_ATOMS, _exprs(depth=1)))
+    parts = draw(st.lists(_regrouped(depth=depth - 1), min_size=1, max_size=3))
+    text = parts[0]
+    for part in parts[1:]:
+        text += draw(st.sampled_from([" x ", " * "])) + part
+        if draw(st.booleans()):
+            text = f"({text})"
+    if draw(st.booleans()):
+        text = f"({text})^{draw(st.integers(1, 3))}"
+    return text
+
+
+def _products_are_flat(e):
+    """No product in ``e`` has a factor that is a product of its own kind."""
+    product = isinstance(e, (DirectProduct, FreeProduct))
+    return all(not (product and type(part) is type(e)) and _products_are_flat(part)
+               for part in groups._parts(e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_regrouped())
+@example("(su(2) x Z)^2")
+@example("(su(2)^2)^2")
+@example("(Z * Z) * Z x (Z x Z) * Z")
+def test_parse_pretty_round_trip_through_powers_and_brackets(text):
+    e = parse_group_expr(text)
+    assert _products_are_flat(e)
     assert parse_group_expr(pretty(e)) == e
 
 

@@ -280,15 +280,13 @@ def _fresh_cache(fn):
 
 @pytest.fixture
 def no_search(monkeypatch):
-    """Make the exact clique search and its graph raise, with empty caches
-    so that no result computed by an earlier test can stand in for it."""
+    """Make the exact clique search and its graph raise, with an empty
+    cache so that no result computed by an earlier test can stand in for it."""
     def refuse(*args, **kwargs):
         raise RuntimeError("exact clique search called")
 
     monkeypatch.setattr(sork, "LazyRootGraph", refuse)
     monkeypatch.setattr(sork, "orbit_clique_search", refuse)
-    monkeypatch.setattr(sork, "_sork_exact_cached",
-                        _fresh_cache(sork._sork_exact_cached))
     monkeypatch.setattr(realforms, "_certified_sork",
                         _fresh_cache(realforms._certified_sork))
 

@@ -70,9 +70,9 @@ CASES = {
         lambda: DirectProduct((SolvableAtom("Z"), FiniteAtom(2))),
         "DirectProduct(factors=(FiniteAtom(order=2), SolvableAtom(label='Z')))"),
     "FreeProduct": (
-        lambda: FreeProduct(FiniteAtom(2), FiniteAtom(3)),
-        lambda: FreeProduct(FiniteAtom(3), FiniteAtom(2)),
-        "FreeProduct(left=FiniteAtom(order=2), right=FiniteAtom(order=3))"),
+        lambda: FreeProduct((FiniteAtom(2), FiniteAtom(3))),
+        lambda: FreeProduct((FiniteAtom(3), FiniteAtom(2))),
+        "FreeProduct(factors=(FiniteAtom(order=2), FiniteAtom(order=3)))"),
     "Extension": (
         lambda: Extension(SolvableAtom("Z"), FiniteAtom(2), "split"),
         lambda: Extension(SolvableAtom("Z"), FiniteAtom(2), "central"),
@@ -204,10 +204,22 @@ class TestGroupExprNodes:
     def test_nodes_of_different_classes_are_never_equal(self):
         x = SimpleLie(SU21)
         nodes = [SimpleLie(x), SolvableAtom(x), FiniteIndex(x), DirectProduct((x,)),
-                 FreeProduct(x, x), Extension(x, x, "split")]
+                 FreeProduct((x, x)), Extension(x, x, "split")]
         for i, a in enumerate(nodes):
             for b in nodes[i + 1:]:
                 assert a != b and b != a
+
+    def test_products_are_flat_by_construction(self):
+        a, b, c = FiniteAtom(2), FiniteAtom(3), SolvableAtom("Z")
+        assert FreeProduct((FreeProduct((a, b)), c)) == FreeProduct((a, FreeProduct((b, c))))
+        assert FreeProduct((FreeProduct((a, b)), c)).factors == (a, b, c)
+        assert DirectProduct((DirectProduct((a,)), DirectProduct((b, c)))).factors == (a, b, c)
+        # only a factor of the same kind is taken apart
+        assert DirectProduct((FreeProduct((a, b)), c)).factors == (FreeProduct((a, b)), c)
+        with pytest.raises(ValueError, match="at least one factor"):
+            DirectProduct(())
+        with pytest.raises(ValueError, match="at least two factors"):
+            FreeProduct((a,))
 
     def test_parse_is_a_value(self):
         text = "ext(R^3, sl(2,R), split) * fi(Z/2 x su(2)^2)"
