@@ -8,23 +8,27 @@ Each subcommand imports only the layers it runs, inside its ``_cmd_*``
 function: ``--help`` and usage errors import none, ``dump-roots`` only
 ``roots``, ``verify-kronecker`` only ``matrixcheck``.  The imports read the
 module attributes at call time, so a function patched on its module is the
-one called.
+one called.  ``verify-kronecker`` samples nothing: it proves the bracket
+identity and the trivial intersection for every pair of sizes up to
+``--max-size``.
 
 No subcommand imports ``json`` to do its work.  ``certify`` reads its
 document with ``_loads``, which runs the C scanner that ``json.loads``
-runs, ``_json.make_scanner``, with ``JSONDecoder``'s default context, so a
-JSON document gives the value that ``json.loads`` gives.  Any other text
-goes to ``json.loads`` itself, for its error; ``json`` is loaded only then,
-or where ``_json`` is missing.  Every other subcommand writes its
-documents through ``_dumps``, whose output is ``json.dumps(x,
-sort_keys=True)`` byte for byte on dicts with str keys, lists, strs, ints,
-bools and None, with strings escaped as ``ensure_ascii`` does; any other
-value is a TypeError.  ``import json`` compiles the regexes of its
-decoder, scanner and encoder: about 2.9 ms (2-vCPU host) off every process
-that skips it.  ``certify``'s size check before parsing uses no regex
-either, so it compiles none and imports no ``re``: ``main()`` certifies
-the E8 certificate in 3.9 ms in a fresh interpreter, against 6.6 ms with
-``json.loads`` and a regex check (2-vCPU host).
+runs, ``_json.make_scanner``, with ``JSONDecoder``'s default context but
+for integers, which ``errors.read_int`` reads under any
+``PYTHONINTMAXSTRDIGITS``, so a JSON document gives the value that
+``json.loads`` gives.  Any other text goes to ``json.loads`` itself, for
+its error; ``json`` is loaded only then, or where ``_json`` is missing.
+Every other subcommand writes its documents through ``_dumps``, whose
+output is ``json.dumps(x, sort_keys=True)`` byte for byte on dicts with
+str keys, lists, strs, ints, bools and None, with strings escaped as
+``ensure_ascii`` does; any other value is a TypeError.  ``import json``
+compiles the regexes of its decoder, scanner and encoder: about 2.9 ms
+(2-vCPU host) off every process that skips it.  ``certify``'s size check
+before parsing uses no regex either, so it compiles none and imports no
+``re``: ``main()`` certifies the E8 certificate in 3.9 ms in a fresh
+interpreter, against 6.6 ms with ``json.loads`` and a regex check (2-vCPU
+host).
 
 The grammar lives in one table, ``_GRAMMAR``, and one function,
 ``_parse``, reads every command line from it as argparse would: ``-h`` or
@@ -58,7 +62,7 @@ import gc
 import sys
 from types import SimpleNamespace
 
-from .errors import CertificateError, SorklieError
+from .errors import MAX_DIGITS, CertificateError, SorklieError, read_int
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,19 +74,13 @@ EXIT_USAGE = 64
 # nests three levels: the object, its ``roots`` list and each root.
 MAX_JSON_NESTING = 16
 
-# Most digits of an integer in an option value or a certify document.  It
-# equals roots.MAX_DIGITS, Python's default limit for int(), so that no
-# answer depends on PYTHONINTMAXSTRDIGITS (a test pins it; importing roots
-# here would load a layer for --help and verify-kronecker).
-MAX_DIGITS = 4300
-
 # Upper limits of the audit commands, each a usage error before any output.
-# The rank cap equals roots.MAX_BUILD_RANK (a test pins it, as above).  The
-# worst allowed Kronecker run, --max-size 8 --samples 1000, takes 7.7 s on
-# a 2-vCPU host.
+# The rank cap equals roots.MAX_BUILD_RANK (a test pins it, as above).
+# verify-kronecker proves its two facts for every pair of sizes from 2 to
+# --max-size, (s^2 + t^2)^2 basis checks per pair: at the cap, 8, that is
+# 205,212 checks, about 2 s on a 2-vCPU host.
 MAX_RANK_CAP = 64
 MAX_KRONECKER_SIZE = 8
-MAX_KRONECKER_SAMPLES = 1000
 
 
 def _int_option(flag: str, low: int, high: int, default: int, what: str):
@@ -109,9 +107,7 @@ _GRAMMAR = {
                       (("--json", None),)),
     "verify-kronecker": ("verify the Kronecker bracket identity", None,
                          (_int_option("--max-size", 2, MAX_KRONECKER_SIZE, 4,
-                                      "largest matrix size"),
-                          _int_option("--samples", 1, MAX_KRONECKER_SAMPLES, 200,
-                                      "random trials")),
+                                      "largest matrix size"),),
                          (("--json", None),)),
     "dump-roots": ("dump a root system as JSON",
                    ("type", "root system type, e.g. F4"), (), ()),
@@ -257,16 +253,12 @@ def _in_range(command: str, name: str, text: str, low: int, high: int) -> int:
     ``high`` in at most ``MAX_DIGITS`` ASCII digits, ``-?[0-9]+`` as in
     rank labels, else a usage error before any work."""
     digits = text.removeprefix("-")
-    try:
-        value = (int(text) if digits.isascii() and digits.isdigit()
-                 and len(digits) <= MAX_DIGITS else None)
-    except ValueError:  # PYTHONINTMAXSTRDIGITS set below MAX_DIGITS
-        value = None
-    if value is None:
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS):
         raise _Stop(command, f"argument {name}: invalid int value: {text!r}")
+    value = read_int(text)
     if not low <= value <= high:
         bound = f"at least {low}" if value < low else f"at most {high}"
-        raise _Stop(command, f"argument {name}: must be {bound}, got {value}")
+        raise _Stop(command, f"argument {name}: must be {bound}, got {text}")
     return value
 
 
@@ -454,11 +446,11 @@ def _cmd_certify(args) -> int:
 def _check_json_size(raw: str) -> None:
     """Refuse, before parsing, a JSON text whose brackets nest deeper than
     ``MAX_JSON_NESTING`` or that has a run of more than ``MAX_DIGITS``
-    digits, both counted outside strings.  The digit limit keeps the
-    answer independent of ``PYTHONINTMAXSTRDIGITS`` and bounds ``int()``'s
-    conversion, whose time is quadratic in the digits.  The check takes
-    time linear in the length of the text, whatever the text: an
-    unterminated string is the rest of it."""
+    digits, both counted outside strings.  The digit limit matches the
+    option values and bounds the conversion of each number, whose time is
+    quadratic in its digits.  The check takes time linear in the length of
+    the text, whatever the text: an unterminated string is the rest of
+    it."""
     depth = 0
     inside = False  # whether this part of the text lies in a string
     for part in raw.split('"'):
@@ -489,12 +481,13 @@ _JSON_SPACE = " \t\n\r"
 
 
 def _loads(raw: str):
-    """``json.loads(raw)``, without importing ``json`` when ``raw`` is a
-    JSON document.  It runs json's C scanner with ``JSONDecoder``'s default
-    context, skipping JSON whitespace on both sides as ``JSONDecoder.decode``
-    does.  Any other text, a text that starts with a BOM, and every text
-    where ``_json`` is missing go to ``json.loads``, which raises json's
-    own error."""
+    """``json.loads(raw, parse_int=read_int)``, without importing ``json``
+    when ``raw`` is a JSON document.  It runs json's C scanner with
+    ``JSONDecoder``'s default context but for ``read_int``, which gives
+    ``int``'s values whatever ``PYTHONINTMAXSTRDIGITS`` says, skipping JSON
+    whitespace on both sides as ``JSONDecoder.decode`` does.  Any other
+    text, a text that starts with a BOM, and every text where ``_json`` is
+    missing go to ``json.loads``, which raises json's own error."""
     try:
         from _json import make_scanner
     except ImportError:
@@ -504,7 +497,7 @@ def _loads(raw: str):
                      "-Infinity": float("-inf")}
         scan = make_scanner(SimpleNamespace(
             strict=True, object_hook=None, object_pairs_hook=None,
-            parse_float=float, parse_int=int, parse_constant=constants.__getitem__))
+            parse_float=float, parse_int=read_int, parse_constant=constants.__getitem__))
         try:
             doc, end = scan(raw, len(raw) - len(raw.lstrip(_JSON_SPACE)))
         except Exception:
@@ -517,7 +510,7 @@ def _loads(raw: str):
                 return doc
     import json
 
-    return json.loads(raw)
+    return json.loads(raw, parse_int=read_int)
 
 
 def _print_report(name: str, report, as_json: bool) -> bool:
@@ -546,15 +539,15 @@ def _cmd_verify_tables(args) -> int:
 def _cmd_verify_kronecker(args) -> int:
     from . import matrixcheck
 
+    # what each of the three names proves: see the matrixcheck docstring
+    pairs = [(s, t) for s in range(2, args.max_size + 1)
+             for t in range(2, args.max_size + 1)]
+    proved = {pair: matrixcheck.bracket_split_basis_proof(*pair) for pair in pairs}
     results = {
-        "random_bracket_trials": matrixcheck.random_bracket_split_trials(
-            args.samples, args.max_size),
-        "symbolic_2x2": matrixcheck.symbolic_bracket_split_2x2(),
+        "random_bracket_trials": all(proved.values()),
+        "symbolic_2x2": proved[2, 2],
         "trivial_intersection": all(
-            matrixcheck.trivial_intersection_check(s, t)
-            for s in range(2, args.max_size + 1)
-            for t in range(2, args.max_size + 1)
-        ),
+            matrixcheck.trivial_intersection_check(*pair) for pair in pairs),
     }
     ok = all(results.values())
     if args.json:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import ExprSyntaxError, InvalidRealForm, InvalidType, RuleNotApplicable
+from .errors import (MAX_DIGITS, ExprSyntaxError, InvalidRealForm, InvalidType,
+                     RuleNotApplicable, read_int)
 from .realforms import (
     NuResult,
     RealFormDescriptor,
@@ -33,7 +34,7 @@ from .realforms import (
     split_form,
     su,
 )
-from .roots import MAX_DIGITS, RootSystemType, Value, _set
+from .roots import RootSystemType, Value, _set
 
 # Largest number of atoms that one ``^k`` may expand to: k times the atoms
 # of its base.  Counting atoms rather than k alone also bounds nested
@@ -310,7 +311,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "int":
             raise ExprSyntaxError("expected an integer", tok.offset)
-        return int(tok.text)
+        return read_int(tok.text)
 
     def expect_positive(self, what: str) -> int:
         tok = self.peek()
@@ -446,7 +447,7 @@ class _Parser:
         while True:
             tok = self.next()
             if tok.kind == "int":
-                args.append(int(tok.text))
+                args.append(read_int(tok.text))
             elif tok.kind == "name" and tok.text.upper() in ("R", "H"):
                 args.append(tok.text.upper())
             else:

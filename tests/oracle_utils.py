@@ -7,15 +7,20 @@ clique solver (greedy colouring bound, lex-min probes), exact
 ``MembershipError``, the closed-subsystem predicate, the (A1)^n subsystem
 of a certificate, the rank-one catalog of the acceptance criteria, the
 failed entries of an audit report, a Table 2 row enumerator that
-solves each family's dimension relation by hand, and the ``argparse``
-parser of the CLI grammar.  The package ships none of them: its one
+solves each family's dimension relation by hand, the ``argparse``
+parser of the CLI grammar, dense integer matrices with the Kronecker
+sum, the bracket identity, its dense basis proof and seeded random
+trials, and a ``Fraction`` rank.  The package ships none of them: its one
 clique search is the orbit search of ``sorklie.sork``, checked here, its
 Table 2 rows come from one rule in ``sorklie.tables``, checked against
-the enumerator here, and its one command line parser is
-``sorklie.cli._parse``, checked against the argparse parser here.
+the enumerator here, its one command line parser is
+``sorklie.cli._parse``, checked against the argparse parser here, and its
+matrix proofs run on the sparse matrices of ``sorklie.matrixcheck``,
+checked against the dense ones here.
 """
 
 import argparse
+import random
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -30,6 +35,7 @@ from sorklie import (
     Root,
     RootSystem,
     RootSystemType,
+    ShapeError,
     SorklieError,
     nu_simple,
     verify_certificate,
@@ -358,7 +364,7 @@ def _in_range(low: int, high: int):
         if low <= value <= high:
             return value
         bound = f"at least {low}" if value < low else f"at most {high}"
-        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
     parse.__name__ = "int"  # named in argparse's "invalid int value" message
     return parse
 
@@ -385,3 +391,131 @@ def argparse_parser() -> argparse.ArgumentParser:
         for flag, help_ in flags:
             sp.add_argument(flag, action="store_true", help=help_)
     return p
+
+
+# --- dense integer matrices: the oracle of sorklie.matrixcheck ---------------
+
+IntMatrix = list[list[int]]
+
+
+def _check_square(m: Sequence[Sequence[int]], name: str) -> int:
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ShapeError(f"{name} must be a nonempty square matrix")
+    return n
+
+
+def identity(n: int) -> IntMatrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def zeros(n: int) -> IntMatrix:
+    return [[0] * n for _ in range(n)]
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    if len(b) != len(a[0]):
+        raise ShapeError("inner dimensions do not match")
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def mat_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    if len(a) != len(b) or len(a[0]) != len(b[0]):
+        raise ShapeError("shapes do not match")
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    if len(a) != len(b) or len(a[0]) != len(b[0]):
+        raise ShapeError("shapes do not match")
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def trace(a: Sequence[Sequence[int]]) -> int:
+    _check_square(a, "matrix")
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def kronecker(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    # Row i*len(b) + k of a (x) b is the Kronecker product of rows a[i], b[k].
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def kronecker_sum(g: Sequence[Sequence[int]], k: Sequence[Sequence[int]]) -> IntMatrix:
+    """g (x) I_t + I_s (x) k for square g (s x s) and k (t x t)."""
+    s = _check_square(g, "g")
+    t = _check_square(k, "k")
+    return mat_add(kronecker(g, identity(t)), kronecker(identity(s), k))
+
+
+def bracket(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def bracket_split_check(g, gp, k, kp) -> bool:
+    """[g(x)I + I(x)k, g'(x)I + I(x)k'] == [g,g'](x)I + I(x)[k,k'], dense."""
+    s = _check_square(g, "g")
+    if _check_square(gp, "g'") != s:
+        raise ShapeError("g and g' must have equal size")
+    t = _check_square(k, "k")
+    if _check_square(kp, "k'") != t:
+        raise ShapeError("k and k' must have equal size")
+    lhs = bracket(kronecker_sum(g, k), kronecker_sum(gp, kp))
+    rhs = kronecker_sum(bracket(g, gp), bracket(k, kp))
+    return lhs == rhs
+
+
+def _elementary_basis(n: int) -> list[IntMatrix]:
+    """The n*n elementary matrices E_ij of gl_n, in row-major order."""
+    return [[[int(r == i and c == j) for c in range(n)] for r in range(n)]
+            for i in range(n) for j in range(n)]
+
+
+def dense_basis_proof(s: int, t: int) -> bool:
+    """The bracket identity on every pair of basis elements of
+    gl_s (+) gl_t, in dense matrices: the proof by bilinearity that
+    ``matrixcheck.bracket_split_basis_proof`` runs sparse."""
+    basis = ([(e, zeros(t)) for e in _elementary_basis(s)]
+             + [(zeros(s), e) for e in _elementary_basis(t)])
+    return all(bracket_split_check(g, gp, k, kp)
+               for g, k in basis for gp, kp in basis)
+
+
+def _random_matrix(rng: random.Random, n: int, lo: int = -9, hi: int = 9) -> IntMatrix:
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+def random_bracket_split_trials(samples: int, max_size: int = 4,
+                                seed: int = 0) -> bool:
+    """Run the dense bracket identity on seeded random integer quadruples
+    with sizes in 2..max_size; True iff every trial passes."""
+    if max_size < 2:
+        raise ShapeError("sizes must be at least 2")
+    rng = random.Random(seed)
+    for _ in range(samples):
+        s = rng.randint(2, max_size)
+        t = rng.randint(2, max_size)
+        g, gp = _random_matrix(rng, s), _random_matrix(rng, s)
+        k, kp = _random_matrix(rng, t), _random_matrix(rng, t)
+        if not bracket_split_check(g, gp, k, kp):
+            return False
+    return True
+
+
+def fraction_rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of an integer matrix, by Gaussian elimination over
+    ``Fraction``."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank

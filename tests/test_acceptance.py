@@ -43,7 +43,7 @@ from sorklie import (
     trivial_intersection_check,
     verify_certificate,
 )
-from sorklie.matrixcheck import symbolic_bracket_split_2x2
+from sorklie.matrixcheck import bracket_split_basis_proof
 from sorklie.sork import orbit_clique_search
 
 ALL_TYPES = list(all_types(12))
@@ -153,11 +153,12 @@ def test_criterion_8_kronecker_bracket_identity():
             return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
 
         assert bracket_split_check(m(s), m(s), m(t), m(t))
-    assert symbolic_bracket_split_2x2()
-    assert trivial_intersection_check(3, 4)
+    sizes = range(2, 5)
+    assert all(bracket_split_basis_proof(s, t) for s in sizes for t in sizes)
+    assert all(trivial_intersection_check(s, t) for s in sizes for t in sizes)
     _report("criterion 8: bracket identity holds on 200 random integer "
-            "quadruples, symbolically for 2x2, and the embeddings meet "
-            "trivially")
+            "quadruples and is proved by bilinearity for every 2 <= s, t <= 4, "
+            "and the embeddings of sl_s and sl_t meet trivially for each")
 
 
 def test_criterion_9_nu_calculus():

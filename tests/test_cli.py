@@ -396,7 +396,7 @@ class TestVerifyTables:
 
 # An int option of each audit command, its value last.
 _INT_OPTIONS = [("verify-tables", "--rank-cap", "24"),
-                ("verify-kronecker", "--samples", "1", "--max-size", "2")]
+                ("verify-kronecker", "--max-size", "2")]
 
 
 def _padded(argv, digits):
@@ -406,8 +406,8 @@ def _padded(argv, digits):
 
 class TestIntOptionDigits:
     def test_digit_limit_is_the_roots_limit(self):
-        # cli.py must not import roots for it, so the test pins the value
-        assert cli.MAX_DIGITS == MAX_DIGITS
+        # one limit, stated in sorklie.errors, which cli reads without roots
+        assert cli.MAX_DIGITS is MAX_DIGITS == 4300
 
     @pytest.mark.parametrize("argv", _INT_OPTIONS, ids=lambda argv: argv[0])
     def test_more_than_max_digits_is_a_usage_error(self, capsys, int_digit_limit, argv):
@@ -426,32 +426,93 @@ class TestIntOptionDigits:
             f"error: argument {argv[-2]}: invalid int value: '{argv[-1]}'\n")
 
 
+# Inputs with a 1000-digit integer, longer than 640 digits, the least limit
+# that PYTHONINTMAXSTRDIGITS may set on int(): argv, stdin, and the answer,
+# the exit code and stdout (None: the default rank-24 audit's).
+_LONG_INTEGERS = [
+    (("nu", "Z/" + "1" * 1000), None, EXIT_OK, "nu = 0\n"),
+    (("verify-tables", "--rank-cap", "0" * 1000 + "24"), None, EXIT_OK, None),
+    (("sork", "A" + "0" * 1000 + "1"), None, EXIT_OK, "sork(A1) = 1\n"),
+    (("certify", "-"), '{"system_type": "A2", "roots": [[1' + "0" * 999 + ', 0, 0]]}',
+     EXIT_AUDIT_FAIL, "invalid certificate: NotARoot\n"),
+]
+
+
+class TestIntDigitLimit:
+    @pytest.mark.parametrize("argv,stdin,code,stdout", _LONG_INTEGERS,
+                             ids=[argv[0] for argv, *_ in _LONG_INTEGERS])
+    def test_one_answer_whatever_the_limit(self, capsys, argv, stdin, code, stdout):
+        if stdout is None:
+            stdout = run(capsys, "verify-tables")[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        for limit in ("640", "4299", "0", None):  # None: unset
+            proc = cli_process(*argv, input=stdin, env=env if limit is None
+                               else {**env, "PYTHONINTMAXSTRDIGITS": limit})
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, ""), limit
+
+
+# verify-kronecker's stdout, which scripts read: three names, kept since
+# they were a random sample, a 2x2 proof and a sample per size.
+_KRONECKER_TEXT = ("PASS random_bracket_trials\nPASS symbolic_2x2\n"
+                   "PASS trivial_intersection\n")
+_KRONECKER_JSON = ('{"checks": {"random_bracket_trials": true, "symbolic_2x2": true, '
+                   '"trivial_intersection": true}, "ok": true}\n')
+
+
 class TestVerifyKronecker:
     def test_pass(self, capsys):
-        code, out, _ = run(capsys, "verify-kronecker", "--samples", "20",
-                           "--max-size", "3")
-        assert code == EXIT_OK
-        assert "FAIL" not in out
+        assert run(capsys, "verify-kronecker") == (EXIT_OK, _KRONECKER_TEXT, "")
 
-    @pytest.mark.parametrize("flag,value,low", [
-        ("--max-size", "1", 2), ("--samples", "0", 1), ("--samples", "-5", 1),
+    @pytest.mark.parametrize("max_size", range(2, 9))
+    def test_every_size_prints_the_pinned_output(self, capsys, max_size):
+        assert run(capsys, "verify-kronecker", "--max-size", str(max_size)) == (
+            EXIT_OK, _KRONECKER_TEXT, "")
+
+    @pytest.mark.parametrize("argv", [[], ["--max-size", "2"]])
+    def test_json_output_is_pinned(self, capsys, argv):
+        assert run(capsys, "verify-kronecker", *argv, "--json") == (
+            EXIT_OK, _KRONECKER_JSON, "")
+
+    # --samples chose how many random trials to run; nothing samples now
+    @pytest.mark.parametrize("argv,extras", [
+        (["--samples", "5"], "--samples 5"),
+        (["--samples=200"], "--samples=200"),
+        (["--max-size", "4", "--samples", "-5"], "--samples -5"),
     ])
+    def test_samples_is_a_usage_error(self, capsys, argv, extras):
+        code, out, err = run(capsys, "verify-kronecker", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: sorklie ")
+        assert err.endswith(f"error: unrecognized arguments: {extras}\n")
+
+    def test_a_corrupted_kronecker_sum_fails_the_proof(self, capsys, monkeypatch):
+        from sorklie import matrixcheck
+
+        shipped = matrixcheck._kronecker_sum
+
+        def index_off(g, k, s, t):  # every entry of g one row too far down
+            return shipped({((i + 1) % s, j): x for (i, j), x in g.items()}, k, s, t)
+
+        monkeypatch.setattr(matrixcheck, "_kronecker_sum", index_off)
+        code, out, _ = run(capsys, "verify-kronecker", "--max-size", "2")
+        assert code == EXIT_AUDIT_FAIL
+        assert out.startswith("FAIL random_bracket_trials\nFAIL symbolic_2x2\n")
+
+    @pytest.mark.parametrize("flag,value,low", [("--max-size", "1", 2)])
     def test_value_below_its_minimum_is_a_usage_error(self, capsys, flag, value, low):
         code, out, err = run(capsys, "verify-kronecker", flag, value)
         assert (code, out) == (EXIT_USAGE, "")
         assert f"{flag}: must be at least {low}" in err
 
-    @pytest.mark.parametrize("flag,high", [
-        ("--max-size", cli.MAX_KRONECKER_SIZE),
-        ("--samples", cli.MAX_KRONECKER_SAMPLES),
-    ])
+    @pytest.mark.parametrize("flag,high", [("--max-size", cli.MAX_KRONECKER_SIZE)])
     def test_value_above_its_limit_is_a_usage_error(self, capsys, flag, high):
         code, out, err = run(capsys, "verify-kronecker", flag, str(high + 1))
         assert (code, out) == (EXIT_USAGE, "")
         assert f"{flag}: must be at most {high}" in err
 
     def test_limits_are_the_documented_ones(self):
-        assert (cli.MAX_KRONECKER_SIZE, cli.MAX_KRONECKER_SAMPLES) == (8, 1000)
+        assert cli.MAX_KRONECKER_SIZE == 8
+        assert not hasattr(cli, "MAX_KRONECKER_SAMPLES")
 
 
 class TestDumpRoots:
@@ -511,8 +572,8 @@ class TestUsage:
          "argument --rank-cap: invalid int value: 'x'"),
         (("verify-tables", "--rank-cap=65"), "verify-tables --help",
          "argument --rank-cap: must be at most 64, got 65"),
-        (("verify-kronecker", "--samples"), "verify-kronecker --help",
-         "argument --samples: expected one argument"),
+        (("verify-kronecker", "--max-size"), "verify-kronecker --help",
+         "argument --max-size: expected one argument"),
     ], ids=["no-command", "unknown-command", "missing-positional", "unrecognized-argument",
             "invalid-int", "out-of-range", "missing-option-value"])
     def test_usage_error_is_pinned(self, capsys, argv, usage, message):
@@ -524,7 +585,7 @@ class TestUsage:
         (("nu", "--", "-h"), {"expr": "-h"}),
         (("sork", "--cert", "--js", "E8"), {"type": "E8", "certificate": True, "json": True}),
         (("verify-tables", "--rank=8"), {"rank_cap": 8}),
-        (("verify-kronecker", "--max", "3", "--s=7"), {"max_size": 3, "samples": 7}),
+        (("verify-kronecker", "--max", "3", "--j"), {"max_size": 3, "json": True}),
         (("certify", "-"), {"path": "-"}),
     ], ids=["negative-positional", "dashes", "prefixes", "prefix-equals", "prefix-values",
             "stdin"])
@@ -651,11 +712,19 @@ def _mutations(text, data):
 
 def _decoded(loads, text):
     """What ``loads(text)`` gives: the repr of its value (NaN equals itself
-    there) or the type and message of its exception."""
+    there) or the type and message of its exception.  It runs with no limit
+    on the digits int() reads, since ``cli._loads`` reads integers of any
+    length whatever the limit."""
+    old = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if old is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return repr(loads(text))
     except Exception as err:  # compared, not handled
         return type(err), str(err)
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 # Decodes each argument with cli._loads in a fresh interpreter, before json
@@ -676,7 +745,8 @@ print(ours == theirs or list(zip(ours, theirs)))
 
 
 class TestLoads:
-    """``cli._loads(text)`` gives what ``json.loads(text)`` does."""
+    """``cli._loads(text)`` gives what ``json.loads(text)`` does without a
+    limit on the digits int() reads."""
 
     @settings(max_examples=500, deadline=None)
     @given(_json_texts)

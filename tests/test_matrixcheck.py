@@ -6,6 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_utils as dense
+from oracle_utils import (
+    bracket,
+    dense_basis_proof,
+    fraction_rank,
+    identity,
+    kronecker,
+    mat_mul,
+    random_bracket_split_trials,
+    trace,
+    zeros,
+)
 from sorklie import (
     bracket_split_check,
     kronecker_sum,
@@ -13,20 +25,20 @@ from sorklie import (
     trivial_intersection_check,
 )
 from sorklie.errors import ShapeError
-from sorklie.matrixcheck import (
-    bracket,
-    bracket_split_basis_proof,
-    identity,
-    kronecker,
-    mat_mul,
-    random_bracket_split_trials,
-    symbolic_bracket_split_2x2,
-    trace,
-    zeros,
-)
+from sorklie.matrixcheck import bracket_split_basis_proof
+
+
+def _square(n, values=st.integers(-20, 20)):
+    return st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _sparse(m):
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
 
 
 class TestPrimitives:
+    """The dense oracle's matrices, and the sparse Kronecker sum."""
+
     def test_identity_and_zeros(self):
         assert identity(2) == [[1, 0], [0, 1]]
         assert zeros(2) == [[0, 0], [0, 0]]
@@ -64,16 +76,49 @@ class TestPrimitives:
             assert mat_mul(kronecker(a, b), kronecker(c, d)) == \
                 kronecker(mat_mul(a, c), mat_mul(b, d))
 
-    def test_kronecker_sum_of_identities(self):
-        assert kronecker_sum(identity(2), identity(2)) == \
-            [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
-
     def test_bracket_antisymmetric(self):
         a = [[1, 2], [3, 4]]
         b = [[0, -1], [5, 2]]
         ab = bracket(a, b)
         ba = bracket(b, a)
         assert ab == [[-x for x in row] for row in ba]
+
+    def test_kronecker_sum_of_identities(self):
+        assert kronecker_sum(identity(2), identity(2)) == \
+            [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+
+    def test_fraction_rank(self):
+        assert fraction_rank([[1, 2], [2, 4]]) == 1
+        assert fraction_rank([[0, 1, 0], [1, 0, 0], [1, 1, 0]]) == 2
+        assert fraction_rank([]) == 0
+
+
+class TestSparseAgreesWithDense:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(_square), st.integers(1, 4).flatmap(_square))
+    def test_kronecker_sum(self, g, k):
+        assert kronecker_sum(g, k) == dense.kronecker_sum(g, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(_square(n), _square(n))))
+    def test_bracket(self, ab):
+        a, b = ab
+        assert matrixcheck._bracket(_sparse(a), _sparse(b)) == _sparse(bracket(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda s: st.tuples(_square(s), _square(s))),
+           st.integers(1, 3).flatmap(lambda t: st.tuples(_square(t), _square(t))))
+    def test_bracket_split_check(self, gs, ks):
+        (g, gp), (k, kp) = gs, ks
+        assert bracket_split_check(g, gp, k, kp) is True
+        assert dense.bracket_split_check(g, gp, k, kp) is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=6)))
+    def test_rank(self, rows):
+        vectors = [{(0, c): x for c, x in enumerate(row) if x} for row in rows]
+        assert matrixcheck._rank(vectors) == fraction_rank(rows)
 
 
 class TestBracketSplit:
@@ -87,8 +132,13 @@ class TestBracketSplit:
     def test_shape_enforced(self):
         with pytest.raises(ShapeError):
             bracket_split_check(identity(2), identity(3), identity(2), identity(2))
+        with pytest.raises(ShapeError):
+            bracket_split_check(identity(2), identity(2), identity(2), identity(3))
+        with pytest.raises(ShapeError):
+            kronecker_sum([[1, 2]], identity(2))
 
     def test_random_trials(self):
+        # the dense oracle on seeded random quadruples
         assert random_bracket_split_trials(200, max_size=4)
 
     def test_random_trials_size_bound(self):
@@ -109,20 +159,46 @@ class TestBracketSplit:
         assert bracket_split_check(m(s), m(s), m(t), m(t))
 
     def test_symbolic(self):
-        assert symbolic_bracket_split_2x2()
+        # the 2x2 proof that verify-kronecker reports as symbolic_2x2
+        assert bracket_split_basis_proof(2, 2) and dense_basis_proof(2, 2)
+
+
+_shipped_kronecker_sum = matrixcheck._kronecker_sum
+
+
+def _index_off(g, k, s, t):
+    """The Kronecker sum with every entry of g one row too far down."""
+    return _shipped_kronecker_sum({((i + 1) % s, j): x for (i, j), x in g.items()}, k, s, t)
+
+
+def _anticommutator(a, b):
+    out = {}
+    for x, y in ((a, b), (b, a)):
+        for (i, k), u in x.items():
+            for (k2, j), v in y.items():
+                if k == k2:
+                    out[i, j] = out.get((i, j), 0) + u * v
+    return {key: v for key, v in out.items() if v}
 
 
 class TestBasisProof:
-    @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("s,t", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 5)])
     def test_holds(self, s, t):
         assert bracket_split_basis_proof(s, t)
+
+    @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 2)])
+    def test_agrees_with_the_dense_proof(self, s, t):
+        assert dense_basis_proof(s, t) is bracket_split_basis_proof(s, t) is True
+
+    @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 2)])
+    def test_index_off_fails(self, monkeypatch, s, t):
+        monkeypatch.setattr(matrixcheck, "_kronecker_sum", _index_off)
+        assert not bracket_split_basis_proof(s, t)
 
     def test_anticommutator_fails(self, monkeypatch):
         # {a, b} = ab + ba does not split: the cross terms g(x)k' + g'(x)k
         # survive, so a proof that cannot fail would pass here too
-        monkeypatch.setattr(
-            matrixcheck, "bracket",
-            lambda a, b: matrixcheck.mat_add(mat_mul(a, b), mat_mul(b, a)))
+        monkeypatch.setattr(matrixcheck, "_bracket", _anticommutator)
         assert not bracket_split_basis_proof(2, 2)
 
     def test_size_bounds(self):
@@ -141,10 +217,29 @@ class TestBasisProof:
                                "PASS trivial_intersection\n")
 
 
+def _without_g_diagonal(g, k, s, t):
+    return _shipped_kronecker_sum({(i, j): x for (i, j), x in g.items() if i != j}, k, s, t)
+
+
 class TestTrivialIntersection:
-    @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 4), (4, 4)])
+    # every pair of sizes that verify-kronecker allows
+    @pytest.mark.parametrize("s,t", [(s, t) for s in range(2, 9) for t in range(2, 9)])
     def test_passes(self, s, t):
         assert trivial_intersection_check(s, t)
+
+    @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (4, 3)])
+    def test_the_scalars_are_the_kernel_on_gl(self, s, t):
+        # on all of gl_s (+) gl_t the images lose exactly the line of (I, -I)
+        gl = [{(i, j): 1} for i in range(s) for j in range(s)]
+        gl_t = [{(a, b): 1} for a in range(t) for b in range(t)]
+        images = ([matrixcheck._kronecker_sum(g, {}, s, t) for g in gl]
+                  + [matrixcheck._kronecker_sum({}, k, s, t) for k in gl_t])
+        assert matrixcheck._rank(images) == s * s + t * t - 1
+
+    @pytest.mark.parametrize("s,t", [(2, 2), (3, 2), (4, 4)])
+    def test_an_embedding_that_loses_a_direction_fails(self, monkeypatch, s, t):
+        monkeypatch.setattr(matrixcheck, "_kronecker_sum", _without_g_diagonal)
+        assert not trivial_intersection_check(s, t)
 
     def test_size_bounds(self):
         with pytest.raises(ShapeError):
