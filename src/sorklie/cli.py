@@ -14,11 +14,10 @@ identity and the trivial intersection for every pair of sizes up to
 
 No subcommand imports ``json`` to do its work.  ``certify`` reads its
 document with ``_loads``, which runs the C scanner that ``json.loads``
-runs, ``_json.make_scanner``, with ``JSONDecoder``'s default context but
-for integers, which ``errors.read_int`` reads under any
-``PYTHONINTMAXSTRDIGITS``, so a JSON document gives the value that
-``json.loads`` gives.  Any other text goes to ``json.loads`` itself, for
-its error; ``json`` is loaded only then, or where ``_json`` is missing.
+runs, ``_json.make_scanner``, with ``JSONDecoder``'s default context, so
+a JSON document gives the value that ``json.loads`` gives.  Any other
+text goes to ``json.loads`` itself, for its error; ``json`` is loaded
+only then, or where ``_json`` is missing.
 Every other subcommand writes its documents through ``_dumps``, whose
 output is ``json.dumps(x, sort_keys=True)`` byte for byte on dicts with
 str keys, lists, strs, ints, bools and None, with strings escaped as
@@ -62,7 +61,7 @@ import gc
 import sys
 from types import SimpleNamespace
 
-from .errors import MAX_DIGITS, CertificateError, SorklieError, read_int
+from .errors import MAX_BUILD_RANK, MAX_DIGITS, CertificateError, SorklieError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -75,11 +74,10 @@ EXIT_USAGE = 64
 MAX_JSON_NESTING = 16
 
 # Upper limits of the audit commands, each a usage error before any output.
-# The rank cap equals roots.MAX_BUILD_RANK (a test pins it, as above).
 # verify-kronecker proves its two facts for every pair of sizes from 2 to
 # --max-size, (s^2 + t^2)^2 basis checks per pair: at the cap, 8, that is
 # 205,212 checks, about 2 s on a 2-vCPU host.
-MAX_RANK_CAP = 64
+MAX_RANK_CAP = MAX_BUILD_RANK
 MAX_KRONECKER_SIZE = 8
 
 
@@ -255,7 +253,7 @@ def _in_range(command: str, name: str, text: str, low: int, high: int) -> int:
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS):
         raise _Stop(command, f"argument {name}: invalid int value: {text!r}")
-    value = read_int(text)
+    value = int(text)
     if not low <= value <= high:
         bound = f"at least {low}" if value < low else f"at most {high}"
         raise _Stop(command, f"argument {name}: must be {bound}, got {text}")
@@ -481,13 +479,12 @@ _JSON_SPACE = " \t\n\r"
 
 
 def _loads(raw: str):
-    """``json.loads(raw, parse_int=read_int)``, without importing ``json``
-    when ``raw`` is a JSON document.  It runs json's C scanner with
-    ``JSONDecoder``'s default context but for ``read_int``, which gives
-    ``int``'s values whatever ``PYTHONINTMAXSTRDIGITS`` says, skipping JSON
-    whitespace on both sides as ``JSONDecoder.decode`` does.  Any other
-    text, a text that starts with a BOM, and every text where ``_json`` is
-    missing go to ``json.loads``, which raises json's own error."""
+    """``json.loads(raw)``, without importing ``json`` when ``raw`` is a
+    JSON document.  It runs json's C scanner with ``JSONDecoder``'s default
+    context, skipping JSON whitespace on both sides as
+    ``JSONDecoder.decode`` does.  Any other text, a text that starts with a
+    BOM, and every text where ``_json`` is missing go to ``json.loads``,
+    which raises json's own error."""
     try:
         from _json import make_scanner
     except ImportError:
@@ -497,7 +494,7 @@ def _loads(raw: str):
                      "-Infinity": float("-inf")}
         scan = make_scanner(SimpleNamespace(
             strict=True, object_hook=None, object_pairs_hook=None,
-            parse_float=float, parse_int=read_int, parse_constant=constants.__getitem__))
+            parse_float=float, parse_int=int, parse_constant=constants.__getitem__))
         try:
             doc, end = scan(raw, len(raw) - len(raw.lstrip(_JSON_SPACE)))
         except Exception:
@@ -510,7 +507,7 @@ def _loads(raw: str):
                 return doc
     import json
 
-    return json.loads(raw, parse_int=read_int)
+    return json.loads(raw)
 
 
 def _print_report(name: str, report, as_json: bool) -> bool:

@@ -1,26 +1,20 @@
-"""Exception types shared across the package, and its one reader of
-decimal integers, which the CLI reaches without loading a layer."""
+"""Exception types shared across the package, and its input limits, which
+the CLI reads without loading a layer."""
 
 # Most digits an integer may be written with: a rank label, an integer
 # literal of a group expression, an option value or a number in a certify
-# document.  It is Python's default limit for int(), and it bounds the
-# time read_int takes, quadratic in the digits.
-MAX_DIGITS = 4300
+# document.  It lies below 640, the least limit PYTHONINTMAXSTRDIGITS may
+# set on int() and str(), with headroom: every integer the package writes
+# (p+q-1, 2n-1, 2r+1, a rank, a label) has at most one digit more than
+# some input integer.  So plain int() and str() work under every setting,
+# and no answer depends on it.
+MAX_DIGITS = 600
 
-# The least limit that PYTHONINTMAXSTRDIGITS may set on int().
-_INT_CHUNK = 640
-
-
-def read_int(text: str) -> int:
-    """The value of ``text``, ``-?[0-9]+`` in ASCII digits, which the caller
-    has checked.  It is read ``_INT_CHUNK`` digits at a time, which int()
-    converts under any limit, so that no value depends on the limit."""
-    digits = text.removeprefix("-")
-    value = 0
-    for i in range(0, len(digits), _INT_CHUNK):
-        chunk = digits[i:i + _INT_CHUNK]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return -value if text.startswith("-") else value
+# Largest rank that roots.build_root_system materialises.  Labels of any
+# rank still parse, since closed formulas and table audits need no roots;
+# above this cap construction is refused before a single root is built
+# (B64 has 8192 roots, while A99999999 would never finish).
+MAX_BUILD_RANK = 64
 
 
 class SorklieError(Exception):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .errors import (MAX_DIGITS, ExprSyntaxError, InvalidRealForm, InvalidType,
-                     RuleNotApplicable, read_int)
+                     RuleNotApplicable)
 from .realforms import (
     NuResult,
     RealFormDescriptor,
@@ -311,7 +311,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "int":
             raise ExprSyntaxError("expected an integer", tok.offset)
-        return read_int(tok.text)
+        return int(tok.text)
 
     def expect_positive(self, what: str) -> int:
         tok = self.peek()
@@ -447,7 +447,7 @@ class _Parser:
         while True:
             tok = self.next()
             if tok.kind == "int":
-                args.append(read_int(tok.text))
+                args.append(int(tok.text))
             elif tok.kind == "name" and tok.text.upper() in ("R", "H"):
                 args.append(tok.text.upper())
             else:

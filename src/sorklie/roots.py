@@ -19,13 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 
-from .errors import MAX_DIGITS, InvalidType, read_int
-
-# Largest rank that build_root_system materialises.  Labels of any rank
-# still parse, since closed formulas and table audits need no roots; above
-# this cap construction is refused before a single root is built (B64 has
-# 8192 roots, while A99999999 would never finish).
-MAX_BUILD_RANK = 64
+from .errors import MAX_BUILD_RANK, MAX_DIGITS, InvalidType
 
 # Root counts, used as a construction self-check: a formula in the rank for
 # a classical family, the count at each rank for an exceptional one.
@@ -157,7 +151,7 @@ class RootSystemType(Value):
             raise InvalidType(f"cannot parse root system type {text!r}")
         if len(rank) > MAX_DIGITS:
             raise InvalidType(f"rank has more than {MAX_DIGITS} digits")
-        return cls(text[0].upper(), read_int(rank))
+        return cls(text[0].upper(), int(rank))
 
     def root_count(self) -> int:
         entry = _CARDINALITY[self.family]

@@ -249,7 +249,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("raw", [
         '"\\' * 2 ** 19,
-        ("1" * 4300 + ",") * 244,
+        ("1" * MAX_DIGITS + ",") * (2 ** 20 // (MAX_DIGITS + 1)),
         "]" * 2 ** 20,
     ], ids=["unterminated_escapes", "digit_runs_at_the_limit", "closing_brackets"])
     def test_one_megabyte_of_hostile_text_is_refused_in_linear_time(self, raw):
@@ -260,8 +260,8 @@ class TestCertify:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
-    @pytest.mark.parametrize("digits,code", [(4300, EXIT_AUDIT_FAIL),
-                                             (4301, EXIT_ERROR),
+    @pytest.mark.parametrize("digits,code", [(MAX_DIGITS, EXIT_AUDIT_FAIL),
+                                             (MAX_DIGITS + 1, EXIT_ERROR),
                                              (300_000, EXIT_ERROR)])
     def test_digit_runs_longer_than_max_digits_are_refused(
             self, tmp_path, capsys, int_digit_limit, digits, code):
@@ -407,7 +407,7 @@ def _padded(argv, digits):
 class TestIntOptionDigits:
     def test_digit_limit_is_the_roots_limit(self):
         # one limit, stated in sorklie.errors, which cli reads without roots
-        assert cli.MAX_DIGITS is MAX_DIGITS == 4300
+        assert cli.MAX_DIGITS is MAX_DIGITS == 600
 
     @pytest.mark.parametrize("argv", _INT_OPTIONS, ids=lambda argv: argv[0])
     def test_more_than_max_digits_is_a_usage_error(self, capsys, int_digit_limit, argv):
@@ -426,29 +426,85 @@ class TestIntOptionDigits:
             f"error: argument {argv[-2]}: invalid int value: '{argv[-1]}'\n")
 
 
-# Inputs with a 1000-digit integer, longer than 640 digits, the least limit
-# that PYTHONINTMAXSTRDIGITS may set on int(): argv, stdin, and the answer,
-# the exit code and stdout (None: the default rank-24 audit's).
+# Inputs with a MAX_DIGITS-digit integer, the most an input may have:
+# argv, stdin, and the answer, the exit code and stdout (None: the default
+# rank-24 audit's).
 _LONG_INTEGERS = [
-    (("nu", "Z/" + "1" * 1000), None, EXIT_OK, "nu = 0\n"),
-    (("verify-tables", "--rank-cap", "0" * 1000 + "24"), None, EXIT_OK, None),
-    (("sork", "A" + "0" * 1000 + "1"), None, EXIT_OK, "sork(A1) = 1\n"),
-    (("certify", "-"), '{"system_type": "A2", "roots": [[1' + "0" * 999 + ', 0, 0]]}',
-     EXIT_AUDIT_FAIL, "invalid certificate: NotARoot\n"),
+    (("nu", "Z/" + "1" * MAX_DIGITS), None, EXIT_OK, "nu = 0\n"),
+    (("verify-tables", "--rank-cap", "24".rjust(MAX_DIGITS, "0")), None, EXIT_OK, None),
+    (("sork", "A" + "1".rjust(MAX_DIGITS, "0")), None, EXIT_OK, "sork(A1) = 1\n"),
+    (("certify", "-"), '{"system_type": "A2", "roots": [[1' + "0" * (MAX_DIGITS - 1)
+     + ', 0, 0]]}', EXIT_AUDIT_FAIL, "invalid certificate: NotARoot\n"),
 ]
 
 
+def _too_large(rank):
+    return (EXIT_ERROR, "", f"error: rank {rank} of A{rank} exceeds the "
+                            f"construction limit {MAX_BUILD_RANK}\n")
+
+
+# Inputs whose answer or error writes an integer derived from an input
+# integer n (n, n-1, 2n-1): argv with n for {0}, and the exit code, stdout
+# and stderr as a function of n.
+_DERIVED_INTEGERS = {
+    "R^n": (("nu", "R^{0}"), lambda n: (EXIT_OK, "nu = 0\n", "")),
+    "sork_A": (("sork", "A{0}"), _too_large),
+    "sork_E": (("sork", "E{0}"),
+               lambda n: (EXIT_ERROR, "", f"error: rank {n} out of bounds for family E\n")),
+    "dump-roots": (("dump-roots", "G{0}"),
+                   lambda n: (EXIT_ERROR, "", f"error: rank {n} out of bounds for family G\n")),
+    "su(n)": (("nu", "su({0})"), lambda n: _too_large(n - 1)),
+    "su(n,n)": (("nu", "su({0},{0})"), lambda n: _too_large(2 * n - 1)),
+    "E6(n)": (("nu", "E6({0})"), lambda n: (
+        EXIT_ERROR, "", f"error: unknown exceptional real form E6({n}) (at offset 0)\n")),
+    "E6(-n)": (("nu", "E6(-{0})"), lambda n: (
+        EXIT_ERROR, "", f"error: unknown exceptional real form E6(-{n}) (at offset 0)\n")),
+    "sp(n,-n)": (("nu", "sp({0},-{0})"), lambda n: (
+        EXIT_ERROR, "", f"error: sp({n},-{n}) does not describe a simple Lie algebra "
+                        "(at offset 0)\n")),
+    "sl(n,H)": (("nu", "sl({0},H)"), lambda n: _too_large(2 * n - 1)),
+    "complex(An)": (("nu", "complex(A{0})"), _too_large),
+}
+
+
+def _under_each_limit(argv, stdin=None):
+    """The one (exit code, stdout, stderr) of a CLI process on ``argv``
+    under PYTHONINTMAXSTRDIGITS 640 (its least value), 4299, 0 and unset;
+    the test fails if two differ or any mentions the limit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    results = set()
+    for limit in ("640", "4299", "0", None):  # None: unset
+        proc = cli_process(*argv, input=stdin, env=env if limit is None
+                           else {**env, "PYTHONINTMAXSTRDIGITS": limit})
+        results.add((proc.returncode, proc.stdout, proc.stderr))
+    assert len(results) == 1, results
+    result = results.pop()
+    assert "Exceeds the limit" not in result[1] + result[2]
+    return result
+
+
 class TestIntDigitLimit:
+    def test_every_written_integer_is_below_the_least_limit(self):
+        # Each integer written has at most one digit more than an input
+        # integer, and PYTHONINTMAXSTRDIGITS sets no limit below 640.
+        assert MAX_DIGITS + 1 < 640
+
     @pytest.mark.parametrize("argv,stdin,code,stdout", _LONG_INTEGERS,
                              ids=[argv[0] for argv, *_ in _LONG_INTEGERS])
     def test_one_answer_whatever_the_limit(self, capsys, argv, stdin, code, stdout):
         if stdout is None:
             stdout = run(capsys, "verify-tables")[1]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-        for limit in ("640", "4299", "0", None):  # None: unset
-            proc = cli_process(*argv, input=stdin, env=env if limit is None
-                               else {**env, "PYTHONINTMAXSTRDIGITS": limit})
-            assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, ""), limit
+        assert _under_each_limit(argv, stdin) == (code, stdout, "")
+
+    @pytest.mark.parametrize("argv,expected", _DERIVED_INTEGERS.values(),
+                             ids=_DERIVED_INTEGERS)
+    def test_derived_integers_whatever_the_limit(self, argv, expected):
+        n = "9" * MAX_DIGITS
+        assert _under_each_limit([a.format(n) for a in argv]) == expected(int(n))
+        code, out, err = _under_each_limit([a.format(n + "9") for a in argv])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert re.fullmatch(f"error: (rank|integer literal) has more than {MAX_DIGITS} "
+                            r"digits( at offset \d+)?\n", err), err
 
 
 # verify-kronecker's stdout, which scripts read: three names, kept since
@@ -713,8 +769,8 @@ def _mutations(text, data):
 def _decoded(loads, text):
     """What ``loads(text)`` gives: the repr of its value (NaN equals itself
     there) or the type and message of its exception.  It runs with no limit
-    on the digits int() reads, since ``cli._loads`` reads integers of any
-    length whatever the limit."""
+    on the digits int() reads, so that both sides decode numbers of any
+    length."""
     old = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if old is not None:
         sys.set_int_max_str_digits(0)
@@ -745,8 +801,7 @@ print(ours == theirs or list(zip(ours, theirs)))
 
 
 class TestLoads:
-    """``cli._loads(text)`` gives what ``json.loads(text)`` does without a
-    limit on the digits int() reads."""
+    """``cli._loads(text)`` gives what ``json.loads(text)`` does."""
 
     @settings(max_examples=500, deadline=None)
     @given(_json_texts)

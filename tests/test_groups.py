@@ -121,7 +121,7 @@ class TestEval:
     def test_free_factor_order_of_many_large_finite_factors_is_quick(self):
         # orders above 2 are not multiplied out
         assert nu_eval(parse_group_expr("(Z/5 x ext(Z/7, Z/1, split)) * Z/2")) == 1
-        big = "Z/" + "9" * 4000
+        big = "Z/" + "9" * MAX_DIGITS
         e = parse_group_expr(f"({big})^1000 * ({big})^1000")
         assert nu_eval(e) == 1
 
@@ -270,8 +270,8 @@ class TestParser:
             parse_group_expr(text)
         assert exc.value.offset == offset
 
-    # int() refuses more than 4300 digits by default and reads any number
-    # with no limit, so the lexer refuses them itself, the same either way.
+    # int() reads at least 640 digits under any limit, so the lexer refuses
+    # more than MAX_DIGITS itself, the same whatever the limit.
     @pytest.mark.parametrize("template,offset", [
         ("Z/{}", 2), ("Z/{} * Z/2", 2), ("su(2) x sp(-{},1)", 11), ("su(2)^{}", 6),
         ("complex(A{})", 8),
