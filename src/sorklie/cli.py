@@ -22,12 +22,9 @@ Every other subcommand writes its documents through ``_dumps``, whose
 output is ``json.dumps(x, sort_keys=True)`` byte for byte on dicts with
 str keys, lists, strs, ints, bools and None, with strings escaped as
 ``ensure_ascii`` does; any other value is a TypeError.  ``import json``
-compiles the regexes of its decoder, scanner and encoder: about 2.9 ms
-(2-vCPU host) off every process that skips it.  ``certify``'s size check
-before parsing uses no regex either, so it compiles none and imports no
-``re``: ``main()`` certifies the E8 certificate in 3.9 ms in a fresh
-interpreter, against 6.6 ms with ``json.loads`` and a regex check (2-vCPU
-host).
+compiles the regexes of its decoder, scanner and encoder, which every
+process that skips it saves.  ``certify``'s size check before parsing uses
+no regex either, so it compiles none and imports no ``re``.
 
 The grammar lives in one table, ``_GRAMMAR``, and one function,
 ``_parse``, reads every command line from it as argparse would: ``-h`` or
@@ -36,9 +33,8 @@ long option (``--cert``), ``--opt=N``, ``--`` before positionals, and
 negative numbers (``-1``) as values and positionals.  It prints the help
 and the usage errors itself, rendered from the same table and the first
 two paragraphs here in argparse's layout at 80 columns, whatever the
-terminal's width, and imports nothing: in a fresh interpreter
-``main(["--help"])`` takes 0.12 ms, against 6.4 ms when it loaded
-argparse, ``gettext``, ``locale`` and ``textwrap`` (2-vCPU host).
+terminal's width, and imports nothing: argparse brought ``gettext``,
+``locale`` and ``textwrap`` with it.
 
 A CLI process runs ``run()``: it is the ``sorklie`` console script and the
 body of ``python -m sorklie.cli``.  It calls ``main()``, flushes stdout and
@@ -46,13 +42,12 @@ exits with ``main()``'s code, and on every path out it first calls
 ``gc.freeze()``.  Interpreter teardown runs full cyclic collections, and
 without the freeze each of them walks every tracked object that start-up,
 ``site`` and the layers made (about 11,700 after ``nu``), none of which is
-garbage.  One such collection takes 2.2 ms, frozen almost none; per process
-that is about 5 ms, e.g. the benchmark's median ``nu`` op 50.5 -> 44.6 ms
-(2-vCPU host).  Teardown still runs ``atexit`` handlers, profilers and the
-stream flushes, which a hard exit past teardown would skip.  A failed write
-of the answer is an ``error: ...`` line on stderr and exit code 1, with
-nothing left buffered for teardown to retry.  ``main()`` itself never
-freezes, so a caller in the same process sees no change.
+garbage; frozen, a collection walks almost none of them.  Teardown still
+runs ``atexit`` handlers, profilers and the stream flushes, which a hard
+exit past teardown would skip.  A failed write of the answer is an
+``error: ...`` line on stderr and exit code 1, with nothing left buffered
+for teardown to retry.  ``main()`` itself never freezes, so a caller in
+the same process sees no change.
 """
 
 from __future__ import annotations
@@ -384,10 +379,8 @@ def _cmd_sork(args) -> int:
     t = RootSystemType.parse(args.type)
     n, cert = sork_exact(build_root_system(t))
     if args.json:
-        doc = {"system_type": str(t), "n": n}
-        if args.certificate:
-            doc["roots"] = cert.to_json_dict()["roots"]
-        print(_dumps(doc))
+        print(_dumps(cert.to_json_dict() if args.certificate
+                     else {"system_type": str(t), "n": n}))
     else:
         print(f"sork({t}) = {n}")
         if args.certificate:

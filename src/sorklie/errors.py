@@ -42,7 +42,7 @@ class ShapeError(SorklieError, ValueError):
 
 
 class ExprSyntaxError(SorklieError, ValueError):
-    """A group expression failed to parse.  Carries the byte offset."""
+    """A group expression failed to parse.  Carries the character offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")

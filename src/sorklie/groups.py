@@ -34,7 +34,7 @@ from .realforms import (
     split_form,
     su,
 )
-from .roots import RootSystemType, Value, _set
+from .roots import RootSystemType, Value
 
 # Largest number of atoms that one ``^k`` may expand to: k times the atoms
 # of its base.  Counting atoms rather than k alone also bounds nested
@@ -60,9 +60,6 @@ class SimpleLie(GroupExpr):
     __slots__ = ("descriptor",)
     descriptor: RealFormDescriptor
 
-    def __init__(self, descriptor: RealFormDescriptor):
-        _set(self, "descriptor", descriptor)
-
 
 class SolvableAtom(GroupExpr):
     """An infinite solvable atom with free subgroup rank zero: Z, R^n, or a
@@ -70,9 +67,6 @@ class SolvableAtom(GroupExpr):
 
     __slots__ = ("label",)
     label: str  # "Z", "R^3", "solvable"
-
-    def __init__(self, label: str):
-        _set(self, "label", label)
 
 
 class FiniteAtom(GroupExpr):
@@ -82,7 +76,7 @@ class FiniteAtom(GroupExpr):
     def __init__(self, order: int):
         if order < 1:
             raise ExprSyntaxError("finite group order must be >= 1", 0)
-        _set(self, "order", order)
+        super().__init__(order)
 
 
 class _Product(GroupExpr):
@@ -98,7 +92,7 @@ class _Product(GroupExpr):
                      for g in (f.factors if isinstance(f, type(self)) else (f,)))
         if len(flat) < self._fewest:
             raise ValueError(self._too_few)
-        _set(self, "factors", flat)
+        super().__init__(flat)
 
 
 class DirectProduct(_Product):
@@ -117,18 +111,10 @@ class Extension(GroupExpr):
     quotient: GroupExpr
     mode: str  # "split" | "central" | "general"
 
-    def __init__(self, kernel: GroupExpr, quotient: GroupExpr, mode: str):
-        _set(self, "kernel", kernel)
-        _set(self, "quotient", quotient)
-        _set(self, "mode", mode)
-
 
 class FiniteIndex(GroupExpr):
     __slots__ = ("inner",)
     inner: GroupExpr
-
-    def __init__(self, inner: GroupExpr):
-        _set(self, "inner", inner)
 
 
 def _parts(e: GroupExpr) -> tuple[GroupExpr, ...]:
@@ -253,11 +239,6 @@ class _Token(Value):
     kind: str  # "name" | "int" | "sym" | "end"
     text: str
     offset: int
-
-    def __init__(self, kind: str, text: str, offset: int):
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "offset", offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -494,8 +475,13 @@ def _classical_descriptor(lname: str, args: list, offset: int) -> RealFormDescri
 
 
 def parse_group_expr(text: str) -> GroupExpr:
-    """Parse a group expression.  Whitespace-insensitive and deterministic;
-    raises :class:`ExprSyntaxError` with a byte offset on malformed input."""
+    """Parse a group expression.  Deterministic; raises
+    :class:`ExprSyntaxError` with a character offset on malformed input.
+
+    Whitespace between tokens is optional, but a name runs on through
+    letters and digits, so ``x`` is the direct product only where no letter
+    or digit follows it and no name runs into it: ``su(2)x(su(2))`` parses,
+    ``su(2)xsu(2)`` (the name ``xsu``) and ``ZxZ`` do not."""
     return _Parser(text).parse()
 
 

@@ -28,7 +28,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidRealForm
-from .roots import RootSystemType, Value, _set, all_types, build_root_system
+from .roots import RootSystemType, Value, all_types, build_root_system
 from .sork import OrthCertificate, canonical_certificate, sork_formula, verify_certificate
 
 # Known exceptional real forms by (family, rank, signature), excluding the
@@ -86,9 +86,7 @@ class RealFormDescriptor(Value):
                  base: RootSystemType | None = None):
         if kind not in _KINDS and kind not in _BASED:
             raise InvalidRealForm(f"unknown descriptor kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "params", params)
-        _set(self, "base", base)
+        super().__init__(kind, params, base)
 
     def __str__(self) -> str:
         if self.kind in _KINDS:
@@ -109,10 +107,7 @@ class NuResult(Value):
 
     def __init__(self, nu: int, case: NuCase, sork_of_complexification: int,
                  certificate: OrthCertificate | None = None):
-        _set(self, "nu", nu)
-        _set(self, "case", case)
-        _set(self, "sork_of_complexification", sork_of_complexification)
-        _set(self, "certificate", certificate)
+        super().__init__(nu, case, sork_of_complexification, certificate)
 
 
 def complex_simple(t: RootSystemType) -> RealFormDescriptor:

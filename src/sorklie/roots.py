@@ -47,15 +47,18 @@ def _ranks(family: str, max_rank: int) -> Iterable[int]:
     return [r for r in ranks if r <= max_rank]
 
 
-_set = object.__setattr__  # how a Value's __init__ writes its fields
+_set = object.__setattr__  # how Value.__init__ and Root write the fields
 
 
 class Value:
     """Base of the immutable records of every layer.
 
-    A subclass lists its fields in ``__slots__`` and sets them in its own
-    ``__init__`` through ``object.__setattr__``; its arguments are the
-    fields in slot order.  Equality, hashing, order and ``repr`` are keyed
+    A subclass lists its fields in ``__slots__``, and ``Value.__init__``
+    binds its arguments to them in slot order, as a dataclass would: a
+    missing field, an extra argument or an unknown keyword is a
+    :class:`TypeError`.  A subclass that checks, normalises or defaults an
+    argument does so in its own ``__init__``, which ends in
+    ``super().__init__``.  Equality, hashing, order and ``repr`` are keyed
     on the tuple of the fields, and an instance equals or orders only
     against one of the same class.  Only ``<`` and ``<=`` are defined:
     Python answers ``a > b`` and ``a >= b`` as ``b < a`` and ``b <= a``.
@@ -64,6 +67,17 @@ class Value:
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:  # the fields after the positional ones, in slot order
+            args += tuple([kwargs.pop(name) for name in names[len(args):]
+                           if name in kwargs])
+        if kwargs or len(args) != len(names):  # a field left over or missing
+            raise TypeError(f"{self.__class__.__qualname__}() takes the fields "
+                            f"{', '.join(names)}, once each")
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -123,8 +137,7 @@ class RootSystemType(Value):
             family = "A"  # low rank isomorphism B1 = C1 = A1
         elif rank not in _ranks(family, rank):
             raise InvalidType(f"rank {rank} out of bounds for family {family}")
-        _set(self, "family", family)
-        _set(self, "rank", rank)
+        super().__init__(family, rank)
 
     @property
     def is_reducible(self) -> bool:
@@ -164,12 +177,13 @@ class Root(Value):
     __slots__ = ("coords",)
     coords: tuple[int, ...]
 
+    # Hot: B64 alone builds 8192 roots, and roots fill sets and lookups, so
+    # a root writes and reads its one field directly, past Value's methods.
+
     def __init__(self, coords: tuple[int, ...]):
         if not any(coords):
             raise InvalidType("a root cannot be the zero vector")
         _set(self, "coords", coords)
-
-    # Hot in sets and lookups: read the one field directly.
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -201,15 +215,6 @@ class RootSystem(Value):
     simple_roots: tuple[Root, ...]
     ambient_dim: int
     _coord_set: frozenset[tuple[int, ...]]
-
-    def __init__(self, type: RootSystemType, roots: tuple[Root, ...],
-                 simple_roots: tuple[Root, ...], ambient_dim: int,
-                 _coord_set: frozenset[tuple[int, ...]]):
-        _set(self, "type", type)
-        _set(self, "roots", roots)
-        _set(self, "simple_roots", simple_roots)
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "_coord_set", _coord_set)
 
     def __contains__(self, root: Root) -> bool:
         return root.coords in self._coord_set

@@ -42,7 +42,6 @@ from .roots import (
     RootSystem,
     RootSystemType,
     Value,
-    _set,
     _vec,
     build_root_system,
     require_buildable,
@@ -55,10 +54,6 @@ class OrthCertificate(Value):
     __slots__ = ("system_type", "roots")
     system_type: RootSystemType
     roots: tuple[Root, ...]
-
-    def __init__(self, system_type: RootSystemType, roots: tuple[Root, ...]):
-        _set(self, "system_type", system_type)
-        _set(self, "roots", roots)
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,8 +95,7 @@ class CertCheck(Value):
     reason: str | None
 
     def __init__(self, ok: bool, reason: str | None = None):
-        _set(self, "ok", ok)
-        _set(self, "reason", reason)
+        super().__init__(ok, reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .roots import RootSystemType, Value, _set
+from .roots import RootSystemType, Value
 from .sork import sork_formula
 
 
@@ -30,14 +30,6 @@ class AuditEntry(Value):
     encoded: object
     passed: bool
 
-    def __init__(self, row_id: str, claim: str, recomputed: object,
-                 encoded: object, passed: bool):
-        _set(self, "row_id", row_id)
-        _set(self, "claim", claim)
-        _set(self, "recomputed", recomputed)
-        _set(self, "encoded", encoded)
-        _set(self, "passed", passed)
-
 
 class AuditReport(Value):
     """The entries of one audit, appended as its rows are checked."""
@@ -47,7 +39,7 @@ class AuditReport(Value):
     entries: list[AuditEntry]
 
     def __init__(self, entries: list[AuditEntry] | None = None):
-        _set(self, "entries", [] if entries is None else entries)
+        super().__init__([] if entries is None else entries)
 
     @property
     def ok(self) -> bool:

@@ -198,6 +198,7 @@ class TestParser:
         a = parse_group_expr("su(2) x sl(2,R)")
         b = parse_group_expr("  su( 2 ) x sl( 2 , R ) ")
         assert a == b
+        assert parse_group_expr("su(2)x(su(2))") == parse_group_expr("su(2) x su(2)")
 
     def test_direct_product_flattens(self):
         e = parse_group_expr("su(2) x su(3) x su(4)")
@@ -291,6 +292,11 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_group_expr("su(2) x ! su(3)")
         assert exc.value.offset == 8
+        # a name runs on through letters and digits: "xsu" and "ZxZ" are names
+        for text, offset in (("su(2)xsu(2)", 5), ("ZxZ", 0)):
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse_group_expr(text)
+            assert exc.value.offset == offset
 
     # Each (name, argument shape) of the classical descriptor table, any case.
     @pytest.mark.parametrize("text,expected", [

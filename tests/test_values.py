@@ -139,6 +139,19 @@ class TestValueSemantics:
             value.extra = 1
         assert value == CASES[name][0]()
 
+    def test_arguments_bind_to_the_fields_in_slot_order(self, name):
+        value = CASES[name][0]()
+        cls, fields = type(value), {f: getattr(value, f) for f in value.__slots__}
+        assert cls(**fields) == value
+        with pytest.raises(TypeError):
+            cls(*value._key(), None)
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=None)
+        if name != "AuditReport":  # its one field has a default
+            del fields[value.__slots__[0]]
+            with pytest.raises(TypeError):
+                cls(**fields)
+
     def test_copy_and_pickle_round_trip(self, name):
         value = CASES[name][0]()
         for clone in (copy.copy(value), copy.deepcopy(value),
