@@ -12,19 +12,21 @@ one called.  ``verify-kronecker`` samples nothing: it proves the bracket
 identity and the trivial intersection for every pair of sizes up to
 ``--max-size``.
 
-No subcommand imports ``json`` to do its work.  ``certify`` reads its
-document with ``_loads``, which runs the C scanner that ``json.loads``
+No subcommand imports ``json`` to do its work.  ``certify`` reads at most
+``MAX_DOCUMENT_CHARS`` characters of its document, refusing a longer one,
+and parses it with ``_loads``, which runs the C scanner that ``json.loads``
 runs, ``_json.make_scanner``, with ``JSONDecoder``'s default context, so
 a JSON document gives the value that ``json.loads`` gives.  Any other
 text goes to ``json.loads`` itself, for its error; ``json`` is loaded
 only then, or where ``_json`` is missing.
 Every other subcommand writes its documents through ``_dumps``, whose
-output is ``json.dumps(x, sort_keys=True)`` byte for byte on dicts with
-str keys, lists, strs, ints, bools and None, with strings escaped as
-``ensure_ascii`` does; any other value is a TypeError.  ``import json``
-compiles the regexes of its decoder, scanner and encoder, which every
-process that skips it saves.  ``certify``'s size check before parsing uses
-no regex either, so it compiles none and imports no ``re``.
+output is ``json.dumps(x, sort_keys=True)`` byte for byte on what they
+hold: dicts with str keys, lists, ints, bools, and strings of printable
+ASCII without ``"`` or ``\\``, which need no escape.  Any other value,
+None or a string that json would escape included, is a TypeError.
+``import json`` compiles the regexes of its decoder, scanner and encoder,
+which every process that skips it saves.  ``certify``'s size check before
+parsing uses no regex either, so it compiles none and imports no ``re``.
 
 The grammar lives in one table, ``_GRAMMAR``, and one function,
 ``_parse``, reads every command line from it as argparse would: ``-h`` or
@@ -67,11 +69,15 @@ EXIT_USAGE = 64
 # before parsing, whose decoder recurses once per level.  A certificate
 # nests three levels: the object, its ``roots`` list and each root.
 MAX_JSON_NESTING = 16
+# Longest document that ``certify`` reads, in characters: it reads one more
+# and stops, so an endless input such as /dev/zero is refused, not held in
+# memory.  The largest canonical certificate, D64's, takes 63 KB at indent=4.
+MAX_DOCUMENT_CHARS = 2 ** 24
 
 # Upper limits of the audit commands, each a usage error before any output.
 # verify-kronecker proves its two facts for every pair of sizes from 2 to
 # --max-size, (s^2 + t^2)^2 basis checks per pair: at the cap, 8, that is
-# 205,212 checks, about 2 s on a 2-vCPU host.
+# 205,212 checks.
 MAX_RANK_CAP = MAX_BUILD_RANK
 MAX_KRONECKER_SIZE = 8
 
@@ -324,32 +330,18 @@ def _help(command: str | None) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-# How json.dumps writes each ASCII character that it escapes.
-_ESCAPES = {**{chr(i): f"\\u{i:04x}" for i in (*range(0x20), 0x7f)},
-            '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
-            "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(c: str) -> str:
-    o = ord(c)
-    if o < 0x80:
-        return _ESCAPES.get(c, c)
-    if o < 0x10000:
-        return f"\\u{o:04x}"
-    o -= 0x10000  # a UTF-16 surrogate pair
-    return f"\\u{0xd800 | o >> 10:04x}\\u{0xdc00 | o & 0x3ff:04x}"
-
-
 def _quote(s: str) -> str:
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    return f'"{"".join(map(_escape, s))}"'
+    raise TypeError(f"the string {s!r} is not written as JSON")
 
 
 def _dumps(x) -> str:
     """``json.dumps(x, sort_keys=True)``, byte for byte, for a document of
-    dicts with str keys, lists, strs, ints, bools and None; a TypeError
-    for anything else, e.g. a float, a tuple or a non-str key."""
+    dicts with str keys, lists, ints, bools and strings of printable ASCII
+    without ``"`` or ``\\``, which json writes verbatim: all the CLI
+    writes.  Anything else is a TypeError, e.g. None, a float, a tuple, a
+    non-str key or a string that json would escape."""
     t = type(x)
     if t is list:
         if list(map(type, x)).count(int) == len(x):
@@ -367,8 +359,6 @@ def _dumps(x) -> str:
         return str(x)
     if t is bool:
         return "true" if x else "false"
-    if x is None:
-        return "null"
     raise TypeError(f"a {t.__name__} is not written as JSON")
 
 
@@ -415,10 +405,13 @@ def _cmd_certify(args) -> int:
     from .sork import CertCheck, OrthCertificate, verify_certificate
 
     if args.path == "-":
-        raw = sys.stdin.read()
+        raw = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
     else:
         with open(args.path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            raw = fh.read(MAX_DOCUMENT_CHARS + 1)
+    if len(raw) > MAX_DOCUMENT_CHARS:
+        raise CertificateError("certificate document is longer than "
+                               f"{MAX_DOCUMENT_CHARS} characters")
     _check_json_size(raw)
     doc = _loads(raw)
     cert = OrthCertificate.from_json_dict(doc)
@@ -475,14 +468,14 @@ def _loads(raw: str):
     """``json.loads(raw)``, without importing ``json`` when ``raw`` is a
     JSON document.  It runs json's C scanner with ``JSONDecoder``'s default
     context, skipping JSON whitespace on both sides as
-    ``JSONDecoder.decode`` does.  Any other text, a text that starts with a
-    BOM, and every text where ``_json`` is missing go to ``json.loads``,
-    which raises json's own error."""
+    ``JSONDecoder.decode`` does.  Any other text, a leading BOM included,
+    and every text where ``_json`` is missing go to ``json.loads``, which
+    raises json's own error."""
     try:
         from _json import make_scanner
     except ImportError:
         make_scanner = None
-    if make_scanner is not None and not raw.startswith("\ufeff"):
+    if make_scanner is not None:
         constants = {"NaN": float("nan"), "Infinity": float("inf"),
                      "-Infinity": float("-inf")}
         scan = make_scanner(SimpleNamespace(

@@ -409,11 +409,11 @@ class _Parser:
                 builder = {"complex": complex_simple, "split": split_form,
                            "compact": compact_form}[lname]
                 return builder(t)
-            if re.fullmatch(r"[EFG][2-8]", name):
+            if re.fullmatch(r"[EFG][2-8]", name.upper()):
                 self.expect_sym("(")
                 sig = self.expect_int()
                 self.expect_sym(")")
-                return exceptional_form(name[0], int(name[1]), sig)
+                return exceptional_form(name[0].upper(), int(name[1]), sig)
             if lname in ("su", "so", "sp", "sl", "so*"):
                 args = self.parse_args()
                 return _classical_descriptor(lname, args, offset)
@@ -481,7 +481,9 @@ def parse_group_expr(text: str) -> GroupExpr:
     Whitespace between tokens is optional, but a name runs on through
     letters and digits, so ``x`` is the direct product only where no letter
     or digit follows it and no name runs into it: ``su(2)x(su(2))`` parses,
-    ``su(2)xsu(2)`` (the name ``xsu``) and ``ZxZ`` do not."""
+    ``su(2)xsu(2)`` (the name ``xsu``) and ``ZxZ`` do not.  Names and
+    keywords are case-insensitive (``SU(2)``, ``e8(-24)``, ``Split(g2)``),
+    but the atoms ``Z`` and ``R`` and the operator ``x`` are not."""
     return _Parser(text).parse()
 
 

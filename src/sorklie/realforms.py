@@ -28,7 +28,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidRealForm
-from .roots import RootSystemType, Value, all_types, build_root_system
+from .roots import RootSystemType, Value, all_types
 from .sork import OrthCertificate, canonical_certificate, sork_formula, verify_certificate
 
 # Known exceptional real forms by (family, rank, signature), excluding the
@@ -232,10 +232,9 @@ def _certified_sork(t: RootSystemType) -> tuple[int, OrthCertificate]:
     """The closed-form strong orthogonal rank of ``t`` with the canonical
     certificate that witnesses it, re-checked once per type against the
     built root system."""
-    phi = build_root_system(t)
     s = sork_formula(t)
     cert = canonical_certificate(t)
-    check = verify_certificate(cert, phi)
+    check = verify_certificate(cert)
     if not check:
         raise AssertionError(
             f"certificate bug: the canonical certificate of {t} fails "
@@ -267,23 +266,24 @@ def nu_simple(d: RealFormDescriptor) -> NuResult:
     return NuResult(s, NuCase.REAL_FORM, s, cert)
 
 
-def catalog(max_pq: int = 8, max_n: int = 8) -> Iterator[RealFormDescriptor]:
-    """Canonical descriptors with bounded parameters, each descriptor once.
+def catalog(bound: int = 8) -> Iterator[RealFormDescriptor]:
+    """Canonical descriptors with parameters bounded by ``bound``, each
+    descriptor once.
 
     su(1,1) is omitted (it is sl(2,R), already present as the split A1),
     as are the flagged D2/D3 labels for the complex/split/compact series.
     An algebra with two unfolded names, such as so(4,3) and split(B3), is
     listed under both.
     """
-    for t in all_types(max_n, include_flagged_d=False):
+    for t in all_types(bound, include_flagged_d=False):
         yield from (complex_simple(t), compact_form(t), split_form(t))
     # least p + q with q >= 1 that gives a canonical, unfolded descriptor
     for build, least in ((su, 3), (so, 5), (sp, 2)):
-        for total in range(least, max_pq + 1):
+        for total in range(least, bound + 1):
             for q in range(1, total // 2 + 1):
                 yield build(total - q, q)
-    yield from (sl_H(n) for n in range(2, max_n // 2 + 1))
-    yield from (so_star(2 * n) for n in range(3, max_n + 1))
+    yield from (sl_H(n) for n in range(2, bound // 2 + 1))
+    yield from (so_star(2 * n) for n in range(3, bound + 1))
     for family, rank, sig in sorted(_EXC_OTHER):
-        if rank <= max_n:
+        if rank <= bound:
             yield exceptional_form(family, rank, sig)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import add, mul
 
-from .errors import CertificateError, InvalidType
+from .errors import CertificateError
 from .roots import (
     Root,
     RootSystem,
@@ -105,7 +105,8 @@ def sork_formula(t: RootSystemType) -> int:
     """Closed-form strong orthogonal rank of an irreducible type.
 
     D2 (= A1 x A1) and D3 (= A3) are accepted and follow the D-family
-    formula, which agrees with their decompositions.
+    formula, which agrees with their decompositions.  E, F and G have the
+    size of their canonical certificate, the one table of those ranks.
     """
     fam, r = t.family, t.rank
     if fam == "A":
@@ -114,13 +115,7 @@ def sork_formula(t: RootSystemType) -> int:
         return r
     if fam == "D":
         return r if r % 2 == 0 else r - 1
-    if fam == "E":
-        return {6: 4, 7: 7, 8: 8}[r]
-    if fam == "F":
-        return 4
-    if fam == "G":
-        return 2
-    raise InvalidType(f"unknown family {fam!r}")  # pragma: no cover
+    return len(_EXCEPTIONAL_CERTIFICATES[str(t)])
 
 
 # The lexicographically least maximum strongly orthogonal sets of the
@@ -359,17 +354,17 @@ def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
     return len(clique), OrthCertificate(phi.type, tuple(graph.reps[v] for v in clique))
 
 
-def verify_certificate(cert: OrthCertificate, phi: RootSystem | None = None) -> CertCheck:
-    """Re-check a certificate from scratch: membership, pairwise strong
-    orthogonality, and canonical (ascending lexicographic) ordering.
+def verify_certificate(cert: OrthCertificate) -> CertCheck:
+    """Re-check a certificate from scratch, against the root system built
+    from its ``system_type``: membership, pairwise strong orthogonality,
+    and canonical (ascending lexicographic) ordering.
 
     Each pair is checked on the doubled integer coordinates: a repeated
     root, a nonzero dot product or a root a+b makes the pair not strongly
     orthogonal.  For orthogonal roots a, b the reflection s_b maps a+b to
     a-b, so a+b is a root iff a-b is and one lookup decides.
     """
-    if phi is None:
-        phi = build_root_system(cert.system_type)
+    phi = build_root_system(cert.system_type)
     for r in cert.roots:
         if r not in phi:
             return CertCheck(False, "NotARoot")

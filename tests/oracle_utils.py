@@ -197,13 +197,13 @@ def is_closed_subsystem(sigma: Iterable[Root], phi: RootSystem) -> bool:
     return True
 
 
-def a1n_subsystem(cert: OrthCertificate, phi: RootSystem) -> frozenset[Root]:
+def a1n_subsystem(cert: OrthCertificate) -> frozenset[Root]:
     """Union of a valid certificate's roots with their negatives.
 
     The result is a negation-closed, closed subsystem of type (A1)^n.
     Raises :class:`CertificateError` for invalid certificates.
     """
-    check = verify_certificate(cert, phi)
+    check = verify_certificate(cert)
     if not check:
         raise CertificateError(f"invalid certificate: {check.reason}")
     out: set[Root] = set()
@@ -266,10 +266,10 @@ def simple_root_coefficients(root: Root, phi: RootSystem) -> tuple[Fraction, ...
     return tuple(mat[i][n] for i in range(n))
 
 
-def nu_one_catalog(max_pq: int = 8, max_n: int = 8) -> list[RealFormDescriptor]:
+def nu_one_catalog(bound: int = 8) -> list[RealFormDescriptor]:
     """All bounded-parameter catalog algebras with free subgroup rank one."""
     out = []
-    for d in catalog(max_pq, max_n):
+    for d in catalog(bound):
         if nu_simple(d).nu == 1:
             out.append(d)
     return sorted(set(out))

@@ -98,6 +98,15 @@ class TestNu:
         assert code == EXIT_OK
         assert cert["n"] == 4 and len(cert["roots"]) == 4
 
+    @pytest.mark.parametrize("lower,upper", [
+        ("e6(-26)", "E6(-26)"), ("f4(-20)", "F4(-20)"), ("g2(2)", "G2(2)"),
+        ("e8(-248) x Complex(e7)", "E8(-248) x complex(E7)"),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--json", "--certificate"]], ids=["text", "json"])
+    def test_names_are_case_insensitive(self, capsys, lower, upper, flags):
+        assert run(capsys, "nu", lower, *flags) == run(capsys, "nu", upper, *flags)
+        assert run(capsys, "nu", upper, *flags)[0] == EXIT_OK
+
     def test_upper_bound_path(self, capsys):
         code, out, _ = run(capsys, "nu", "ext(solvable, sl(3,R), general)")
         assert code == EXIT_OK
@@ -259,6 +268,31 @@ class TestCertify:
         assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_endless_stdin_is_refused(self):
+        feeder = subprocess.Popen(
+            [sys.executable, "-c", "import sys\nwhile True: sys.stdout.write(' ' * 65536)"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sorklie.cli", "certify", "-"],
+                                  stdin=feeder.stdout, capture_output=True, text=True,
+                                  timeout=30, preexec_fn=_limit_memory)
+        finally:
+            feeder.kill()
+            feeder.wait()
+            feeder.stdout.close()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_ERROR, "", "error: certificate document is longer than "
+                            f"{cli.MAX_DOCUMENT_CHARS} characters\n")
+
+    @pytest.mark.parametrize("padding,code", [(0, EXIT_OK), (1, EXIT_ERROR)])
+    def test_documents_longer_than_the_limit_are_refused(
+            self, tmp_path, capsys, monkeypatch, padding, code):
+        doc = json.dumps({"system_type": "A2", "roots": []})
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", len(doc) + 10)
+        path = tmp_path / "padded.json"
+        path.write_text(doc + " " * (10 + padding))
+        assert run(capsys, "certify", str(path))[0] == code
 
     @pytest.mark.parametrize("digits,code", [(MAX_DIGITS, EXIT_AUDIT_FAIL),
                                              (MAX_DIGITS + 1, EXIT_ERROR),
@@ -708,32 +742,42 @@ class TestImportLayering:
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
-# JSON documents of every kind the encoder takes, with unrestricted text:
-# controls, DEL, non-BMP characters and lone surrogates.
+# Unrestricted text: controls, DEL, non-BMP characters and lone surrogates.
 _text = st.text(st.characters(exclude_categories=()))
+# JSON documents of every kind the encoder takes.  Its strings are names,
+# labels and claims: printable ASCII without '"' or '\\', which json.dumps
+# writes verbatim.
+_name = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                              exclude_characters='"\\'))
 _documents = st.recursive(
-    st.none() | st.booleans() | st.integers() | _text,
+    st.booleans() | st.integers() | _name,
     lambda inner: (st.lists(inner, max_size=6)
-                   | st.dictionaries(_text, inner, max_size=6)),
+                   | st.dictionaries(_name, inner, max_size=6)),
     max_leaves=30)
 
 
 class TestDumps:
-    """``cli._dumps`` writes what ``json.dumps(x, sort_keys=True)`` does."""
+    """``cli._dumps`` writes what ``json.dumps(x, sort_keys=True)`` does on
+    the documents the CLI writes, and refuses every other value."""
 
     @settings(max_examples=500, deadline=None)
     @given(_documents)
-    @example(["\"\\\b\f\n\r\t\x00\x1f\x7f\x80\u00e9\ud800\udfff\U0001f600"])
-    @example([1, True, 0, False, None, -(10 ** 30)])
+    @example(["".join(map(chr, range(0x20, 0x7f))).replace('"', "").replace("\\", "")])
+    @example([1, True, 0, False, -(10 ** 30)])
     @example({"b": [[1, 2], [True]], "a": {}, "": []})
     def test_same_bytes_as_json(self, doc):
         assert cli._dumps(doc) == json.dumps(doc, sort_keys=True)
 
     @pytest.mark.parametrize("doc", [
         1.5, [0.0], (1, 2), {"roots": [(2, 0)]}, {1: "a"}, {"a": 1, 2: "b"},
-        {None: 1}, b"ab", {1, 2},
+        {None: 1}, b"ab", {1, 2}, None, [1, None], {"a": None},
+        'a"b', "a\\b", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600",
+        "\ud800", {'"': 1}, {"\u00e9": 1}, ["ok", "\t"],
     ], ids=["float", "float_in_list", "tuple", "tuple_in_dict", "int_key",
-            "mixed_keys", "none_key", "bytes", "set"])
+            "mixed_keys", "none_key", "bytes", "set", "none", "none_in_list",
+            "none_value", "quote", "backslash", "newline", "nul", "unit_separator",
+            "del", "non_ascii", "non_bmp", "lone_surrogate", "quote_in_key",
+            "non_ascii_key", "tab_in_list"])
     def test_other_values_are_type_errors(self, doc):
         with pytest.raises(TypeError):
             cli._dumps(doc)
@@ -854,6 +898,14 @@ class TestConsoleScript:
             [sys.executable, "-m", "sorklie.cli", "certify", "-"],
             input=json.dumps(doc), capture_output=True, text=True)
         assert proc.returncode == EXIT_OK
+
+
+def _limit_memory():
+    """Cap a child's address space at 1 GiB, so that a reader with no length
+    limit fails with a MemoryError instead of taking the machine's memory."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
 def cli_process(*argv, env=None, stdout=subprocess.PIPE, input=None):

@@ -224,6 +224,7 @@ class TestParser:
         "su(2))", "ext(Z, su(2))", "ext(Z, su(2), weird)", "su(2)^0",
         "Z/0", "foo(3)", "su(2) ? su(3)", "R^-3", "R^0",
         "su(2)^100000000", "(su(2)^1000)^1000",
+        "z", "r", "su(2) X su(2)",  # the atoms and the operator are case-sensitive
     ])
     def test_syntax_errors(self, text):
         with pytest.raises(ExprSyntaxError):

@@ -137,13 +137,13 @@ def test_constructor_refuses_or_has_a_complexification(call):
 
 
 def _every_descriptor():
-    """Each descriptor built by catalog(12, 12), by every constructor over
+    """Each descriptor built by catalog(12), by every constructor over
     small parameters, and by the type constructors over all_types(12)."""
     calls = [(build, p, q) for build in PAIR_CONSTRUCTORS
              for p in range(-3, 16) for q in range(-3, 16)]
     calls += [(build, n) for build in SIZE_CONSTRUCTORS for n in range(-3, 41)]
     calls += [(build, t) for build in TYPE_CONSTRUCTORS for t in all_types(12)]
-    built = {_built(*call) for call in calls} | set(catalog(12, 12))
+    built = {_built(*call) for call in calls} | set(catalog(12))
     return sorted(built - {None})
 
 
@@ -154,14 +154,14 @@ def test_every_descriptor_reparses_to_itself():
         assert parse_group_expr(str(d)) == SimpleLie(d), d
 
 
-# sha256 over `nu` stdout and exit code for each sorted catalog(12, 12)
+# sha256 over `nu` stdout and exit code for each sorted catalog(12)
 # descriptor in all four flag sets, taken before the kinds became one table.
 _NU_CATALOG_SHA256 = "bca6f26431c7566324f8c119faa406a46e4fa86d6951ed84376594faf282b581"
 
 
 def test_nu_output_over_the_catalog_is_pinned(capsys):
     h = hashlib.sha256()
-    for d in sorted(catalog(12, 12)):
+    for d in sorted(catalog(12)):
         for flags in ([], ["--json"], ["--certificate"], ["--json", "--certificate"]):
             code = main(["nu", str(d), *flags])
             h.update(f"{code}\n{capsys.readouterr().out}".encode())
@@ -270,7 +270,7 @@ class TestCatalog:
 
     def test_nu_one_catalog_stable_under_larger_bounds(self):
         small = {str(d) for d in nu_one_catalog()}
-        large = {str(d) for d in nu_one_catalog(max_pq=10, max_n=10)}
+        large = {str(d) for d in nu_one_catalog(10)}
         assert small == large
 
 
@@ -293,11 +293,11 @@ def no_search(monkeypatch):
 
 class TestClosedFormNuPath:
     def test_catalog_needs_no_search(self, no_search):
-        for d in catalog(8, 8):
+        for d in catalog(8):
             res = nu_simple(d)
             assert len(res.certificate.roots) == res.nu
 
-    @pytest.mark.parametrize("d", list(catalog(8, 8)), ids=str)
+    @pytest.mark.parametrize("d", list(catalog(8)), ids=str)
     def test_certificate_equals_exact_search(self, d):
         res = nu_simple(d)
         _, exact = sork_exact(build_root_system(complexification_type(d)))
