@@ -33,8 +33,7 @@ _EXPORTS = {
         "so", "so_star", "sp", "sp_R", "split_form", "su",
     ), "realforms"),
     **dict.fromkeys((
-        "Root", "RootSystem", "RootSystemType", "all_types",
-        "build_root_system",
+        "RootSystem", "RootSystemType", "all_types", "build_root_system",
     ), "roots"),
     **dict.fromkeys((
         "CertCheck", "OrthCertificate",

@@ -13,10 +13,12 @@ identity and the trivial intersection for every pair of sizes up to
 ``--max-size``.
 
 No subcommand imports ``json`` to do its work.  ``certify`` reads at most
-``MAX_DOCUMENT_CHARS`` characters of its document, refusing a longer one,
-and parses it with ``_loads``, which runs the C scanner that ``json.loads``
-runs, ``_json.make_scanner``, with ``JSONDecoder``'s default context, so
-a JSON document gives the value that ``json.loads`` gives.  Any other
+``MAX_DOCUMENT_CHARS`` characters of its document, refusing a longer one.
+It opens a file and stdin (file descriptor 0) alike, as strict UTF-8, so a
+document's verdict depends only on its bytes.  It parses the document
+with ``_loads``, which runs the C scanner that ``json.loads`` runs,
+``_json.make_scanner``, with ``JSONDecoder``'s default context, so a JSON
+document gives the value that ``json.loads`` gives.  Any other
 text goes to ``json.loads`` itself, for its error; ``json`` is loaded
 only then, or where ``_json`` is missing.
 Every other subcommand writes its documents through ``_dumps``, whose
@@ -48,8 +50,9 @@ garbage; frozen, a collection walks almost none of them.  Teardown still
 runs ``atexit`` handlers, profilers and the stream flushes, which a hard
 exit past teardown would skip.  A failed write of the answer is an
 ``error: ...`` line on stderr and exit code 1, with nothing left buffered
-for teardown to retry.  ``main()`` itself never freezes, so a caller in
-the same process sees no change.
+for teardown to retry.  So is a stdout closed at start, before ``main()``
+runs: ``print`` would drop the answer silently.  ``main()`` itself never
+freezes, so a caller in the same process sees no change.
 """
 
 from __future__ import annotations
@@ -404,11 +407,11 @@ def _cmd_nu(args) -> int:
 def _cmd_certify(args) -> int:
     from .sork import CertCheck, OrthCertificate, verify_certificate
 
-    if args.path == "-":
-        raw = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
-    else:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            raw = fh.read(MAX_DOCUMENT_CHARS + 1)
+    # stdin is file descriptor 0, read as a file is: the same bytes get the
+    # same verdict, whatever the locale or PYTHONIOENCODING says
+    with open(0 if args.path == "-" else args.path, encoding="utf-8",
+              closefd=args.path != "-") as fh:
+        raw = fh.read(MAX_DOCUMENT_CHARS + 1)
     if len(raw) > MAX_DOCUMENT_CHARS:
         raise CertificateError("certificate document is longer than "
                                f"{MAX_DOCUMENT_CHARS} characters")
@@ -577,10 +580,12 @@ def run() -> None:
     """Run ``main()`` as the whole process and exit with its code; see the
     module docstring."""
     try:
+        if sys.stdout is None:  # closed at start: no answer could be written
+            print("error: stdout is closed", file=sys.stderr)
+            raise SystemExit(EXIT_ERROR)
         code = main()
         try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
+            sys.stdout.flush()
         except OSError as err:
             print(f"error: {err}", file=sys.stderr)
             code = EXIT_ERROR

@@ -1,8 +1,9 @@
 """Irreducible root systems in exact doubled-integer coordinates.
 
-Every coordinate stored here is twice the true Euclidean coordinate, so the
-half-integer entries of E8 and F4 become odd integers and all predicates
-reduce to integer comparisons.
+A root is the tuple of its doubled coordinates: twice the true Euclidean
+coordinates, so the half-integer entries of E8 and F4 become odd integers
+and all predicates reduce to integer comparisons.  Every layer passes roots
+as these plain tuples, and ``coords in phi`` is the one membership test.
 
 Every family is built from four root shapes (Humphreys, *Introduction to
 Lie Algebras and Representation Theory*, §12.1): ±e_i ± e_j for i < j, with
@@ -47,7 +48,7 @@ def _ranks(family: str, max_rank: int) -> Iterable[int]:
     return [r for r in ranks if r <= max_rank]
 
 
-_set = object.__setattr__  # how Value.__init__ and Root write the fields
+_set = object.__setattr__  # how Value.__init__ writes the fields
 
 
 class Value:
@@ -171,58 +172,21 @@ class RootSystemType(Value):
         return entry(self.rank) if callable(entry) else entry[self.rank]
 
 
-class Root(Value):
-    """A root stored as doubled coordinates (all entries are integers)."""
-
-    __slots__ = ("coords",)
-    coords: tuple[int, ...]
-
-    # Hot: B64 alone builds 8192 roots, and roots fill sets and lookups, so
-    # a root writes and reads its one field directly, past Value's methods.
-
-    def __init__(self, coords: tuple[int, ...]):
-        if not any(coords):
-            raise InvalidType("a root cannot be the zero vector")
-        _set(self, "coords", coords)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.coords)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coords))
-
-    def __str__(self) -> str:
-        """The true coordinates: an integer, or an odd numerator over 2."""
-        return "(" + ", ".join(str(c // 2) if c % 2 == 0 else f"{c}/2"
-                               for c in self.coords) + ")"
-
-
 class RootSystem(Value):
-    """The full set of roots of one type, with simple roots in Bourbaki order."""
+    """The full set of roots of one type, sorted, with simple roots in
+    Bourbaki order; ``coords in phi`` tests membership of a tuple."""
 
     __slots__ = ("type", "roots", "simple_roots", "ambient_dim", "_coord_set")
     type: RootSystemType
-    roots: tuple[Root, ...]
-    simple_roots: tuple[Root, ...]
+    roots: tuple[tuple[int, ...], ...]
+    simple_roots: tuple[tuple[int, ...], ...]
     ambient_dim: int
     _coord_set: frozenset[tuple[int, ...]]
 
-    def __contains__(self, root: Root) -> bool:
-        return root.coords in self._coord_set
-
-    def contains_coords(self, coords: tuple[int, ...]) -> bool:
+    def __contains__(self, coords: tuple[int, ...]) -> bool:
         return coords in self._coord_set
 
-    def positive_representatives(self) -> tuple[Root, ...]:
+    def positive_representatives(self) -> tuple[tuple[int, ...], ...]:
         """One root per antipodal pair, the lexicographically greater one,
         returned in ascending lexicographic order.
 
@@ -235,7 +199,7 @@ class RootSystem(Value):
         return {
             "type": str(self.type),
             "ambient_dim": self.ambient_dim,
-            "doubled_coords": [list(r.coords) for r in self.roots],
+            "doubled_coords": [list(r) for r in self.roots],
         }
 
 
@@ -334,13 +298,11 @@ def build_root_system(t: RootSystemType) -> RootSystem:
             f"construction bug: {t} produced {len(coords)} roots, "
             f"expected {t.root_count()}"
         )
-    roots = tuple(Root(c) for c in coords)
-    dim = len(coords[0])
     return RootSystem(
         type=t,
-        roots=roots,
-        simple_roots=tuple(Root(c) for c in simple),
-        ambient_dim=dim,
+        roots=tuple(coords),
+        simple_roots=tuple(simple),
+        ambient_dim=len(coords[0]),
         _coord_set=frozenset(coords),
     )
 

@@ -5,6 +5,10 @@ family and the rank; they serve the free subgroup rank computation.  The
 exact search below is the independent oracle: ``sork`` and the tests use
 it.
 
+A certificate holds its roots as the plain tuples of doubled coordinates
+that ``roots`` builds.  ``OrthCertificate.from_json_dict`` is the one
+place where outside input becomes roots, and it refuses the zero vector.
+
 The search reduces to a maximum clique problem on the graph whose vertices
 are antipodal pairs of roots (a strongly orthogonal set never contains both
 a root and its negative) and whose edges join strongly orthogonal pairs.
@@ -36,9 +40,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import add, mul
 
-from .errors import CertificateError
+from .errors import CertificateError, InvalidType
 from .roots import (
-    Root,
     RootSystem,
     RootSystemType,
     Value,
@@ -49,24 +52,26 @@ from .roots import (
 
 class OrthCertificate(Value):
     """An explicit pairwise strongly orthogonal set, sorted lexicographically
-    on doubled coordinates."""
+    on doubled coordinates, each root a tuple of them."""
 
     __slots__ = ("system_type", "roots")
     system_type: RootSystemType
-    roots: tuple[Root, ...]
+    roots: tuple[tuple[int, ...], ...]
 
     def to_json_dict(self) -> dict:
         return {
             "system_type": str(self.system_type),
             "n": len(self.roots),
-            "roots": [list(r.coords) for r in self.roots],
+            "roots": [list(r) for r in self.roots],
         }
 
     @classmethod
     def from_json_dict(cls, data: object) -> "OrthCertificate":
         """Parse a certificate document; raises :class:`CertificateError`
         if it is not an object with a string ``system_type``, a list of
-        integer lists ``roots`` and, if present, an integer ``n``."""
+        integer lists ``roots`` and, if present, an integer ``n``, and
+        :class:`InvalidType` for a label that names no type or a root that
+        is the zero vector, in that order."""
         if not isinstance(data, dict):
             raise CertificateError("certificate must be a JSON object")
         label, rows = data.get("system_type"), data.get("roots")
@@ -78,7 +83,11 @@ class OrthCertificate(Value):
             raise CertificateError("roots must be a list of lists of integers")
         if not _is_int(data.get("n", 0)):
             raise CertificateError("n must be an integer")
-        return cls(RootSystemType.parse(label), tuple(Root(tuple(row)) for row in rows))
+        t = RootSystemType.parse(label)
+        roots = tuple(map(tuple, rows))
+        if not all(map(any, roots)):
+            raise InvalidType("a root cannot be the zero vector")
+        return cls(t, roots)
 
 
 def _is_int(x: object) -> bool:
@@ -164,8 +173,7 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
     """
     fam, r = t.family, t.rank
     if fam in "EFG":
-        rows = _EXCEPTIONAL_CERTIFICATES[str(t)]
-        return OrthCertificate(t, tuple(Root(c) for c in rows))
+        return OrthCertificate(t, _EXCEPTIONAL_CERTIFICATES[str(t)])
     require_buildable(t)
     dim = r + 1 if fam == "A" else r
     if fam == "A":
@@ -178,7 +186,7 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
                 for i in range(first, r - 1, 2) for s in (-2, 2)]
         if fam == "B" and r % 2:
             rows.append(_vec(dim, (r - 1, 2)))
-    return OrthCertificate(t, tuple(Root(c) for c in sorted(rows)))
+    return OrthCertificate(t, tuple(sorted(rows)))
 
 
 def orbit_clique_search(n: int, row: Callable[[int], tuple[int, int]],
@@ -281,11 +289,10 @@ class LazyRootGraph:
     def __init__(self, phi: RootSystem):
         self.phi = phi
         self.reps = phi.positive_representatives()
-        self._coords = [r.coords for r in self.reps]
-        self._norms = [sum(map(mul, a, a)) for a in self._coords]
+        self._norms = [sum(map(mul, a, a)) for a in self.reps]
         self._lengths: dict[int, int] = {}  # squared length -> mask
         self._values: list[dict[int, int]] = [{} for _ in range(phi.ambient_dim)]
-        for w, a in enumerate(self._coords):
+        for w, a in enumerate(self.reps):
             bit, norm = 1 << w, self._norms[w]
             self._lengths[norm] = self._lengths.get(norm, 0) | bit
             for i, c in enumerate(a):
@@ -302,7 +309,7 @@ class LazyRootGraph:
         """Mask of the vertices orthogonal to v."""
         if v not in self._orth:
             partial = {0: self._all}
-            for i, x in enumerate(self._coords[v]):
+            for i, x in enumerate(self.reps[v]):
                 if x:
                     folded: dict[int, int] = {}
                     for s, mask in partial.items():
@@ -317,14 +324,14 @@ class LazyRootGraph:
         """Masks of the vertices strongly orthogonal and orthogonal to v."""
         orth = self._orthogonal(v)
         if v not in self._neigh:
-            a, norm, lengths = self._coords[v], self._norms[v], self._lengths
+            a, norm, lengths = self.reps[v], self._norms[v], self._lengths
             ask = orth & sum(m for n, m in lengths.items() if norm + n in lengths)
             neigh = orth & ~ask
             while ask:
                 low = ask & -ask
                 ask ^= low
-                b = self._coords[low.bit_length() - 1]
-                if not self.phi.contains_coords(tuple(map(add, a, b))):
+                b = self.reps[low.bit_length() - 1]
+                if tuple(map(add, a, b)) not in self.phi:
                     neigh |= low
             self._neigh[v] = neigh
         return self._neigh[v], orth
@@ -365,16 +372,15 @@ def verify_certificate(cert: OrthCertificate) -> CertCheck:
     a-b, so a+b is a root iff a-b is and one lookup decides.
     """
     phi = build_root_system(cert.system_type)
-    for r in cert.roots:
+    roots = cert.roots
+    for r in roots:
         if r not in phi:
             return CertCheck(False, "NotARoot")
-    coords = [r.coords for r in cert.roots]
-    for i, a in enumerate(coords):
-        for b in coords[i + 1:]:
-            if (a == b or sum(map(mul, a, b)) != 0
-                    or phi.contains_coords(tuple(map(add, a, b)))):
+    for i, a in enumerate(roots):
+        for b in roots[i + 1:]:
+            if a == b or sum(map(mul, a, b)) != 0 or tuple(map(add, a, b)) in phi:
                 return CertCheck(False, "NotStronglyOrthogonal")
-    if coords != sorted(coords):
+    if list(roots) != sorted(roots):  # a tuple never equals a list
         return CertCheck(False, "NotCanonical")
     return CertCheck(True)
 

@@ -32,7 +32,6 @@ from sorklie import (
     CertificateError,
     OrthCertificate,
     RealFormDescriptor,
-    Root,
     RootSystem,
     RootSystemType,
     ShapeError,
@@ -42,6 +41,11 @@ from sorklie import (
 )
 from sorklie import cli
 from sorklie.realforms import catalog
+
+
+def neg(r: tuple[int, ...]) -> tuple[int, ...]:
+    """The negative of root ``r``, a tuple of doubled coordinates."""
+    return tuple(-c for c in r)
 
 
 def max_clique_bruteforce(neigh: list[int]) -> int:
@@ -154,7 +158,8 @@ def lex_min_max_clique(neigh: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return size, tuple(chosen)
 
 
-def strong_orthogonality_graph(phi: RootSystem) -> tuple[tuple[Root, ...], list[int]]:
+def strong_orthogonality_graph(
+        phi: RootSystem) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Vertices (antipodal representatives in lexicographic order) and
     bitmask adjacency of the strong orthogonality relation.
 
@@ -162,14 +167,12 @@ def strong_orthogonality_graph(phi: RootSystem) -> tuple[tuple[Root, ...], list[
     a root iff a-b is: one lookup decides strong orthogonality.
     """
     reps = phi.positive_representatives()
-    coords = [r.coords for r in reps]
-    n = len(coords)
+    n = len(reps)
     neigh = [0] * n
-    for i, a in enumerate(coords):
+    for i, a in enumerate(reps):
         for j in range(i + 1, n):
-            b = coords[j]
-            if (sum(map(mul, a, b)) == 0
-                    and not phi.contains_coords(tuple(map(add, a, b)))):
+            b = reps[j]
+            if sum(map(mul, a, b)) == 0 and tuple(map(add, a, b)) not in phi:
                 neigh[i] |= 1 << j
                 neigh[j] |= 1 << i
     return reps, neigh
@@ -179,25 +182,24 @@ class MembershipError(SorklieError, ValueError):
     """A root was passed that does not belong to the given root system."""
 
 
-def require_member(phi: RootSystem, root: Root) -> None:
+def require_member(phi: RootSystem, root: tuple[int, ...]) -> None:
     if root not in phi:
         raise MembershipError(f"{root} is not a root of {phi.type}")
 
 
-def is_closed_subsystem(sigma: Iterable[Root], phi: RootSystem) -> bool:
+def is_closed_subsystem(sigma: Iterable[tuple[int, ...]], phi: RootSystem) -> bool:
     """True iff sigma is closed under addition within phi."""
     sig = set(sigma)
     for r in sig:
         require_member(phi, r)
-    coord_sig = {r.coords for r in sig}
     for a, b in combinations(sig, 2):
-        s = tuple(map(add, a.coords, b.coords))
-        if phi.contains_coords(s) and s not in coord_sig:
+        s = tuple(map(add, a, b))
+        if s in phi and s not in sig:
             return False
     return True
 
 
-def a1n_subsystem(cert: OrthCertificate) -> frozenset[Root]:
+def a1n_subsystem(cert: OrthCertificate) -> frozenset[tuple[int, ...]]:
     """Union of a valid certificate's roots with their negatives.
 
     The result is a negation-closed, closed subsystem of type (A1)^n.
@@ -206,10 +208,10 @@ def a1n_subsystem(cert: OrthCertificate) -> frozenset[Root]:
     check = verify_certificate(cert)
     if not check:
         raise CertificateError(f"invalid certificate: {check.reason}")
-    out: set[Root] = set()
+    out: set[tuple[int, ...]] = set()
     for r in cert.roots:
         out.add(r)
-        out.add(-r)
+        out.add(neg(r))
     return frozenset(out)
 
 
@@ -217,41 +219,36 @@ class DimensionError(SorklieError, ValueError):
     """Two vectors live in ambient spaces of different dimension."""
 
 
-def inner_product(a: Root, b: Root) -> Fraction:
+def inner_product(a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
     """Exact Euclidean inner product of the true (undoubled) coordinates."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionError(
-            f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
-        )
-    return Fraction(sum(x * y for x, y in zip(a.coords, b.coords)), 4)
+    if len(a) != len(b):
+        raise DimensionError(f"ambient dimensions differ: {len(a)} != {len(b)}")
+    return Fraction(sum(x * y for x, y in zip(a, b)), 4)
 
 
 def _vsub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def is_strongly_orthogonal(a: Root, b: Root, phi: RootSystem) -> bool:
+def is_strongly_orthogonal(a: tuple[int, ...], b: tuple[int, ...], phi: RootSystem) -> bool:
     """True iff (a, b) = 0 and neither a+b nor a-b is a root of ``phi``."""
     require_member(phi, a)
     require_member(phi, b)
     if inner_product(a, b) != 0:
         return False
-    return not (
-        phi.contains_coords(tuple(map(add, a.coords, b.coords)))
-        or phi.contains_coords(_vsub(a.coords, b.coords))
-    )
+    return not (tuple(map(add, a, b)) in phi or _vsub(a, b) in phi)
 
 
-def simple_root_coefficients(root: Root, phi: RootSystem) -> tuple[Fraction, ...]:
+def simple_root_coefficients(root: tuple[int, ...], phi: RootSystem) -> tuple[Fraction, ...]:
     """Coordinates of ``root`` in the simple-root basis, solved exactly."""
     require_member(phi, root)
-    basis = [s.coords for s in phi.simple_roots]
+    basis = phi.simple_roots
     n = len(basis)
     # Solve the normal equations G x = b over Q (G is the Gram matrix of the
     # simple roots, which is invertible).
     gram = [[sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(n)]
             for i in range(n)]
-    rhs = [sum(a * b for a, b in zip(basis[i], root.coords)) for i in range(n)]
+    rhs = [sum(a * b for a, b in zip(basis[i], root)) for i in range(n)]
     mat = [[Fraction(gram[i][j]) for j in range(n)] + [Fraction(rhs[i])]
            for i in range(n)]
     for col in range(n):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -211,18 +212,27 @@ class TestCertify:
         code, _, err = run(capsys, "certify", str(path))
         assert code == EXIT_ERROR
 
-    @pytest.mark.parametrize("doc", [
-        [{"system_type": "E8", "roots": []}],
-        {"system_type": "E8", "roots": [[None]]},
-        {"system_type": "E8", "n": 1, "roots": [[True, 1, 1, 1, 1, 1, 1, 1]]},
-    ], ids=["top_level_list", "null_coordinate", "bool_coordinate"])
-    def test_wrong_shape_is_a_typed_error(self, tmp_path, capsys, doc):
+    _NOT_INTEGER_LISTS = "roots must be a list of lists of integers"
+    _ZERO = "a root cannot be the zero vector"
+
+    # The zero check runs where a document's rows become roots, after the
+    # label is parsed, so a bad label is reported first.
+    @pytest.mark.parametrize("doc,message", [
+        ([{"system_type": "E8", "roots": []}], "certificate must be a JSON object"),
+        ({"system_type": "E8", "roots": [[None]]}, _NOT_INTEGER_LISTS),
+        ({"system_type": "E8", "n": 1, "roots": [[True, 1, 1, 1, 1, 1, 1, 1]]},
+         _NOT_INTEGER_LISTS),
+        ({"system_type": "A2", "roots": [[]]}, _ZERO),
+        ({"system_type": "A2", "roots": [[0, 0, 0]]}, _ZERO),
+        ({"system_type": "A2", "roots": [[2, -2, 0], [0, 0, 0]]}, _ZERO),
+        ({"system_type": "Q2", "roots": [[0, 0, 0]]},
+         "cannot parse root system type 'Q2'"),
+    ], ids=["top_level_list", "null_coordinate", "bool_coordinate", "zero_root_empty",
+            "zero_root", "zero_root_after_a_root", "zero_root_under_a_bad_label"])
+    def test_wrong_shape_is_a_typed_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "certify", str(path))
-        assert code == EXIT_ERROR
-        assert out == ""
-        assert err.startswith("error: ")
+        assert run(capsys, "certify", str(path)) == (EXIT_ERROR, "", f"error: {message}\n")
 
     def test_n_mismatch(self, tmp_path, capsys):
         path = tmp_path / "n.json"
@@ -979,3 +989,82 @@ class TestRun:
         assert proc.returncode == EXIT_ERROR
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# One command line per subcommand, certify both ways; "{cert}" is replaced
+# by a file holding _A1_CERT, and stdin holds the same document.
+_A1_CERT = '{"system_type": "A1", "roots": [[2, -2]]}'
+_STREAM_ARGVS = {
+    "sork": ["sork", "A2"],
+    "nu": ["nu", "su(2)"],
+    "certify_file": ["certify", "{cert}"],
+    "certify_stdin": ["certify", "-"],
+    "verify-tables": ["verify-tables", "--rank-cap", "4"],
+    "verify-kronecker": ["verify-kronecker", "--max-size", "2"],
+    "dump-roots": ["dump-roots", "B8"],
+}
+
+
+def _os_error(code):
+    return f"error: [Errno {code}] {os.strerror(code)}\n"
+
+
+# The certify documents the benchmark feeds, and one whose extra string
+# holds the byte 0xff, which is not UTF-8.
+_CERTIFY_DOCS = [None, *sorted((_BENCH_DATA / "certify").glob("*.json")),
+                 *sorted((_BENCH_DATA / "certificates").glob("*.json"))]
+
+
+class TestStreams:
+    """The README's stream rules, run as processes: each subcommand with
+    stdin closed, stdout closed, stdout on /dev/full and stdout on a pipe
+    whose reader is gone gives its documented exit code, and where the
+    answer is lost, one ``error:`` line on stderr and no traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("stream", ["stdin_closed", "stdout_closed", "stdout_full",
+                                        "stdout_broken_pipe"])
+    @pytest.mark.parametrize("name", list(_STREAM_ARGVS))
+    def test_every_subcommand_under_each_stream_fault(self, tmp_path, name, stream):
+        cert = tmp_path / "a1.json"
+        cert.write_text(_A1_CERT)
+        argv = [str(cert) if a == "{cert}" else a for a in _STREAM_ARGVS[name]]
+        closed = {"stdin_closed": 0, "stdout_closed": 1}.get(stream)
+        with open("/dev/full", "w") as full:
+            stdout = full if stream == "stdout_full" else subprocess.DEVNULL
+            reader, writer = os.pipe()
+            os.close(reader)
+            if stream == "stdout_broken_pipe":
+                stdout = writer
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "sorklie.cli", *argv], input=_A1_CERT,
+                    stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30,
+                    preexec_fn=None if closed is None else lambda: os.close(closed))
+            finally:
+                os.close(writer)
+        expected = {
+            "stdin_closed": (EXIT_ERROR, _os_error(errno.EBADF))
+            if name == "certify_stdin" else (EXIT_OK, ""),
+            "stdout_closed": (EXIT_ERROR, "error: stdout is closed\n"),
+            "stdout_full": (EXIT_ERROR, _os_error(errno.ENOSPC)),
+            "stdout_broken_pipe": (EXIT_ERROR, _os_error(errno.EPIPE)),
+        }[stream]
+        assert (proc.returncode, proc.stderr) == expected
+
+    @pytest.mark.parametrize("doc", _CERTIFY_DOCS, ids=lambda p: "0xff_string" if p is None
+                             else f"{p.parent.name}/{p.stem}")
+    def test_certify_gives_one_verdict_from_a_file_and_from_stdin(
+            self, tmp_path, capsys, doc):
+        if doc is None:
+            doc = tmp_path / "0xff.json"
+            doc.write_bytes(_A1_CERT[:-1].encode() + b', "note": "\xff"}')
+        by_file = run(capsys, "certify", str(doc))
+        # stdin is read as UTF-8 whatever PYTHONIOENCODING says
+        with open(doc, "rb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "sorklie.cli", "certify", "-"],
+                                  stdin=fh, capture_output=True, text=True, timeout=30,
+                                  env={**os.environ, "PYTHONIOENCODING": "latin-1"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == by_file
+        if doc.name == "0xff.json":
+            assert by_file[0] == EXIT_ERROR and "can't decode byte 0xff" in by_file[2]

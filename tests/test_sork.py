@@ -11,6 +11,7 @@ from oracle_utils import (
     lex_min_max_clique,
     max_clique_bruteforce,
     max_clique_size,
+    neg,
     strong_orthogonality_graph,
 )
 
@@ -18,7 +19,6 @@ from sorklie import (
     CertificateError,
     InvalidType,
     OrthCertificate,
-    Root,
     RootSystemType,
     all_types,
     build_root_system,
@@ -98,27 +98,27 @@ class TestExactSearch:
 class TestVerifyCertificate:
     def test_rejects_non_root(self):
         t = RootSystemType.parse("A2")
-        cert = OrthCertificate(t, (Root((2, 0, 0)),))
+        cert = OrthCertificate(t, ((2, 0, 0),))
         check = verify_certificate(cert)
         assert not check
         assert check.reason == "NotARoot"
 
     def test_rejects_non_orthogonal_pair(self):
         phi = _phi("B2")
-        a, b = Root((0, 2)), Root((2, 0))  # orthogonal but sum is a root
+        a, b = (0, 2), (2, 0)  # orthogonal but sum is a root
         cert = OrthCertificate(phi.type, (a, b))
         check = verify_certificate(cert)
         assert check.reason == "NotStronglyOrthogonal"
 
     def test_rejects_duplicates(self):
         phi = _phi("B2")
-        r = Root((2, 0))
+        r = (2, 0)
         check = verify_certificate(OrthCertificate(phi.type, (r, r)))
         assert check.reason == "NotStronglyOrthogonal"
 
     def test_rejects_wrong_order(self):
         phi = _phi("B2")
-        a, b = Root((2, -2)), Root((2, 2))
+        a, b = (2, -2), (2, 2)
         good = OrthCertificate(phi.type, (a, b))
         bad = OrthCertificate(phi.type, (b, a))
         assert verify_certificate(good)
@@ -157,12 +157,12 @@ class TestA1nSubsystem:
         n, cert = sork_exact(phi)
         sub = a1n_subsystem(cert)
         assert len(sub) == 2 * n
-        assert all(-r in sub for r in sub)
+        assert all(neg(r) in sub for r in sub)
         assert is_closed_subsystem(sub, phi)
 
     def test_invalid_certificate_raises(self):
         phi = _phi("B2")
-        bad = OrthCertificate(phi.type, (Root((0, 2)), Root((2, 0))))
+        bad = OrthCertificate(phi.type, ((0, 2), (2, 0)))
         with pytest.raises(CertificateError):
             a1n_subsystem(bad)
 
@@ -285,7 +285,7 @@ class TestLazyRows:
         assert graph.reps == reps
         for v, a in enumerate(reps):
             orth = sum(1 << w for w, b in enumerate(reps)
-                       if sum(p * q for p, q in zip(a.coords, b.coords)) == 0)
+                       if sum(p * q for p, q in zip(a, b)) == 0)
             assert graph.row(v) == (neigh[v], orth)
 
 
@@ -306,10 +306,10 @@ def _node_orbits(graph, key):
 def _reflection_orbit(reps, start, mirrors):
     """Orbit of reps[start] under the reflections in every root of
     ``mirrors``, closed by the plain formula on antipodal pairs."""
-    index = {r.coords: i for i, r in enumerate(reps)}
+    index = {r: i for i, r in enumerate(reps)}
     seen, queue = {start}, [start]
     for u in queue:
-        x = reps[u].coords
+        x = reps[u]
         for a in mirrors:
             k = 2 * sum(p * q for p, q in zip(x, a)) // sum(p * p for p in a)
             y = tuple(p - k * q for p, q in zip(x, a))
@@ -327,10 +327,9 @@ def _check_node_orbits(graph, chosen, key, cand, checked):
     union of orbits.  ``checked`` holds the (key, vertex) pairs already
     compared with the reflection oracle."""
     reps = graph.reps
-    mirrors = [r.coords for r in reps
-               if all(sum(p * q for p, q in zip(r.coords, reps[c].coords)) == 0
-                      for c in chosen)]
-    assert key == sum(1 << reps.index(Root(m)) for m in mirrors)
+    mirrors = [r for r in reps
+               if all(sum(p * q for p, q in zip(r, reps[c])) == 0 for c in chosen)]
+    assert key == sum(1 << reps.index(m) for m in mirrors)
     for orbit in _node_orbits(graph, key):
         v = (orbit & -orbit).bit_length() - 1
         if (key, v) not in checked:
@@ -354,7 +353,7 @@ class TestWeylOrbits:
     def test_d2_orbits_have_equal_length(self):
         graph = LazyRootGraph(_phi("D2"))
         assert _node_orbits(graph, 0b11) == [0b01, 0b10]
-        assert len({sum(c * c for c in r.coords) for r in graph.reps}) == 1
+        assert len({sum(c * c for c in r) for r in graph.reps}) == 1
 
     @pytest.mark.parametrize("t", list(all_types(7)), ids=str)
     def test_node_orbits_match_all_orthogonal_reflections(self, t):

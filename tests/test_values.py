@@ -18,7 +18,7 @@ from sorklie.groups import (
     parse_group_expr,
 )
 from sorklie.realforms import NuCase, NuResult, RealFormDescriptor, su
-from sorklie.roots import Root, RootSystem, RootSystemType, Value, build_root_system
+from sorklie.roots import RootSystem, RootSystemType, Value, build_root_system
 from sorklie.sork import CertCheck, OrthCertificate, canonical_certificate
 from sorklie.tables import AuditEntry, AuditReport
 
@@ -31,22 +31,18 @@ CASES = {
     "RootSystemType": (
         lambda: RootSystemType("B", 3), lambda: RootSystemType("B", 4),
         "RootSystemType(family='B', rank=3)"),
-    "Root": (
-        lambda: Root((2, -2, 0)), lambda: Root((2, 2, 0)),
-        "Root(coords=(2, -2, 0))"),
     "RootSystem": (
-        lambda: RootSystem(A1, (Root((-2, 2)), Root((2, -2))), (Root((2, -2)),), 2,
+        lambda: RootSystem(A1, ((-2, 2), (2, -2)), ((2, -2),), 2,
                            frozenset({(-2, 2), (2, -2)})),
-        lambda: RootSystem(A1, (Root((-2, 2)), Root((2, -2))), (Root((-2, 2)),), 2,
+        lambda: RootSystem(A1, ((-2, 2), (2, -2)), ((-2, 2),), 2,
                            frozenset({(-2, 2), (2, -2)})),
         "RootSystem(type=RootSystemType(family='A', rank=1), "
-        "roots=(Root(coords=(-2, 2)), Root(coords=(2, -2))), "
-        "simple_roots=(Root(coords=(2, -2)),), ambient_dim=2)"),
+        "roots=((-2, 2), (2, -2)), simple_roots=((2, -2),), ambient_dim=2)"),
     "OrthCertificate": (
-        lambda: OrthCertificate(A1, (Root((2, -2)),)),
+        lambda: OrthCertificate(A1, ((2, -2),)),
         lambda: OrthCertificate(A1, ()),
         "OrthCertificate(system_type=RootSystemType(family='A', rank=1), "
-        "roots=(Root(coords=(2, -2)),))"),
+        "roots=((2, -2),))"),
     "CertCheck": (
         lambda: CertCheck(False, "NotARoot"), lambda: CertCheck(False, "NotCanonical"),
         "CertCheck(ok=False, reason='NotARoot')"),
@@ -169,10 +165,10 @@ class TestOrder:
         assert RootSystemType("B", 2) >= RootSystemType("B", 2)
 
     def test_roots_order_by_coordinates(self):
+        # a root is the tuple of its doubled coordinates, built in ascending order
         phi = build_root_system(RootSystemType("B", 3))
-        assert sorted(phi.roots, reverse=True) == sorted(
-            phi.roots, key=lambda r: r.coords, reverse=True)
-        assert Root((0, 2)) < Root((2, 0)) and Root((2, 0)) >= Root((2, 0))
+        assert all(type(r) is tuple for r in phi.roots + phi.simple_roots)
+        assert list(phi.roots) == sorted(phi.roots)
 
     def test_descriptors_order_by_kind_then_params(self):
         ds = [su(3, 1), RealFormDescriptor("so", (5, 2)), su(2, 1),
@@ -182,11 +178,11 @@ class TestOrder:
 
     def test_other_classes_do_not_order_against_each_other(self):
         with pytest.raises(TypeError):
-            RootSystemType("A", 1) < Root((2, -2))  # noqa: B015
+            RootSystemType("A", 1) < CertCheck(True)  # noqa: B015
         with pytest.raises(TypeError):
             SolvableAtom("Z") <= FiniteIndex(SolvableAtom("Z"))  # noqa: B015
         with pytest.raises(TypeError):
-            RootSystemType("A", 1) > Root((2, -2))  # noqa: B015
+            RootSystemType("A", 1) > CertCheck(True)  # noqa: B015
         with pytest.raises(TypeError):
             SolvableAtom("Z") >= FiniteIndex(SolvableAtom("Z"))  # noqa: B015
 
@@ -196,12 +192,6 @@ class TestConstructionChecks:
     def test_rank_one_aliases_normalise_to_a1(self, family):
         t = RootSystemType(family, 1)
         assert t == A1 and hash(t) == hash(A1) and repr(t) == repr(A1)
-
-    def test_zero_root_refused(self):
-        from sorklie.errors import InvalidType
-
-        with pytest.raises(InvalidType, match="zero vector"):
-            Root((0, 0, 0))
 
     def test_keyword_arguments_name_the_fields(self):
         d = RealFormDescriptor("complex", base=A1)
