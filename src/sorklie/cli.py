@@ -42,22 +42,34 @@ terminal's width, and imports nothing: argparse brought ``gettext``,
 
 A CLI process runs ``run()``: it is the ``sorklie`` console script and the
 body of ``python -m sorklie.cli``.  It calls ``main()``, flushes stdout and
-exits with ``main()``'s code, and on every path out it first calls
-``gc.freeze()``.  Interpreter teardown runs full cyclic collections, and
-without the freeze each of them walks every tracked object that start-up,
-``site`` and the layers made (about 11,700 after ``nu``), none of which is
-garbage; frozen, a collection walks almost none of them.  Teardown still
-runs ``atexit`` handlers, profilers and the stream flushes, which a hard
-exit past teardown would skip.  A failed write of the answer is an
-``error: ...`` line on stderr and exit code 1, with nothing left buffered
-for teardown to retry.  So is a stdout closed at start, before ``main()``
-runs: ``print`` would drop the answer silently.  ``main()`` itself never
-freezes, so a caller in the same process sees no change.
+calls ``gc.freeze()`` on every path out, so no later collection walks the
+objects that start-up, ``site`` and the layers made (about 11,700 after
+``nu``), none of which is garbage.  Then it ends the process in teardown's
+order: it runs the ``atexit`` handlers, on the frozen heap, flushes stdout
+and stderr, and calls ``os._exit()`` with ``main()``'s code, so the
+process skips the rest of teardown, which deallocates every module that
+start-up, ``site`` and the layers loaded.  ``run()`` raises
+``SystemExit`` for teardown to finish instead when a tool waits for it to
+return: a profiler or tracer (``sys.getprofile()``, ``sys.gettrace()``,
+or on Python 3.12 and later a ``sys.monitoring`` tool, as ``cProfile``
+is there) or ``python -i``.  So it does when a final flush raises, which
+teardown retries and reports as it always has.  The hard exit skips only
+what teardown alone does: ``-X dev``'s ``ResourceWarning``s at shutdown,
+the ``PYTHONMALLOCSTATS`` report, the join of non-daemon threads (a CLI
+process starts none), and ``python -m pdb``'s restart after ``continue``
+with no breakpoint, whose session now ends with the process.
+A failed write of the answer is an ``error: ...`` line on stderr and exit
+code 1, with nothing left buffered for the final flush to retry.  So is a
+stdout closed at start, before ``main()`` runs: ``print`` would drop the
+answer silently.  ``main()`` itself never freezes or exits, so a caller in
+the same process sees no change.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
+import os
 import sys
 from types import SimpleNamespace
 
@@ -582,20 +594,32 @@ def run() -> None:
     try:
         if sys.stdout is None:  # closed at start: no answer could be written
             print("error: stdout is closed", file=sys.stderr)
-            raise SystemExit(EXIT_ERROR)
-        code = main()
-        try:
-            sys.stdout.flush()
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
             code = EXIT_ERROR
-            # Teardown flushes stdout again: send what is still buffered to
-            # the null device, as the Python docs advise for a broken pipe.
-            import os
-
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        else:
+            code = main()
+            try:
+                sys.stdout.flush()
+            except OSError as err:
+                print(f"error: {err}", file=sys.stderr)
+                code = EXIT_ERROR
+                # The final flush writes stdout again: send what is still
+                # buffered to the null device, as the Python docs advise for
+                # a broken pipe.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         gc.freeze()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, tools 0 to 5
+    if not (sys.getprofile() or sys.gettrace() or sys.flags.inspect or monitoring
+            and any(map(monitoring.get_tool, range(6)))):
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except Exception:
+            pass  # teardown flushes again and reports the failure
+        else:
+            os._exit(code)
     raise SystemExit(code)
 
 

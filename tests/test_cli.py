@@ -935,7 +935,50 @@ cli.run()
 """
 
 
+# Registers an atexit handler and runs cli.run() on "sork Q3", reporting a
+# SystemExit that reaches it; {attach} starts a tool that waits for run() to
+# return.  With none attached, run() ends the process itself.
+_HOST = """
+import atexit, sys
+from sorklie import cli
+atexit.register(print, "atexit handler ran")
+sys.argv[1:] = ["sork", "Q3"]
+{attach}
+try:
+    cli.run()
+except SystemExit as exc:
+    print("run() returned", exc.code)
+"""
+_OBSERVERS = {  # interpreter flags, attach
+    "none": ([], ""),
+    "setprofile": ([], "sys.setprofile(lambda *a: None)"),
+    "settrace": ([], "sys.settrace(lambda *a: None)"),
+    "monitoring": ([], 'sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, "test")'),
+    "inspect": (["-i"], ""),
+}
+
+
 class TestRun:
+    @pytest.mark.parametrize("observer", list(_OBSERVERS))
+    def test_exits_itself_unless_a_tool_waits_for_it(self, capsys, observer):
+        if observer == "monitoring" and not hasattr(sys, "monitoring"):
+            pytest.skip("sys.monitoring is new in Python 3.12")
+        flags, attach = _OBSERVERS[observer]
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # the handler's line must survive a buffer
+        proc = subprocess.run([sys.executable, *flags, "-c", _HOST.format(attach=attach)],
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              timeout=30, env=env)
+        code, _, err = run(capsys, "sork", "Q3")
+        assert code == EXIT_ERROR
+        if observer == "none":
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, "atexit handler ran\n", err)
+        else:
+            assert (proc.returncode, proc.stdout) == (
+                EXIT_OK, f"run() returned {code}\natexit handler ran\n")
+            assert proc.stderr.startswith(err), proc.stderr  # -i adds its prompts
+
     def test_profiler_still_reports(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cProfile", "-m", "sorklie.cli", "sork", "A2"],
@@ -955,7 +998,11 @@ class TestRun:
         (["sork", "Q3"], EXIT_ERROR),
         (["certify", "{mismatch}"], EXIT_AUDIT_FAIL),
         (["sork"], EXIT_USAGE),
-    ], ids=["ok", "error", "audit-fail", "usage"])
+        (["sork", "D64", "--json", "--certificate"], EXIT_OK),
+        (["dump-roots", "B64"], EXIT_OK),
+        (["verify-tables", "--rank-cap", "64", "--json"], EXIT_OK),
+    ], ids=["ok", "error", "audit-fail", "usage", "sork-D64", "dump-roots-B64",
+            "verify-tables-64"])
     def test_same_output_and_code_as_main(self, capsys, monkeypatch, tmp_path,
                                           argv, code):
         path = tmp_path / "mismatch.json"
@@ -963,7 +1010,9 @@ class TestRun:
         argv = [str(path) if a == "{mismatch}" else a for a in argv]
         monkeypatch.setenv("COLUMNS", "80")
         expected = run(capsys, *argv)
-        proc = cli_process(*argv)
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
+        proc = cli_process(*argv, env=env)
         assert expected[0] == code
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
