@@ -41,34 +41,32 @@ terminal's width, and imports nothing: argparse brought ``gettext``,
 ``locale`` and ``textwrap`` with it.
 
 A CLI process runs ``run()``: it is the ``sorklie`` console script and the
-body of ``python -m sorklie.cli``.  It calls ``main()``, flushes stdout and
-calls ``gc.freeze()`` on every path out, so no later collection walks the
-objects that start-up, ``site`` and the layers made (about 11,700 after
-``nu``), none of which is garbage.  Then it ends the process in teardown's
-order: it runs the ``atexit`` handlers, on the frozen heap, flushes stdout
-and stderr, and calls ``os._exit()`` with ``main()``'s code, so the
-process skips the rest of teardown, which deallocates every module that
-start-up, ``site`` and the layers loaded.  ``run()`` raises
-``SystemExit`` for teardown to finish instead when a tool waits for it to
-return: a profiler or tracer (``sys.getprofile()``, ``sys.gettrace()``,
-or on Python 3.12 and later a ``sys.monitoring`` tool, as ``cProfile``
-is there) or ``python -i``.  So it does when a final flush raises, which
-teardown retries and reports as it always has.  The hard exit skips only
-what teardown alone does: ``-X dev``'s ``ResourceWarning``s at shutdown,
-the ``PYTHONMALLOCSTATS`` report, the join of non-daemon threads (a CLI
+body of ``python -m sorklie.cli``.  It calls ``main()``, which flushes
+stdout before it returns, so a failed write of the answer takes one path
+whether ``print`` or that flush fails: an ``error: ...`` line on stderr
+and exit code 1.  So is a stdout closed at start, before any work:
+``print`` would drop the answer silently.  Then ``run()`` ends the process
+in teardown's order: it runs the ``atexit`` handlers, flushes stdout and
+stderr, and calls ``os._exit()`` with ``main()``'s code, so the process
+skips the rest of teardown, which deallocates every module that start-up,
+``site`` and the layers loaded.  When a tool waits for ``run()`` to
+return, a profiler or tracer (``sys.getprofile()``, ``sys.gettrace()``,
+or on Python 3.12 and later a ``sys.monitoring`` tool, as ``cProfile`` is
+there) or ``python -i``, ``run()`` raises ``SystemExit`` instead and the
+tool ends the process.  The hard exit skips only what teardown alone
+does: ``-X dev``'s ``ResourceWarning``s at shutdown, the
+``PYTHONMALLOCSTATS`` report, the join of non-daemon threads (a CLI
 process starts none), and ``python -m pdb``'s restart after ``continue``
-with no breakpoint, whose session now ends with the process.
-A failed write of the answer is an ``error: ...`` line on stderr and exit
-code 1, with nothing left buffered for the final flush to retry.  So is a
-stdout closed at start, before ``main()`` runs: ``print`` would drop the
-answer silently.  ``main()`` itself never freezes or exits, so a caller in
-the same process sees no change.
+with no breakpoint, whose session now ends with the process.  Every line
+on stderr goes through ``_complain``; with stderr closed or failing it
+writes nothing, and the exit code alone reports the error, whatever
+``PYTHONUNBUFFERED`` says.  ``main()`` never exits, so a caller in the
+same process gets its code.
 """
 
 from __future__ import annotations
 
 import atexit
-import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -157,7 +155,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | int:
         if stop.message is None:
             print(_help(stop.command), end="")
             return EXIT_OK
-        print(f"{_usage(stop.command)}\nerror: {stop.message}", file=sys.stderr)
+        _complain(f"{_usage(stop.command)}\nerror: {stop.message}")
         return EXIT_USAGE
     return SimpleNamespace(**args)
 
@@ -400,7 +398,7 @@ def _cmd_nu(args) -> int:
     factors = []
     for d, res in results:
         entry = {"descriptor": str(d), "nu": res.nu, "case": res.case.value}
-        if args.certificate and res.certificate is not None:
+        if args.certificate:
             entry["certificate"] = res.certificate.to_json_dict()
         factors.append(entry)
     if args.json:
@@ -578,49 +576,47 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = _parse(argv)
-        if type(args) is int:  # help shown or a usage error reported
-            return args
-        return _DISPATCH[args.command](args)
-    except (SorklieError, OSError, KeyError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    if sys.stdout is None:  # closed at start: print would drop the answer
+        _complain("error: stdout is closed")
         return EXIT_ERROR
+    try:
+        args = _parse(argv)  # an int: help shown or a usage error reported
+        code = args if type(args) is int else _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a failed write of the answer fails here at the latest
+        return code
+    except (SorklieError, OSError, KeyError, ValueError) as err:
+        _complain(f"error: {err}")
+        return EXIT_ERROR
+
+
+def _complain(text: str) -> None:
+    """Write the line ``text`` to stderr, the one writer of stderr.  With
+    stderr closed or failing, nothing is written and the exit code alone
+    reports the error."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text + "\n")
+            sys.stderr.flush()
+        except OSError:
+            pass
 
 
 def run() -> None:
     """Run ``main()`` as the whole process and exit with its code; see the
     module docstring."""
-    try:
-        if sys.stdout is None:  # closed at start: no answer could be written
-            print("error: stdout is closed", file=sys.stderr)
-            code = EXIT_ERROR
-        else:
-            code = main()
-            try:
-                sys.stdout.flush()
-            except OSError as err:
-                print(f"error: {err}", file=sys.stderr)
-                code = EXIT_ERROR
-                # The final flush writes stdout again: send what is still
-                # buffered to the null device, as the Python docs advise for
-                # a broken pipe.
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    finally:
-        gc.freeze()
+    code = main()
     monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, tools 0 to 5
-    if not (sys.getprofile() or sys.gettrace() or sys.flags.inspect or monitoring
+    if (sys.getprofile() or sys.gettrace() or sys.flags.inspect or monitoring
             and any(map(monitoring.get_tool, range(6)))):
-        atexit._run_exitfuncs()
-        try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
-        except Exception:
-            pass  # teardown flushes again and reports the failure
-        else:
-            os._exit(code)
-    raise SystemExit(code)
+        raise SystemExit(code)  # the tool ends the process
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass  # main() reported it, or the exit code alone does
+    os._exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -103,11 +103,7 @@ class NuResult(Value):
     nu: int
     case: NuCase
     sork_of_complexification: int
-    certificate: OrthCertificate | None
-
-    def __init__(self, nu: int, case: NuCase, sork_of_complexification: int,
-                 certificate: OrthCertificate | None = None):
-        super().__init__(nu, case, sork_of_complexification, certificate)
+    certificate: OrthCertificate
 
 
 def complex_simple(t: RootSystemType) -> RealFormDescriptor:

@@ -95,9 +95,10 @@ def _is_int(x: object) -> bool:
 
 
 class CertCheck(Value):
-    """Verification outcome; ``reason`` is one of NotARoot,
-    NotStronglyOrthogonal, NotCanonical, CountMismatch when ``ok`` is
-    false."""
+    """Verification outcome; when ``ok`` is false, ``reason`` is one of
+    ``verify_certificate``'s NotARoot, NotStronglyOrthogonal and
+    NotCanonical, or CountMismatch, which only ``certify`` gives, when a
+    document's ``n`` differs from its number of roots."""
 
     __slots__ = ("ok", "reason")
     ok: bool

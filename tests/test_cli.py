@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import os
 import re
@@ -925,14 +926,16 @@ def cli_process(*argv, env=None, stdout=subprocess.PIPE, input=None):
                           timeout=30, env=env, input=input)
 
 
-# Registers an atexit handler, then runs cli.run() as the process would.
-_ATEXIT = """
-import atexit, gc, sys
-from sorklie import cli
-atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
-sys.argv[1:] = ["sork", "A2"]
-cli.run()
-"""
+_BUFFERING = ["buffered", "unbuffered"]
+
+
+def _buffering_env(buffering):
+    """The environment with ``PYTHONUNBUFFERED`` set for ``"unbuffered"``
+    and unset for ``"buffered"``, never inherited."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 # Registers an atexit handler and runs cli.run() on "sork Q3", reporting a
@@ -964,8 +967,7 @@ class TestRun:
         if observer == "monitoring" and not hasattr(sys, "monitoring"):
             pytest.skip("sys.monitoring is new in Python 3.12")
         flags, attach = _OBSERVERS[observer]
-        env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)  # the handler's line must survive a buffer
+        env = _buffering_env("buffered")  # the handler's line must survive a buffer
         proc = subprocess.run([sys.executable, *flags, "-c", _HOST.format(attach=attach)],
                               stdin=subprocess.DEVNULL, capture_output=True, text=True,
                               timeout=30, env=env)
@@ -987,12 +989,6 @@ class TestRun:
         assert proc.stdout.startswith("sork(A2) = 1\n")
         assert "function calls" in proc.stdout
 
-    def test_atexit_handlers_run_on_the_frozen_heap(self):
-        proc = subprocess.run([sys.executable, "-c", _ATEXIT],
-                              capture_output=True, text=True, timeout=30)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            EXIT_OK, "sork(A2) = 1\nfrozen at exit: True\n", "")
-
     @pytest.mark.parametrize("argv,code", [
         (["sork", "A5", "--json", "--certificate"], EXIT_OK),
         (["sork", "Q3"], EXIT_ERROR),
@@ -1010,31 +1006,36 @@ class TestRun:
         argv = [str(path) if a == "{mismatch}" else a for a in argv]
         monkeypatch.setenv("COLUMNS", "80")
         expected = run(capsys, *argv)
-        env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
-        proc = cli_process(*argv, env=env)
+        # stdout to a pipe is block-buffered
+        proc = cli_process(*argv, env=_buffering_env("buffered"))
         assert expected[0] == code
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    def test_failed_write_is_an_error(self, unbuffered):
-        env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+    @pytest.mark.parametrize("buffering", _BUFFERING)
+    def test_failed_write_is_an_error(self, buffering):
         with open("/dev/full", "w") as full:
-            proc = cli_process("sork", "A2", env=env, stdout=full)
+            proc = cli_process("sork", "A2", env=_buffering_env(buffering), stdout=full)
         assert proc.returncode == EXIT_ERROR
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize("stdout", ["closed", "full"])
+    def test_main_in_process_reports_a_lost_answer(self, capsys, monkeypatch, stdout):
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", None if stdout == "closed" else Full())
+        assert main(["sork", "A2"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: stdout is closed\n" if stdout == "closed" else _os_error(errno.ENOSPC))
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_failed_write_of_help_is_an_error(self):
-        # unbuffered, the write fails inside main(), not at the flush after it
+        # unbuffered, the write fails in print, not at main()'s flush after it
         with open("/dev/full", "w") as full:
-            proc = cli_process("--help", env={**os.environ, "PYTHONUNBUFFERED": "1"},
-                               stdout=full)
+            proc = cli_process("--help", env=_buffering_env("unbuffered"), stdout=full)
         assert proc.returncode == EXIT_ERROR
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
@@ -1064,34 +1065,62 @@ _CERTIFY_DOCS = [None, *sorted((_BENCH_DATA / "certify").glob("*.json")),
                  *sorted((_BENCH_DATA / "certificates").glob("*.json"))]
 
 
-class TestStreams:
-    """The README's stream rules, run as processes: each subcommand with
-    stdin closed, stdout closed, stdout on /dev/full and stdout on a pipe
-    whose reader is gone gives its documented exit code, and where the
-    answer is lost, one ``error:`` line on stderr and no traceback."""
+def _stream_child(argv, buffering, stdin="pipe", stdout="pipe", stderr="pipe"):
+    """``python -m sorklie.cli ARGV`` with _A1_CERT on stdin, each stream
+    ``"pipe"``, ``"closed"`` (its file descriptor closed in the child, so
+    nothing it writes reaches the pipe), ``"full"`` (/dev/full) or
+    ``"broken_pipe"`` (a pipe whose reader is gone), under ``buffering``."""
+    closed = [fd for fd, kind in enumerate((stdin, stdout, stderr)) if kind == "closed"]
+    with open("/dev/full", "w") as full:
+        reader, writer = os.pipe()
+        os.close(reader)
+        files = {"pipe": subprocess.PIPE, "closed": subprocess.PIPE, "full": full,
+                 "broken_pipe": writer}
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "sorklie.cli", *argv], input=_A1_CERT,
+                stdout=files[stdout], stderr=files[stderr], text=True, timeout=30,
+                env=_buffering_env(buffering),
+                preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None)
+        finally:
+            os.close(writer)
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+# The command lines run with a failing stderr -> (argv, exit code, stdout)
+# with stdout on a pipe and a working stderr.
+_STDERR_ARGVS = {
+    "sork": (["sork", "A2"], EXIT_OK, "sork(A2) = 1\n"),
+    "error": (["sork", "Q2"], EXIT_ERROR, ""),
+    "usage": (["sork"], EXIT_USAGE, ""),
+    "help": (["--help"], EXIT_OK, cli._help(None)),
+    "certify_stdin": (["certify", "-"], EXIT_OK,
+                      "valid certificate: 1 strongly orthogonal roots in A1\n"),
+}
+
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+class TestStreams:
+    """The README's stream rules, run as processes with ``PYTHONUNBUFFERED``
+    set and unset: each subcommand with stdin closed, stdout closed, stdout
+    on /dev/full and stdout on a pipe whose reader is gone gives its
+    documented exit code, and where the answer is lost, one ``error:`` line
+    on stderr and no traceback.  A closed or failing stderr changes neither
+    the exit code nor stdout."""
+
+    @_NO_DEV_FULL
+    @pytest.mark.parametrize("buffering", _BUFFERING)
     @pytest.mark.parametrize("stream", ["stdin_closed", "stdout_closed", "stdout_full",
                                         "stdout_broken_pipe"])
     @pytest.mark.parametrize("name", list(_STREAM_ARGVS))
-    def test_every_subcommand_under_each_stream_fault(self, tmp_path, name, stream):
+    def test_every_subcommand_under_each_stream_fault(self, tmp_path, name, stream,
+                                                      buffering):
         cert = tmp_path / "a1.json"
         cert.write_text(_A1_CERT)
         argv = [str(cert) if a == "{cert}" else a for a in _STREAM_ARGVS[name]]
-        closed = {"stdin_closed": 0, "stdout_closed": 1}.get(stream)
-        with open("/dev/full", "w") as full:
-            stdout = full if stream == "stdout_full" else subprocess.DEVNULL
-            reader, writer = os.pipe()
-            os.close(reader)
-            if stream == "stdout_broken_pipe":
-                stdout = writer
-            try:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "sorklie.cli", *argv], input=_A1_CERT,
-                    stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30,
-                    preexec_fn=None if closed is None else lambda: os.close(closed))
-            finally:
-                os.close(writer)
+        which, kind = stream.split("_", 1)
+        proc = _stream_child(argv, buffering, **{which: kind})
         expected = {
             "stdin_closed": (EXIT_ERROR, _os_error(errno.EBADF))
             if name == "certify_stdin" else (EXIT_OK, ""),
@@ -1101,10 +1130,30 @@ class TestStreams:
         }[stream]
         assert (proc.returncode, proc.stderr) == expected
 
+    @_NO_DEV_FULL
+    @pytest.mark.parametrize("buffering", _BUFFERING)
+    @pytest.mark.parametrize("stdout", ["pipe", "closed", "full", "broken_pipe"])
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    @pytest.mark.parametrize("name", list(_STDERR_ARGVS))
+    def test_a_failing_stderr_changes_neither_exit_code_nor_stdout(
+            self, name, stderr, stdout, buffering):
+        argv, code, out = _STDERR_ARGVS[name]
+        if stdout == "closed":
+            code, out = EXIT_ERROR, ""  # stdout is closed, reported before any work
+        elif stdout != "pipe":
+            out = None  # not captured
+            if code != EXIT_USAGE:  # a usage error writes nothing on stdout
+                code = EXIT_ERROR  # every other answer is lost, --help's included
+        proc = _stream_child(argv, buffering, stdout=stdout, stderr=stderr)
+        # a closed stderr's pipe gets nothing: no error line, usage or traceback
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out, "" if stderr == "closed" else None)
+
+    @pytest.mark.parametrize("buffering", _BUFFERING)
     @pytest.mark.parametrize("doc", _CERTIFY_DOCS, ids=lambda p: "0xff_string" if p is None
                              else f"{p.parent.name}/{p.stem}")
     def test_certify_gives_one_verdict_from_a_file_and_from_stdin(
-            self, tmp_path, capsys, doc):
+            self, tmp_path, capsys, doc, buffering):
         if doc is None:
             doc = tmp_path / "0xff.json"
             doc.write_bytes(_A1_CERT[:-1].encode() + b', "note": "\xff"}')
@@ -1113,7 +1162,8 @@ class TestStreams:
         with open(doc, "rb") as fh:
             proc = subprocess.run([sys.executable, "-m", "sorklie.cli", "certify", "-"],
                                   stdin=fh, capture_output=True, text=True, timeout=30,
-                                  env={**os.environ, "PYTHONIOENCODING": "latin-1"})
+                                  env={**_buffering_env(buffering),
+                                       "PYTHONIOENCODING": "latin-1"})
         assert (proc.returncode, proc.stdout, proc.stderr) == by_file
         if doc.name == "0xff.json":
             assert by_file[0] == EXIT_ERROR and "can't decode byte 0xff" in by_file[2]

@@ -50,9 +50,11 @@ CASES = {
         lambda: RealFormDescriptor("su", (2, 1)), lambda: RealFormDescriptor("su", (3, 1)),
         "RealFormDescriptor(kind='su', params=(2, 1), base=None)"),
     "NuResult": (
-        lambda: NuResult(1, NuCase.REAL_FORM, 1), lambda: NuResult(1, NuCase.REAL_FORM, 2),
+        lambda: NuResult(1, NuCase.REAL_FORM, 1, OrthCertificate(A1, ((2, -2),))),
+        lambda: NuResult(1, NuCase.REAL_FORM, 2, OrthCertificate(A1, ((2, -2),))),
         "NuResult(nu=1, case=<NuCase.REAL_FORM: 'RealForm'>, "
-        "sork_of_complexification=1, certificate=None)"),
+        "sork_of_complexification=1, certificate=OrthCertificate("
+        "system_type=RootSystemType(family='A', rank=1), roots=((2, -2),)))"),
     "SimpleLie": (
         lambda: SimpleLie(SU21), lambda: SimpleLie(su(3, 0)),
         "SimpleLie(descriptor=RealFormDescriptor(kind='su', params=(2, 1), base=None))"),
