@@ -27,8 +27,9 @@ hold: dicts with str keys, lists, ints, bools, and strings of printable
 ASCII without ``"`` or ``\\``, which need no escape.  Any other value,
 None or a string that json would escape included, is a TypeError.
 ``import json`` compiles the regexes of its decoder, scanner and encoder,
-which every process that skips it saves.  ``certify``'s size check before
-parsing uses no regex either, so it compiles none and imports no ``re``.
+which every process that skips it saves.  No subcommand imports ``re`` to
+do its work: ``certify``'s size check before parsing and the lexer of
+group expressions use no regex.
 
 The grammar lives in one table, ``_GRAMMAR``, and one function,
 ``_parse``, reads every command line from it as argparse would: ``-h`` or
@@ -60,11 +61,9 @@ process starts none), and ``python -m pdb``'s restart after ``continue``
 with no breakpoint, whose session now ends with the process.  Every line
 on stderr goes through ``_complain``; with stderr closed or failing it
 writes nothing, and the exit code alone reports the error, whatever
-``PYTHONUNBUFFERED`` says.  ``main()`` never exits, so a caller in the
-same process gets its code.
+``PYTHONUNBUFFERED`` says, with or without a tool.  ``main()`` never
+exits, so a caller in the same process gets its code.
 """
-
-from __future__ import annotations
 
 import atexit
 import os
@@ -592,13 +591,15 @@ def main(argv: list[str] | None = None) -> int:
 def _complain(text: str) -> None:
     """Write the line ``text`` to stderr, the one writer of stderr.  With
     stderr closed or failing, nothing is written and the exit code alone
-    reports the error."""
+    reports the error.  A failing stderr is dropped, so that no later flush,
+    teardown's under a profiler or tracer included, meets the failed line
+    still in its buffer and exits 120."""
     if sys.stderr is not None:
         try:
             sys.stderr.write(text + "\n")
             sys.stderr.flush()
         except OSError:
-            pass
+            sys.stderr = None
 
 
 def run() -> None:

@@ -12,10 +12,6 @@ The walk reports the first failed hypothesis it meets, left to right.
 General extensions only yield an upper bound, kept apart from exact values.
 """
 
-from __future__ import annotations
-
-import re
-
 from .errors import (MAX_DIGITS, ExprSyntaxError, InvalidRealForm, InvalidType,
                      RuleNotApplicable)
 from .realforms import (
@@ -226,14 +222,6 @@ def simple_factors(e: GroupExpr) -> list[RealFormDescriptor]:
 
 # --- lexer -----------------------------------------------------------------
 
-# Digits are ASCII only, as in names: ``\d`` would match any Unicode digit,
-# which int() reads as its value.  Whitespace stays Unicode (no re.ASCII).
-# A '*' ends a name only in so*; after any other name it is a free product.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[Ss][Oo]\*|[A-Za-z][A-Za-z0-9]*)|(?P<int>-?[0-9]+)|(?P<sym>[()^/,*]))"
-)
-
-
 class _Token(Value):
     __slots__ = ("kind", "text", "offset")
     kind: str  # "name" | "int" | "sym" | "end"
@@ -241,24 +229,44 @@ class _Token(Value):
     offset: int
 
 
+def _ascii_digit(c: str) -> bool:
+    return c.isascii() and c.isdigit()
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """Whitespace is whatever ``str.isspace()`` accepts.  A name is an ASCII
+    letter and then ASCII letters and digits, an integer ASCII digits after
+    an optional '-': any Unicode digit would read as its value in int().  A
+    '*' ends a name only in so*; after any other name it is a free product."""
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            off = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", off)
-        kind = m.lastgroup  # "name", "int" or "sym": the one that matched
-        if kind == "int" and len(m.group(kind).lstrip("-")) > MAX_DIGITS:
-            raise ExprSyntaxError(f"integer literal has more than {MAX_DIGITS} digits",
-                                  m.start(kind))
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    pos, end = 0, len(text)
+    while True:
+        while pos < end and text[pos].isspace():
+            pos += 1
+        if pos == end:
+            break
+        start, c = pos, text[pos]
+        pos += 1
+        if c.isascii() and c.isalpha():
+            kind = "name"
+            if c in "Ss" and text[pos:pos + 2] in ("o*", "O*"):
+                pos += 2
+            else:
+                while pos < end and text[pos].isascii() and text[pos].isalnum():
+                    pos += 1
+        elif _ascii_digit(c) or c == "-" and _ascii_digit(text[pos:pos + 1]):
+            kind = "int"
+            while pos < end and _ascii_digit(text[pos]):
+                pos += 1
+            if pos - start - (c == "-") > MAX_DIGITS:
+                raise ExprSyntaxError(
+                    f"integer literal has more than {MAX_DIGITS} digits", start)
+        elif c in "()^/,*":
+            kind = "sym"
+        else:
+            raise ExprSyntaxError(f"unexpected character {c!r}", start)
+        tokens.append(_Token(kind, text[start:pos], start))
+    tokens.append(_Token("end", "", end))
     return tokens
 
 
@@ -409,11 +417,12 @@ class _Parser:
                 builder = {"complex": complex_simple, "split": split_form,
                            "compact": compact_form}[lname]
                 return builder(t)
-            if re.fullmatch(r"[EFG][2-8]", name.upper()):
+            if name[0].upper() in "EFG" and name[1:].isdigit():  # E8, e08: as sork reads them
                 self.expect_sym("(")
                 sig = self.expect_int()
                 self.expect_sym(")")
-                return exceptional_form(name[0].upper(), int(name[1]), sig)
+                t = RootSystemType.parse(name)
+                return exceptional_form(t.family, t.rank, sig)
             if lname in ("su", "so", "sp", "sl", "so*"):
                 args = self.parse_args()
                 return _classical_descriptor(lname, args, offset)

@@ -29,8 +29,6 @@ proof for every pair of sizes up to ``--max-size``, ``symbolic_2x2`` its
 (2, 2) entry, and ``trivial_intersection`` the rank check for every pair.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from .errors import ShapeError

@@ -21,8 +21,6 @@ canonical certificate, verified against the built root system; the exact
 clique search is not on this path.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache

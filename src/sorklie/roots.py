@@ -15,8 +15,6 @@ are its roots orthogonal to e7 + e8, then also to e6 + e8.  F4 is B4 plus
 all half-spin vectors, and G2 is A2 plus ±(2e_i - e_j - e_k).
 """
 
-from __future__ import annotations
-
 import itertools
 from collections.abc import Iterable, Iterator
 

@@ -35,8 +35,6 @@ the tests cross-check it against a generic full-graph solver and a
 brute-force oracle, which live in ``tests/oracle_utils.py``.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable
 from operator import add, mul
 

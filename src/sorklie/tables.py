@@ -14,8 +14,6 @@ holds for every row instance of every table: m >= n, checked by
 ``AuditReport.add_bound`` with the recomputed m and n, never the encoded ones.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator
 
 from .roots import RootSystemType, Value

@@ -8,19 +8,22 @@ clique solver (greedy colouring bound, lex-min probes), exact
 of a certificate, the rank-one catalog of the acceptance criteria, the
 failed entries of an audit report, a Table 2 row enumerator that
 solves each family's dimension relation by hand, the ``argparse``
-parser of the CLI grammar, dense integer matrices with the Kronecker
-sum, the bracket identity, its dense basis proof and seeded random
-trials, and a ``Fraction`` rank.  The package ships none of them: its one
-clique search is the orbit search of ``sorklie.sork``, checked here, its
-Table 2 rows come from one rule in ``sorklie.tables``, checked against
-the enumerator here, its one command line parser is
-``sorklie.cli._parse``, checked against the argparse parser here, and its
-matrix proofs run on the sparse matrices of ``sorklie.matrixcheck``,
+parser of the CLI grammar, the regex lexer of group expressions, dense
+integer matrices with the Kronecker sum, the bracket identity, its dense
+basis proof and seeded random trials, and a ``Fraction`` rank.  The
+package ships none of them: its one clique search is the orbit search of
+``sorklie.sork``, checked here, its Table 2 rows come from one rule in
+``sorklie.tables``, checked against the enumerator here, its one command
+line parser is ``sorklie.cli._parse``, checked against the argparse
+parser here, its lexer is the character loop of
+``sorklie.groups._tokenize``, checked against the regex lexer here, and
+its matrix proofs run on the sparse matrices of ``sorklie.matrixcheck``,
 checked against the dense ones here.
 """
 
 import argparse
 import random
+import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -40,6 +43,8 @@ from sorklie import (
     verify_certificate,
 )
 from sorklie import cli
+from sorklie.errors import MAX_DIGITS, ExprSyntaxError
+from sorklie.groups import _Token
 from sorklie.realforms import catalog
 
 
@@ -388,6 +393,37 @@ def argparse_parser() -> argparse.ArgumentParser:
         for flag, help_ in flags:
             sp.add_argument(flag, action="store_true", help=help_)
     return p
+
+
+# --- the regex lexer: the oracle of sorklie.groups._tokenize -----------------
+
+# Digits are ASCII only, as in names: ``\d`` would match any Unicode digit,
+# which int() reads as its value.  Whitespace stays Unicode (no re.ASCII).
+# A '*' ends a name only in so*; after any other name it is a free product.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[Ss][Oo]\*|[A-Za-z][A-Za-z0-9]*)|(?P<int>-?[0-9]+)|(?P<sym>[()^/,*]))"
+)
+
+
+def regex_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            off = len(text) - len(stripped)
+            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", off)
+        kind = m.lastgroup  # "name", "int" or "sym": the one that matched
+        if kind == "int" and len(m.group(kind).lstrip("-")) > MAX_DIGITS:
+            raise ExprSyntaxError(f"integer literal has more than {MAX_DIGITS} digits",
+                                  m.start(kind))
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(_Token("end", "", len(text)))
+    return tokens
 
 
 # --- dense integer matrices: the oracle of sorklie.matrixcheck ---------------

@@ -989,6 +989,23 @@ class TestRun:
         assert proc.stdout.startswith("sork(A2) = 1\n")
         assert "function calls" in proc.stdout
 
+    # A failed line left in stderr's buffer would fail again in the
+    # teardown that the tool's path keeps, and the interpreter exits 120.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("tool", [["cProfile", "-m"],
+                                      ["trace", "--count", "--no-report", "--module"]],
+                             ids=["cProfile", "trace"])
+    def test_failing_stderr_under_a_tool_is_not_exit_120(self, tool):
+        codes = []
+        for buffering in _BUFFERING:
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", *tool, "sorklie.cli", "sork", "Q2"],
+                    stdout=subprocess.DEVNULL, stderr=full, timeout=30,
+                    env=_buffering_env(buffering))
+            codes.append(proc.returncode)
+        assert codes[0] == codes[1] != 120, codes
+
     @pytest.mark.parametrize("argv,code", [
         (["sork", "A5", "--json", "--certificate"], EXIT_OK),
         (["sork", "Q3"], EXIT_ERROR),

@@ -1,7 +1,11 @@
+import re
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import regex_tokenize
 from sorklie import (
     DirectProduct,
     Extension,
@@ -10,9 +14,12 @@ from sorklie import (
     FiniteIndex,
     FreeProduct,
     InvalidRealForm,
+    InvalidType,
+    RootSystemType,
     RuleNotApplicable,
     SimpleLie,
     SolvableAtom,
+    exceptional_form,
     nu_eval,
     nu_simple,
     nu_upper_bound,
@@ -26,7 +33,7 @@ from sorklie import (
     sp_R,
     su,
 )
-from sorklie import groups
+from sorklie import cli, groups
 from sorklie.groups import MAX_NESTING, MAX_POWER, nu_walk, simple_factors
 from sorklie.roots import MAX_DIGITS
 
@@ -333,6 +340,83 @@ class TestParser:
         e = parse_group_expr("su(2) x ext(Z, sl(3,R), central) x fi(so(9,1))")
         assert [str(d) for d in simple_factors(e)] == \
             ["su(2)", "sl(3,R)", "so(9,1)"]
+
+
+def _lexed(tokenize, text):
+    """The tokens of ``text``, or the message and offset of its error."""
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as err:
+        return str(err), err.offset
+
+
+# Pieces at the edges of the lexer's classes: so* against other names, a
+# '-' that starts an integer or nothing, non-ASCII digits, letters that case
+# folding maps to ASCII ones (the Kelvin sign, the long s), Unicode
+# whitespace with the separators \x1c-\x1f, which str.isspace() accepts,
+# and literals on both sides of MAX_DIGITS.
+_LEXER_PIECES = st.sampled_from([
+    "so*", "SO*", "so *", "also*", "sO*5", "-", "--5", "5-3", "\u0663", "\uff15",
+    "\u00a0", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u212a", "\u017f",
+    "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1), " ", "\t", "\n", "su", "E8", "x", "Z",
+    "(", ")", ",", "^", "/", "*", "0", "7", "a", "?", "!",
+])
+
+
+class TestLexer:
+    """The character loop of ``groups._tokenize`` against the regex lexer
+    it replaced, kept in ``oracle_utils``."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text() | st.lists(_LEXER_PIECES | st.characters(), max_size=12).map("".join))
+    @example("-" + "9" * MAX_DIGITS)
+    @example("-" + "9" * (MAX_DIGITS + 1))
+    @example("  so*(8)x so *  ")
+    def test_same_tokens_as_the_regex_lexer(self, text):
+        assert _lexed(groups._tokenize, text) == _lexed(regex_tokenize, text)
+
+    def test_character_classes_match_the_regexes(self):
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        for pattern, test in (
+                (r"\s", str.isspace),
+                ("[A-Za-z]", lambda c: c.isascii() and c.isalpha()),
+                ("[A-Za-z0-9]", lambda c: c.isascii() and c.isalnum()),
+                ("[0-9]", lambda c: c.isascii() and c.isdigit())):
+            assert re.findall(pattern, everything) == list(filter(test, everything)), pattern
+
+
+# Every label of an exceptional atom reads as RootSystemType.parse reads it.
+_LABELS = [f"E{r}" for r in range(11)] + ["E08", "e8", "F3", "F4", "F04", "G1", "G2", "G3"]
+
+
+class TestExceptionalLabels:
+    @pytest.mark.parametrize("prefix", ["", "Z x "])
+    @pytest.mark.parametrize("sig", ["rank", -26, -20, -14, 3])
+    @pytest.mark.parametrize("label", _LABELS)
+    def test_nu_answers_as_the_label_parser_and_the_forms_do(
+            self, capsys, label, sig, prefix):
+        if sig == "rank":
+            sig = int(label[1:])
+        try:
+            t = RootSystemType.parse(label)
+            nu = nu_simple(exceptional_form(t.family, t.rank, sig)).nu
+            expected = (cli.EXIT_OK, f"nu = {nu}\n", "")
+        except (InvalidType, InvalidRealForm) as err:
+            expected = (cli.EXIT_ERROR, "", f"error: {err} (at offset {len(prefix)})\n")
+        code = cli.main(["nu", f"{prefix}{label}({sig})"])
+        assert (code, *capsys.readouterr()) == expected
+
+    @pytest.mark.parametrize("text,code,out,err", [
+        ("E08(8)", cli.EXIT_OK, "nu = 8\n", ""),
+        ("E9(3)", cli.EXIT_ERROR, "",
+         "error: rank 9 out of bounds for family E (at offset 0)\n"),
+        ("E10(3)", cli.EXIT_ERROR, "",
+         "error: rank 10 out of bounds for family E (at offset 0)\n"),
+        ("G3(1)", cli.EXIT_ERROR, "",
+         "error: rank 3 out of bounds for family G (at offset 0)\n"),
+    ])
+    def test_labels_that_sork_reads(self, capsys, text, code, out, err):
+        assert (cli.main(["nu", text]), *capsys.readouterr()) == (code, out, err)
 
 
 class TestPretty:
