@@ -396,7 +396,7 @@ def _cmd_nu(args) -> int:
     value, exact, results = nu_walk(parse_group_expr(args.expr))
     factors = []
     for d, res in results:
-        entry = {"descriptor": str(d), "nu": res.nu, "case": res.case.value}
+        entry = {"descriptor": str(d), "nu": res.nu, "case": res.case}
         if args.certificate:
             entry["certificate"] = res.certificate.to_json_dict()
         factors.append(entry)

@@ -334,14 +334,18 @@ class _Parser:
 
     def parse_expr(self) -> tuple[GroupExpr, int]:
         e, depth = self.parse_term()
-        # x and * have one precedence and are read left to right
+        # x and * have one precedence and are read left to right; a run of
+        # one operator is one node, built once, so a chain parses in linear time
         while (cls := _PRODUCTS.get(self.peek().text)) is not None:
-            tok = self.next()
-            rhs, rhs_depth = self.parse_term()
-            # the product is flat: one level above its deepest factor
-            depth = self.nest(1 + max(depth - isinstance(e, cls),
-                                      rhs_depth - isinstance(rhs, cls)), tok)
-            e = cls((e, rhs))
+            run, inner = [e], depth - isinstance(e, cls)
+            while _PRODUCTS.get(self.peek().text) is cls:
+                tok = self.next()
+                rhs, rhs_depth = self.parse_term()
+                # the product is flat: one level above its deepest factor
+                inner = max(inner, rhs_depth - isinstance(rhs, cls))
+                depth = self.nest(1 + inner, tok)
+                run.append(rhs)
+            e = cls(tuple(run))
         return e, depth
 
     def parse_term(self) -> tuple[GroupExpr, int]:

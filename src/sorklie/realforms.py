@@ -22,7 +22,6 @@ clique search is not on this path.
 """
 
 from collections.abc import Iterator
-from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidRealForm
@@ -61,7 +60,8 @@ _NAMED = {
 _BASED = ("complex", "split", "compact", "exc")
 
 
-class NuCase(Enum):
+class NuCase:
+    """The three cases of ν, as the strings ``nu --json`` prints."""
     COMPLEX_STRUCTURE = "ComplexStructure"
     REAL_FORM = "RealForm"
     SOPQ_EXCEPTION = "SopqException"
@@ -99,7 +99,7 @@ class RealFormDescriptor(Value):
 class NuResult(Value):
     __slots__ = ("nu", "case", "sork_of_complexification", "certificate")
     nu: int
-    case: NuCase
+    case: str
     sork_of_complexification: int
     certificate: OrthCertificate
 

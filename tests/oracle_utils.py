@@ -6,19 +6,22 @@ clique solver (greedy colouring bound, lex-min probes), exact
 ``inner_product`` raises, a root membership check with its
 ``MembershipError``, the closed-subsystem predicate, the (A1)^n subsystem
 of a certificate, the rank-one catalog of the acceptance criteria, the
-failed entries of an audit report, a Table 2 row enumerator that
-solves each family's dimension relation by hand, the ``argparse``
-parser of the CLI grammar, the regex lexer of group expressions, dense
-integer matrices with the Kronecker sum, the bracket identity, its dense
-basis proof and seeded random trials, and a ``Fraction`` rank.  The
-package ships none of them: its one clique search is the orbit search of
-``sorklie.sork``, checked here, its Table 2 rows come from one rule in
-``sorklie.tables``, checked against the enumerator here, its one command
-line parser is ``sorklie.cli._parse``, checked against the argparse
-parser here, its lexer is the character loop of
-``sorklie.groups._tokenize``, checked against the regex lexer here, and
-its matrix proofs run on the sparse matrices of ``sorklie.matrixcheck``,
-checked against the dense ones here.
+dimension, complex rank and Killing signature of each real form by
+arithmetic, the failed entries of an audit report, a Table 2 row
+enumerator that solves each family's dimension relation by hand, the
+``argparse`` parser of the CLI grammar, the regex lexer of group
+expressions, dense integer matrices with the Kronecker sum, the bracket
+identity, its dense basis proof and seeded random trials, and a
+``Fraction`` rank.  The package ships none of them: its one clique
+search is the orbit search of ``sorklie.sork``, checked here, its Table 2
+rows come from one rule in ``sorklie.tables``, checked against the
+enumerator here, its one command line parser is ``sorklie.cli._parse``,
+checked against the argparse parser here, its lexer is the character
+loop of ``sorklie.groups._tokenize``, checked against the regex lexer
+here, its ν of a real form comes from the complexification's strong
+orthogonal rank, checked against the signature here, and its matrix
+proofs run on the sparse matrices of ``sorklie.matrixcheck``, checked
+against the dense ones here.
 """
 
 import argparse
@@ -275,6 +278,49 @@ def nu_one_catalog(bound: int = 8) -> list[RealFormDescriptor]:
         if nu_simple(d).nu == 1:
             out.append(d)
     return sorted(set(out))
+
+
+# Complex dimension of each exceptional simple type.
+_EXCEPTIONAL_DIM = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
+
+
+def _simple_dim(family: str, r: int) -> int:
+    """Complex dimension of the simple algebra of type ``family`` r."""
+    if family == "A":
+        return r * (r + 2)
+    if family in "BC":
+        return r * (2 * r + 1)
+    if family == "D":
+        return r * (2 * r - 1)
+    return _EXCEPTIONAL_DIM[family, r]
+
+
+def dim_rank_signature(d: RealFormDescriptor) -> tuple[int, int, int]:
+    """The real dimension, the rank of g ⊗ C and the Killing signature
+    σ = dim p - dim k of a descriptor, by arithmetic on its kind and
+    parameters alone.  A complex algebra has σ = 0 and twice the dimension
+    and rank of its type; su(p,q) has k = s(u(p) + u(q)), sl(n,H) k = sp(n),
+    so(p,q) k = so(p) + so(q), so*(2n) k = u(n) and sp(p,q) k = sp(p) + sp(q)."""
+    if d.base is not None:
+        r = d.base.rank
+        dim = _simple_dim(d.base.family, r)
+        if d.kind == "complex":
+            return 2 * dim, 2 * r, 0
+        sigma = {"compact": -dim, "split": r}.get(d.kind)
+        return dim, r, d.params[1] if sigma is None else sigma
+    if d.kind == "sl_H":
+        (n,) = d.params
+        return 4 * n * n - 1, 2 * n - 1, -2 * n - 1
+    if d.kind == "so_star":
+        (n,) = d.params
+        return n * (2 * n - 1), n, -n
+    p, q = d.params
+    n = p + q
+    return {
+        "su": (n * n - 1, n - 1, 1 - (p - q) ** 2),
+        "so": (n * (n - 1) // 2, n // 2, (n - (p - q) ** 2) // 2),
+        "sp": (n * (2 * n + 1), n, -2 * (p - q) ** 2 - n),
+    }[d.kind]
 
 
 def failures(report: AuditReport) -> list:

@@ -742,11 +742,11 @@ class TestImportLayering:
         assert json.loads(proc.stdout) == {"layers": layers, "loaded": []}
 
     def test_layers_import_no_typing_without_site(self):
-        # site may import typing itself; with -S only the layers could
+        # site may import typing or enum itself; with -S only the layers could
         src = str(Path(cli.__file__).parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import sorklie.cli, "
                 "sorklie.groups, sorklie.tables, sorklie.matrixcheck; "
-                "print([m for m in ('typing', 'dataclasses', 'inspect') "
+                "print([m for m in ('typing', 'dataclasses', 'inspect', 'enum') "
                 "if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                               capture_output=True, text=True, timeout=30)

@@ -270,6 +270,26 @@ class TestParser:
         assert nu_eval(parse_group_expr(" x ".join(["su(2)"] * 1000))) == 1000
         assert nu_eval(parse_group_expr(" * ".join(["su(2)"] * 1000))) == 1
 
+    @pytest.mark.parametrize("text", [
+        " x ".join(["su(2)"] * 2000),
+        " * ".join(["(Z x Z)"] * 2000),
+        " * ".join([" x ".join(["Z"] * 50)] * 40),
+    ], ids=["direct", "free_of_bracketed", "alternating_runs"])
+    def test_product_chain_stores_each_factor_about_once(self, monkeypatch, text):
+        # a chain built one operator at a time copies every factor so far
+        # at each step: n^2/2 stored factors for n factors
+        stored = 0
+        init = groups._Product.__init__
+
+        def counting_init(self, factors):
+            nonlocal stored
+            init(self, factors)
+            stored += len(self.factors)
+
+        monkeypatch.setattr(groups._Product, "__init__", counting_init)
+        e = parse_group_expr(text)
+        assert stored <= 2 * groups._atom_count(e)
+
     @pytest.mark.parametrize("text,offset", [
         ("su(\u0663)", 3), ("su(2)^\u0663", 6), ("Z/\u0662", 2), ("so(\uff15,1)", 3),
         ("complex(A\u0663)", 9),

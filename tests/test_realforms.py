@@ -1,10 +1,12 @@
 import functools
 import hashlib
+import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import nu_one_catalog
+from oracle_utils import dim_rank_signature, nu_one_catalog
 
 from sorklie import (
     InvalidRealForm,
@@ -65,7 +67,7 @@ class TestNormalization:
     def test_so31_is_complex_a1(self):
         d = so(3, 1)
         assert d == complex_simple(_t("A1"))
-        assert nu_simple(d).case is NuCase.COMPLEX_STRUCTURE
+        assert nu_simple(d).case == NuCase.COMPLEX_STRUCTURE
 
     def test_exceptional_split_compact_fold(self):
         assert exceptional_form("E", 8, 8) == split_form(_t("E8"))
@@ -201,7 +203,7 @@ class TestSopqException:
 
     def test_nu_drops_by_one(self):
         res = nu_simple(so(3, 5))
-        assert res.case is NuCase.SOPQ_EXCEPTION
+        assert res.case == NuCase.SOPQ_EXCEPTION
         assert res.nu == res.sork_of_complexification - 1 == 3
 
     def test_truncated_certificate_still_verifies(self):
@@ -210,7 +212,46 @@ class TestSopqException:
         assert verify_certificate(res.certificate)
 
 
+class TestSignatureOracle:
+    """The identification fact: dimension, complex rank and Killing
+    signature σ, by arithmetic alone, give ν."""
+
+    def test_dimension_rank_and_signature_fix_nu_but_at_five_triples(self):
+        nus = {}
+        for d in catalog(64):
+            dim, rank, sigma = dim_rank_signature(d)
+            t = complexification_type(d)
+            assert dim == (2 if d.kind == "complex" else 1) * (t.root_count() + t.rank)
+            nus.setdefault((dim, rank, sigma), set()).add(nu_simple(d).nu)
+        # E6 meets B6 and C6 at one dimension, 78, and rank
+        assert sorted(k for k, v in nus.items() if len(v) > 1) == sorted(
+            [(78, 6, s) for s in (6, 2, -14, -78)] + [(156, 12, 0)])
+
+    def test_sopq_exception_is_read_from_the_signature(self):
+        seen = 0
+        for d in catalog(64):
+            t = complexification_type(d)
+            if t.family != "D" or d.kind == "complex":
+                continue
+            _, n, sigma = dim_rank_signature(d)
+            k, odd = divmod(n - sigma, 2)
+            odd_square = not odd and k % 2 == 1 and math.isqrt(k) ** 2 == k
+            res = nu_simple(d)
+            assert (res.nu == res.sork_of_complexification - 1) \
+                == is_sopq_exception(d) == (n % 2 == 0 and odd_square), d
+            seen += is_sopq_exception(d)
+        assert seen > 0
+
+
 class TestNuSimple:
+    def test_case_is_the_string_nu_json_prints(self, capsys):
+        assert (NuCase.COMPLEX_STRUCTURE, NuCase.REAL_FORM, NuCase.SOPQ_EXCEPTION) == (
+            "ComplexStructure", "RealForm", "SopqException")
+        for d in (complex_simple(_t("A1")), su(2, 1), so(3, 5)):
+            assert main(["nu", str(d), "--json"]) == 0
+            printed = json.loads(capsys.readouterr().out)["factors"][0]["case"]
+            assert type(nu_simple(d).case) is str and nu_simple(d).case == printed
+
     def test_complex_case(self):
         res = nu_simple(complex_simple(_t("E8")))
         assert (res.nu, res.case) == (8, NuCase.COMPLEX_STRUCTURE)
@@ -301,7 +342,7 @@ class TestClosedFormNuPath:
     def test_certificate_equals_exact_search(self, d):
         res = nu_simple(d)
         _, exact = sork_exact(build_root_system(complexification_type(d)))
-        if res.case is NuCase.SOPQ_EXCEPTION:
+        if res.case == NuCase.SOPQ_EXCEPTION:
             exact = OrthCertificate(exact.system_type,
                                     exact.roots[: res.sork_of_complexification - 1])
         assert res.certificate == exact

@@ -52,7 +52,7 @@ CASES = {
     "NuResult": (
         lambda: NuResult(1, NuCase.REAL_FORM, 1, OrthCertificate(A1, ((2, -2),))),
         lambda: NuResult(1, NuCase.REAL_FORM, 2, OrthCertificate(A1, ((2, -2),))),
-        "NuResult(nu=1, case=<NuCase.REAL_FORM: 'RealForm'>, "
+        "NuResult(nu=1, case='RealForm', "
         "sork_of_complexification=1, certificate=OrthCertificate("
         "system_type=RootSystemType(family='A', rank=1), roots=((2, -2),)))"),
     "SimpleLie": (
