@@ -24,7 +24,7 @@ _EXPORTS = {
         "nu_upper_bound", "parse_group_expr", "pretty",
     ), "groups"),
     **dict.fromkeys((
-        "bracket_split_check", "kronecker_sum", "trivial_intersection_check",
+        "bracket_split_basis_proof", "trivial_intersection_check",
     ), "matrixcheck"),
     **dict.fromkeys((
         "NuCase", "NuResult", "RealFormDescriptor", "compact_form",

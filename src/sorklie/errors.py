@@ -26,7 +26,8 @@ class InvalidType(SorklieError, ValueError):
 
 
 class CertificateError(SorklieError, ValueError):
-    """A strongly orthogonal certificate failed verification."""
+    """A certificate document is malformed or oversized.  A document that
+    parses but fails verification gives a ``CertCheck``, not this error."""
 
 
 class InvalidRealForm(SorklieError, ValueError):
@@ -38,7 +39,7 @@ class RuleNotApplicable(SorklieError, ValueError):
 
 
 class ShapeError(SorklieError, ValueError):
-    """Matrix shapes are inconsistent with the requested operation."""
+    """A matrix size is below the least that a proof accepts."""
 
 
 class ExprSyntaxError(SorklieError, ValueError):

@@ -71,7 +71,7 @@ class FiniteAtom(GroupExpr):
 
     def __init__(self, order: int):
         if order < 1:
-            raise ExprSyntaxError("finite group order must be >= 1", 0)
+            raise ValueError("finite group order must be >= 1")
         super().__init__(order)
 
 

@@ -16,12 +16,13 @@ rest on two facts (Dynkin, "Maximal subgroups of the classical groups",
   line of (I, I), and no nonzero scalar matrix is trace-zero.
   ``trivial_intersection_check`` checks that the images of a basis of
   sl_s (+) sl_t have rank s^2 + t^2 - 2, its dimension, by fraction-free
-  integer elimination.  It takes them as Kronecker sums of (g, 0) and
-  (0, k), which flips the sign of each I(x)k and so changes no rank.
+  integer elimination that divides each reduced vector by the gcd of its
+  entries, so the numbers stay small.  It takes them as Kronecker sums of
+  (g, 0) and (0, k), which flips the sign of each I(x)k and so changes no
+  rank.
 
 A matrix here is sparse, ``{(row, col): nonzero int}``, so a basis matrix
-costs only its nonzero entries.  The public functions take and give nested
-lists of ints and convert at the boundary, so each fact has one code path.
+costs only its nonzero entries.
 
 ``verify-kronecker`` reports the facts under three names that scripts
 read, kept from when it sampled: ``random_bracket_trials`` is the basis
@@ -29,20 +30,11 @@ proof for every pair of sizes up to ``--max-size``, ``symbolic_2x2`` its
 (2, 2) entry, and ``trivial_intersection`` the rank check for every pair.
 """
 
-from collections.abc import Sequence
+from math import gcd
 
 from .errors import ShapeError
 
-IntMatrix = list[list[int]]
 Sparse = dict[tuple[int, int], int]
-
-
-def _sparse(m: Sequence[Sequence[int]], name: str) -> tuple[int, Sparse]:
-    """The size and the nonzero entries of the square matrix ``m``."""
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise ShapeError(f"{name} must be a nonempty square matrix")
-    return n, {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
 
 
 def _combine(a: Sparse, x: int, b: Sparse, y: int) -> Sparse:
@@ -75,41 +67,10 @@ def _kronecker_sum(g: Sparse, k: Sparse, s: int, t: int) -> Sparse:
                     {(i * t + a, i * t + b): y for (a, b), y in k.items() for i in range(s)}, 1)
 
 
-def kronecker_sum(g: Sequence[Sequence[int]], k: Sequence[Sequence[int]]) -> IntMatrix:
-    """g (x) I_t + I_s (x) k for square g (s x s) and k (t x t)."""
-    s, g_ = _sparse(g, "g")
-    t, k_ = _sparse(k, "k")
-    m = _kronecker_sum(g_, k_, s, t)
-    return [[m.get((r, c), 0) for c in range(s * t)] for r in range(s * t)]
-
-
 def _split_holds(x: tuple, y: tuple, s: int, t: int) -> bool:
     """The bracket identity on x = (g, k, g(x)I + I(x)k) and y likewise."""
     (g, k, gk), (gp, kp, gpkp) = x, y
     return _bracket(gk, gpkp) == _kronecker_sum(_bracket(g, gp), _bracket(k, kp), s, t)
-
-
-def bracket_split_check(
-    g: Sequence[Sequence[int]],
-    gp: Sequence[Sequence[int]],
-    k: Sequence[Sequence[int]],
-    kp: Sequence[Sequence[int]],
-) -> bool:
-    """[g(x)I + I(x)k, g'(x)I + I(x)k'] == [g,g'](x)I + I(x)[k,k'], exactly.
-
-    This is an identity, so the check must succeed for every input; a False
-    return would falsify the direct-sum structure of Kronecker sum algebras.
-    """
-    s, g_ = _sparse(g, "g")
-    sp, gp_ = _sparse(gp, "g'")
-    if sp != s:
-        raise ShapeError("g and g' must have equal size")
-    t, k_ = _sparse(k, "k")
-    tp, kp_ = _sparse(kp, "k'")
-    if tp != t:
-        raise ShapeError("k and k' must have equal size")
-    return _split_holds((g_, k_, _kronecker_sum(g_, k_, s, t)),
-                        (gp_, kp_, _kronecker_sum(gp_, kp_, s, t)), s, t)
 
 
 def bracket_split_basis_proof(s: int, t: int) -> bool:
@@ -132,7 +93,9 @@ def _traceless_units(n: int) -> list[Sparse]:
 def _rank(vectors: list[Sparse]) -> int:
     """The rank of sparse integer vectors, by fraction-free elimination: a
     vector is reduced at its least key by the stored vector with that least
-    key, which leaves a larger least key, until it is zero or stored."""
+    key, which leaves a larger least key, until it is zero or stored.  Each
+    reduced vector is divided by the gcd of its entries, which keeps the
+    span and keeps the entries from growing with every reduction."""
     pivots: dict[tuple[int, int], Sparse] = {}
     for v in vectors:
         while v:
@@ -142,6 +105,9 @@ def _rank(vectors: list[Sparse]) -> int:
                 pivots[p] = v
                 break
             v = _combine(v, w[p], w, -v[p])
+            d = gcd(*v.values())
+            if d > 1:
+                v = {key: x // d for key, x in v.items()}
     return len(pivots)
 
 

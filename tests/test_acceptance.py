@@ -29,7 +29,7 @@ from sorklie import (
     SimpleLie,
     SolvableAtom,
     all_types,
-    bracket_split_check,
+    bracket_split_basis_proof,
     build_root_system,
     nu_eval,
     nu_upper_bound,
@@ -44,7 +44,7 @@ from sorklie import (
     trivial_intersection_check,
     verify_certificate,
 )
-from sorklie.matrixcheck import bracket_split_basis_proof
+from sorklie.matrixcheck import _kronecker_sum, _split_holds
 from sorklie.sork import orbit_clique_search
 
 ALL_TYPES = list(all_types(12))
@@ -151,9 +151,12 @@ def test_criterion_8_kronecker_bracket_identity():
         s, t = rng.randint(2, 4), rng.randint(2, 4)
 
         def m(n):
-            return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            return {(i, j): x for i in range(n) for j in range(n)
+                    if (x := rng.randint(-9, 9))}
 
-        assert bracket_split_check(m(s), m(s), m(t), m(t))
+        g, gp, k, kp = m(s), m(s), m(t), m(t)
+        assert _split_holds((g, k, _kronecker_sum(g, k, s, t)),
+                            (gp, kp, _kronecker_sum(gp, kp, s, t)), s, t)
     sizes = range(2, 5)
     assert all(bracket_split_basis_proof(s, t) for s in sizes for t in sizes)
     assert all(trivial_intersection_check(s, t) for s in sizes for t in sizes)

@@ -237,6 +237,15 @@ class TestParser:
         with pytest.raises(ExprSyntaxError):
             parse_group_expr(text)
 
+    def test_finite_order_zero(self, capsys):
+        # the parser refuses Z/0 at the digit; the constructor, which has no
+        # text offset to name, refuses order 0 as a plain ValueError
+        with pytest.raises(ValueError, match="^finite group order must be >= 1$") as exc:
+            FiniteAtom(0)
+        assert not isinstance(exc.value, ExprSyntaxError)
+        assert cli.main(["nu", "Z/0"]) == 1
+        assert capsys.readouterr() == ("", "error: finite order must be >= 1 at offset 2\n")
+
     def test_power_cap(self):
         assert len(parse_group_expr(f"su(2)^{MAX_POWER}").factors) == MAX_POWER
         with pytest.raises(ExprSyntaxError) as exc:

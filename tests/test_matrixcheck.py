@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -19,13 +20,11 @@ from oracle_utils import (
     zeros,
 )
 from sorklie import (
-    bracket_split_check,
-    kronecker_sum,
+    bracket_split_basis_proof,
     matrixcheck,
     trivial_intersection_check,
 )
 from sorklie.errors import ShapeError
-from sorklie.matrixcheck import bracket_split_basis_proof
 
 
 def _square(n, values=st.integers(-20, 20)):
@@ -34,6 +33,22 @@ def _square(n, values=st.integers(-20, 20)):
 
 def _sparse(m):
     return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+
+
+def _kronecker_sum(g, k):
+    """The sparse Kronecker sum of dense square g and k."""
+    return matrixcheck._kronecker_sum(_sparse(g), _sparse(k), len(g), len(k))
+
+
+def _split_holds(g, gp, k, kp):
+    """The sparse bracket identity on dense g, g' (s x s) and k, k' (t x t)."""
+    s, t = len(g), len(k)
+    return matrixcheck._split_holds((_sparse(g), _sparse(k), _kronecker_sum(g, k)),
+                                    (_sparse(gp), _sparse(kp), _kronecker_sum(gp, kp)), s, t)
+
+
+def _vectors(rows):
+    return [{(0, c): x for c, x in enumerate(row) if x} for row in rows]
 
 
 class TestPrimitives:
@@ -84,8 +99,9 @@ class TestPrimitives:
         assert ab == [[-x for x in row] for row in ba]
 
     def test_kronecker_sum_of_identities(self):
-        assert kronecker_sum(identity(2), identity(2)) == \
+        assert dense.kronecker_sum(identity(2), identity(2)) == \
             [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+        assert _kronecker_sum(identity(2), identity(2)) == {(i, i): 2 for i in range(4)}
 
     def test_fraction_rank(self):
         assert fraction_rank([[1, 2], [2, 4]]) == 1
@@ -97,7 +113,7 @@ class TestSparseAgreesWithDense:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4).flatmap(_square), st.integers(1, 4).flatmap(_square))
     def test_kronecker_sum(self, g, k):
-        assert kronecker_sum(g, k) == dense.kronecker_sum(g, k)
+        assert _kronecker_sum(g, k) == _sparse(dense.kronecker_sum(g, k))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(_square(n), _square(n))))
@@ -110,15 +126,67 @@ class TestSparseAgreesWithDense:
            st.integers(1, 3).flatmap(lambda t: st.tuples(_square(t), _square(t))))
     def test_bracket_split_check(self, gs, ks):
         (g, gp), (k, kp) = gs, ks
-        assert bracket_split_check(g, gp, k, kp) is True
+        assert _split_holds(g, gp, k, kp) is True
         assert dense.bracket_split_check(g, gp, k, kp) is True
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(
         lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=6)))
     def test_rank(self, rows):
-        vectors = [{(0, c): x for c, x in enumerate(row) if x} for row in rows]
-        assert matrixcheck._rank(vectors) == fraction_rank(rows)
+        assert matrixcheck._rank(_vectors(rows)) == fraction_rank(rows)
+
+
+def _random_rows(rng, rows, cols, bound=10):
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+class TestRankAgreesWithFractions:
+    """The elimination divides each reduced vector by the gcd of its
+    entries, so they stay small on dense matrices, where without the
+    division they grew exponentially (a 22 x 22 matrix took seconds)."""
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 40])
+    def test_full_rank(self, n):
+        rng = random.Random(n)
+        rows = _random_rows(rng, n, n)
+        assert matrixcheck._rank(_vectors(rows)) == fraction_rank(rows) == n
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 40])
+    def test_rank_deficient(self, n):
+        # the extra rows are integer combinations of independent rows, and
+        # every row has entries in [-9, 9]
+        rng = random.Random(100 + n)
+        rank = rng.randint(n // 2, n - 2)
+        rows = _random_rows(rng, rank, n, bound=3)
+        while len(rows) < n:
+            picks = rng.sample(rows[:rank], 3)
+            coefs = [rng.choice((-1, 1)) for _ in picks]
+            rows.append([sum(c * row[j] for c, row in zip(coefs, picks)) for j in range(n)])
+        rng.shuffle(rows)
+        assert matrixcheck._rank(_vectors(rows)) == fraction_rank(rows) == rank
+
+    @pytest.mark.parametrize("shape", [(5, 40), (40, 5), (17, 33), (33, 17)],
+                             ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_wide_and_tall(self, shape):
+        rows = _random_rows(random.Random(sum(shape)), *shape)
+        assert matrixcheck._rank(_vectors(rows)) == fraction_rank(rows) == min(shape)
+
+    def test_entries_stay_within_twice_the_hadamard_bound(self, monkeypatch):
+        # a reduced vector's entries are, up to its gcd, minors of the
+        # input, at most h = (10 sqrt(40))^40 in size; a reduction
+        # multiplies two of them, so nothing exceeds 2 h^2
+        n = 40
+        limit = 2 * math.ceil(n * math.log2(10 * math.sqrt(n))) + 1
+        shipped = matrixcheck._combine
+
+        def watched(a, x, b, y):
+            out = shipped(a, x, b, y)
+            assert max((abs(v).bit_length() for v in out.values()), default=0) <= limit
+            return out
+
+        monkeypatch.setattr(matrixcheck, "_combine", watched)
+        rows = _random_rows(random.Random(7), n, n)
+        assert matrixcheck._rank(_vectors(rows)) == n
 
 
 class TestBracketSplit:
@@ -127,15 +195,18 @@ class TestBracketSplit:
         gp = [[0, 0], [1, 0]]
         k = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
         kp = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-        assert bracket_split_check(g, gp, k, kp)
+        assert _split_holds(g, gp, k, kp)
+        assert dense.bracket_split_check(g, gp, k, kp)
 
     def test_shape_enforced(self):
+        # the dense oracle refuses mismatched sizes, so it never compares
+        # matrices the sparse proofs would not be given
         with pytest.raises(ShapeError):
-            bracket_split_check(identity(2), identity(3), identity(2), identity(2))
+            dense.bracket_split_check(identity(2), identity(3), identity(2), identity(2))
         with pytest.raises(ShapeError):
-            bracket_split_check(identity(2), identity(2), identity(2), identity(3))
+            dense.bracket_split_check(identity(2), identity(2), identity(2), identity(3))
         with pytest.raises(ShapeError):
-            kronecker_sum([[1, 2]], identity(2))
+            dense.kronecker_sum([[1, 2]], identity(2))
 
     def test_random_trials(self):
         # the dense oracle on seeded random quadruples
@@ -156,7 +227,7 @@ class TestBracketSplit:
         def m(n):
             return [[rnd.randint(-20, 20) for _ in range(n)] for _ in range(n)]
 
-        assert bracket_split_check(m(s), m(s), m(t), m(t))
+        assert _split_holds(m(s), m(s), m(t), m(t))
 
     def test_symbolic(self):
         # the 2x2 proof that verify-kronecker reports as symbolic_2x2
