@@ -88,8 +88,8 @@ MAX_DOCUMENT_CHARS = 2 ** 24
 
 # Upper limits of the audit commands, each a usage error before any output.
 # verify-kronecker proves its two facts for every pair of sizes from 2 to
-# --max-size, (s^2 + t^2)^2 basis checks per pair: at the cap, 8, that is
-# 205,212 checks.
+# --max-size, N(N - 1)/2 basis checks per pair with N = s^2 + t^2: at the
+# cap, 8, that is 101,185 checks.
 MAX_RANK_CAP = MAX_BUILD_RANK
 MAX_KRONECKER_SIZE = 8
 

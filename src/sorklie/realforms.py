@@ -16,9 +16,10 @@ the others keep both names, such as so(3,2) and sp(2,R), or so(4,3) and
 split(B3), and both names give one ν.
 
 The free subgroup rank reads the strong orthogonal rank of the
-complexification from its closed formula and attaches the closed-form
-canonical certificate, verified against the built root system; the exact
-clique search is not on this path.
+complexification from ``sork_formula`` and attaches the canonical
+certificate, verified against the built root system.  For A, B, C and D
+both are closed forms and no clique search runs; for E, F and G both come
+from the exact search, run once per type per process.
 """
 
 from collections.abc import Iterator
@@ -223,9 +224,9 @@ def is_sopq_exception(d: RealFormDescriptor) -> bool:
 
 @lru_cache(maxsize=None)
 def _certified_sork(t: RootSystemType) -> tuple[int, OrthCertificate]:
-    """The closed-form strong orthogonal rank of ``t`` with the canonical
-    certificate that witnesses it, re-checked once per type against the
-    built root system."""
+    """The strong orthogonal rank of ``t`` with the canonical certificate
+    that witnesses it, re-checked once per type against the built root
+    system."""
     s = sork_formula(t)
     cert = canonical_certificate(t)
     check = verify_certificate(cert)
@@ -245,10 +246,10 @@ def _certified_sork(t: RootSystemType) -> tuple[int, OrthCertificate]:
 def nu_simple(d: RealFormDescriptor) -> NuResult:
     """Free subgroup rank of the connected simple Lie group with algebra d.
 
-    The strong orthogonal rank s of the complexification comes from its
-    closed formula, witnessed by the closed-form canonical certificate;
-    no clique search runs.  The certificate is verified once per
-    complexification type, in O(s^2) pairs.
+    The strong orthogonal rank s of the complexification and its canonical
+    certificate are closed forms for A, B, C and D, so no clique search
+    runs; for E, F and G the exact search finds them, once per type per
+    process.  The certificate is verified once per type, in O(s^2) pairs.
     """
     t = complexification_type(d)
     s, cert = _certified_sork(t)

@@ -1,9 +1,9 @@
 """Strong orthogonal rank: exact search, closed formula, and certificates.
 
-The closed formula and the closed-form canonical certificate need only the
-family and the rank; they serve the free subgroup rank computation.  The
-exact search below is the independent oracle: ``sork`` and the tests use
-it.
+For A, B, C and D the closed formula and the closed-form canonical
+certificate need only the family and the rank, so the free subgroup rank
+runs no search for them.  E, F and G take both from the exact search
+below, on at most 240 roots, once per type per process.
 
 A certificate holds its roots as the plain tuples of doubled coordinates
 that ``roots`` builds.  ``OrthCertificate.from_json_dict`` is the one
@@ -110,11 +110,11 @@ class CertCheck(Value):
 
 
 def sork_formula(t: RootSystemType) -> int:
-    """Closed-form strong orthogonal rank of an irreducible type.
+    """Strong orthogonal rank of an irreducible type: a closed formula for
+    A, B, C and D, the size of the canonical certificate for E, F and G.
 
     D2 (= A1 x A1) and D3 (= A3) are accepted and follow the D-family
-    formula, which agrees with their decompositions.  E, F and G have the
-    size of their canonical certificate, the one table of those ranks.
+    formula, which agrees with their decompositions.
     """
     fam, r = t.family, t.rank
     if fam == "A":
@@ -123,31 +123,17 @@ def sork_formula(t: RootSystemType) -> int:
         return r
     if fam == "D":
         return r if r % 2 == 0 else r - 1
-    return len(_EXCEPTIONAL_CERTIFICATES[str(t)])
+    return len(canonical_certificate(t).roots)
 
 
-# The lexicographically least maximum strongly orthogonal sets of the
-# exceptional types, in doubled coordinates, as the exact search finds them.
-_EXCEPTIONAL_CERTIFICATES = {
-    "E6": ((0, 0, 0, 2, -2, 0, 0, 0), (0, 0, 0, 2, 2, 0, 0, 0),
-           (0, 2, -2, 0, 0, 0, 0, 0), (0, 2, 2, 0, 0, 0, 0, 0)),
-    "E7": ((0, 0, 0, 0, 0, 0, 2, -2), (0, 0, 0, 0, 2, -2, 0, 0),
-           (0, 0, 0, 0, 2, 2, 0, 0), (0, 0, 2, -2, 0, 0, 0, 0),
-           (0, 0, 2, 2, 0, 0, 0, 0), (2, -2, 0, 0, 0, 0, 0, 0),
-           (2, 2, 0, 0, 0, 0, 0, 0)),
-    "E8": ((0, 0, 0, 0, 0, 0, 2, -2), (0, 0, 0, 0, 0, 0, 2, 2),
-           (0, 0, 0, 0, 2, -2, 0, 0), (0, 0, 0, 0, 2, 2, 0, 0),
-           (0, 0, 2, -2, 0, 0, 0, 0), (0, 0, 2, 2, 0, 0, 0, 0),
-           (2, -2, 0, 0, 0, 0, 0, 0), (2, 2, 0, 0, 0, 0, 0, 0)),
-    "F4": ((0, 0, 2, -2), (0, 0, 2, 2), (2, -2, 0, 0), (2, 2, 0, 0)),
-    "G2": ((0, 2, -2), (4, -2, -2)),
-}
+# The canonical certificates of E, F and G, each searched when first asked for.
+_EXCEPTIONAL: dict[RootSystemType, OrthCertificate] = {}
 
 
 def canonical_certificate(t: RootSystemType) -> OrthCertificate:
-    """The certificate ``sork_exact`` returns for ``t``, written down from
-    the family and rank alone in O(rank) roots, without building the root
-    system.
+    """The certificate ``sork_exact`` returns for ``t``.  For A, B, C and D
+    it is written down from the family and rank alone in O(rank) roots,
+    without building the root system.
 
     The lex-min extraction takes, in ascending order, each root that still
     lies in a maximum set together with the roots already taken.  In the
@@ -167,12 +153,15 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
       left over.  So the set is e_i +- e_(i+1) on pairs from the front,
       plus e_r when r is odd.
 
-    The exceptional types come from a fixed table.  Ranks above
-    ``MAX_BUILD_RANK`` raise :class:`InvalidType`, as construction does.
+    E, F and G come from ``sork_exact`` itself, run once per type per
+    process on at most 240 roots.  Ranks above ``MAX_BUILD_RANK`` raise
+    :class:`InvalidType`, as construction does.
     """
     fam, r = t.family, t.rank
     if fam in "EFG":
-        return OrthCertificate(t, _EXCEPTIONAL_CERTIFICATES[str(t)])
+        if t not in _EXCEPTIONAL:
+            _EXCEPTIONAL[t] = sork_exact(build_root_system(t))[1]
+        return _EXCEPTIONAL[t]
     require_buildable(t)
     dim = r + 1 if fam == "A" else r
     if fam == "A":

@@ -9,9 +9,11 @@ dim(X_r) such that d and dim(X_r) / d are the dimensions of simple a_s and
 b_t.  One row is listed by hand, C4: C1 x D2, whose so(4) is not simple.
 
 The encoded m and n columns are never trusted: each audit recomputes them
-from the strong orthogonal rank formula and compares.  One row rule then
-holds for every row instance of every table: m >= n, checked by
-``AuditReport.add_bound`` with the recomputed m and n, never the encoded ones.
+from ``sork_formula`` and compares: a closed formula for A, B, C and D, the
+exact search for E, F and G, on at most 240 roots, once per type per
+process.  One row rule then holds for every row instance of every table:
+m >= n, checked by ``AuditReport.add_bound`` with the recomputed m and n,
+never the encoded ones.
 """
 
 from collections.abc import Iterable, Iterator

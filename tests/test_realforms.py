@@ -321,22 +321,43 @@ def _fresh_cache(fn):
 
 @pytest.fixture
 def no_search(monkeypatch):
-    """Make the exact clique search and its graph raise, with an empty
-    cache so that no result computed by an earlier test can stand in for it."""
+    """Make the exact clique search and its graph raise, with empty caches
+    so that no result computed by an earlier test can stand in for it."""
     def refuse(*args, **kwargs):
         raise RuntimeError("exact clique search called")
 
     monkeypatch.setattr(sork, "LazyRootGraph", refuse)
     monkeypatch.setattr(sork, "orbit_clique_search", refuse)
+    monkeypatch.setattr(sork, "_EXCEPTIONAL", {})
     monkeypatch.setattr(realforms, "_certified_sork",
                         _fresh_cache(realforms._certified_sork))
 
 
+def _family_in(families, bound=8):
+    return [d for d in catalog(bound) if complexification_type(d).family in families]
+
+
 class TestClosedFormNuPath:
     def test_catalog_needs_no_search(self, no_search):
-        for d in catalog(8):
+        # A-D have closed forms; E, F and G are searched
+        for d in _family_in("ABCD"):
             res = nu_simple(d)
             assert len(res.certificate.roots) == res.nu
+
+    def test_each_exceptional_type_is_searched_once(self, monkeypatch):
+        graph, built = sork.LazyRootGraph, []
+
+        def counted(phi):
+            built.append(str(phi.type))
+            return graph(phi)
+
+        monkeypatch.setattr(sork, "LazyRootGraph", counted)
+        monkeypatch.setattr(sork, "_EXCEPTIONAL", {})
+        monkeypatch.setattr(realforms, "_certified_sork",
+                            _fresh_cache(realforms._certified_sork))
+        for d in _family_in("EFG"):
+            nu_simple(d)
+        assert sorted(built) == ["E6", "E7", "E8", "F4", "G2"]
 
     @pytest.mark.parametrize("d", list(catalog(8)), ids=str)
     def test_certificate_equals_exact_search(self, d):

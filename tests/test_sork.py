@@ -424,6 +424,17 @@ class TestCanonicalCertificate:
         assert verify_certificate(cert)
         assert len(cert.roots) == sork_formula(t)
 
+    @pytest.mark.parametrize("label", ["E6", "E7", "E8", "F4", "G2"])
+    def test_exceptional_equals_full_graph_oracle(self, label):
+        # the exact search makes these certificates, so test_equals_exact_search
+        # is circular for them: compare with a solver that shares no code
+        # with orbit_clique_search, and with the literature's ranks
+        phi = _phi(label)
+        reps, neigh = strong_orthogonality_graph(phi)
+        size, clique = lex_min_max_clique(neigh)
+        assert canonical_certificate(phi.type).roots == tuple(reps[v] for v in clique)
+        assert size == EXPECTED[label]
+
     def test_rank_above_cap_refused(self):
         for label in ("A65", "B65", "D99999999"):
             with pytest.raises(InvalidType):
