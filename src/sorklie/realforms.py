@@ -15,19 +15,19 @@ the complex algebra sl2(C).  That is the one accidental isomorphism folded;
 the others keep both names, such as so(3,2) and sp(2,R), or so(4,3) and
 split(B3), and both names give one ν.
 
-The free subgroup rank reads the strong orthogonal rank of the
-complexification from ``sork_formula`` and attaches the canonical
-certificate, verified against the built root system.  For A, B, C and D
-both are closed forms and no clique search runs; for E, F and G both come
-from the exact search, run once per type per process.
+The free subgroup rank takes the canonical certificate of the
+complexification from ``sork.canonical_certificate``, verified once per
+type per process against the one root system it was found on, and reads
+the strong orthogonal rank as its size.  For A, B, C and D the
+certificate is a closed form and no clique search runs; for E, F and G it
+comes from the exact search.
 """
 
 from collections.abc import Iterator
-from functools import lru_cache
 
 from .errors import InvalidRealForm
 from .roots import RootSystemType, Value, all_types
-from .sork import OrthCertificate, canonical_certificate, sork_formula, verify_certificate
+from .sork import OrthCertificate, canonical_certificate
 
 # Known exceptional real forms by (family, rank, signature), excluding the
 # split and compact signatures which normalize to split()/compact().
@@ -222,37 +222,17 @@ def is_sopq_exception(d: RealFormDescriptor) -> bool:
     return p % 2 == 1 and q % 2 == 1 and (p + q) % 4 == 0
 
 
-@lru_cache(maxsize=None)
-def _certified_sork(t: RootSystemType) -> tuple[int, OrthCertificate]:
-    """The strong orthogonal rank of ``t`` with the canonical certificate
-    that witnesses it, re-checked once per type against the built root
-    system."""
-    s = sork_formula(t)
-    cert = canonical_certificate(t)
-    check = verify_certificate(cert)
-    if not check:
-        raise AssertionError(
-            f"certificate bug: the canonical certificate of {t} fails "
-            f"verification ({check.reason})"
-        )
-    if len(cert.roots) != s:
-        raise AssertionError(
-            f"certificate bug: the canonical certificate of {t} has "
-            f"{len(cert.roots)} roots, the closed formula {s}"
-        )
-    return s, cert
-
-
 def nu_simple(d: RealFormDescriptor) -> NuResult:
     """Free subgroup rank of the connected simple Lie group with algebra d.
 
-    The strong orthogonal rank s of the complexification and its canonical
-    certificate are closed forms for A, B, C and D, so no clique search
-    runs; for E, F and G the exact search finds them, once per type per
-    process.  The certificate is verified once per type, in O(s^2) pairs.
+    The strong orthogonal rank s of the complexification is the size of
+    its canonical certificate, which is a closed form for A, B, C and D, so
+    no clique search runs; for E, F and G the exact search finds it.
+    ``canonical_certificate`` verifies it once per type per process,
+    against the one root system it was found on, in O(s^2) pairs.
     """
-    t = complexification_type(d)
-    s, cert = _certified_sork(t)
+    cert = canonical_certificate(complexification_type(d))
+    s = len(cert.roots)
     if d.kind == "complex":
         return NuResult(s, NuCase.COMPLEX_STRUCTURE, s, cert)
     if is_sopq_exception(d):

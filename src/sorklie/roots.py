@@ -271,24 +271,19 @@ def _roots(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
     return _roots(RootSystemType("A", 2))[0] + g2, _G2_SIMPLE
 
 
-def require_buildable(t: RootSystemType) -> None:
-    """Raise :class:`InvalidType` if the rank of ``t`` exceeds
-    :data:`MAX_BUILD_RANK`, before anything of that size is allocated."""
+def build_root_system(t: RootSystemType) -> RootSystem:
+    """Construct the root system of type ``t`` with Bourbaki simple roots.
+
+    Deterministic: roots come out sorted lexicographically on doubled
+    coordinates.  Raises :class:`InvalidType` for out-of-bounds ranks and,
+    before anything of that size is allocated, for ranks above
+    :data:`MAX_BUILD_RANK`.
+    """
     if t.rank > MAX_BUILD_RANK:
         raise InvalidType(
             f"rank {t.rank} of {t} exceeds the construction limit "
             f"{MAX_BUILD_RANK}"
         )
-
-
-def build_root_system(t: RootSystemType) -> RootSystem:
-    """Construct the root system of type ``t`` with Bourbaki simple roots.
-
-    Deterministic: roots come out sorted lexicographically on doubled
-    coordinates.  Raises :class:`InvalidType` for out-of-bounds ranks and
-    for ranks above :data:`MAX_BUILD_RANK`.
-    """
-    require_buildable(t)
     raw, simple = _roots(t)
     coords = sorted(set(raw))
     if len(coords) != t.root_count():

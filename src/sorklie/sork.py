@@ -3,7 +3,9 @@
 For A, B, C and D the closed formula and the closed-form canonical
 certificate need only the family and the rank, so the free subgroup rank
 runs no search for them.  E, F and G take both from the exact search
-below, on at most 240 roots, once per type per process.
+below, on at most 240 roots.  ``canonical_certificate`` hands out every
+canonical certificate, verified once per type per process, against the
+one root system it was found on, and kept in ``_CANONICAL``.
 
 A certificate holds its roots as the plain tuples of doubled coordinates
 that ``roots`` builds.  ``OrthCertificate.from_json_dict`` is the one
@@ -39,14 +41,7 @@ from collections.abc import Callable
 from operator import add, mul
 
 from .errors import CertificateError, InvalidType
-from .roots import (
-    RootSystem,
-    RootSystemType,
-    Value,
-    _vec,
-    build_root_system,
-    require_buildable,
-)
+from .roots import RootSystem, RootSystemType, Value, _vec, build_root_system
 
 class OrthCertificate(Value):
     """An explicit pairwise strongly orthogonal set, sorted lexicographically
@@ -111,7 +106,9 @@ class CertCheck(Value):
 
 def sork_formula(t: RootSystemType) -> int:
     """Strong orthogonal rank of an irreducible type: a closed formula for
-    A, B, C and D, the size of the canonical certificate for E, F and G.
+    A, B, C and D, the size of the canonical certificate for E, F and G,
+    which is verified once per type per process, against the one root
+    system it was found on.
 
     D2 (= A1 x A1) and D3 (= A3) are accepted and follow the D-family
     formula, which agrees with their decompositions.
@@ -126,14 +123,42 @@ def sork_formula(t: RootSystemType) -> int:
     return len(canonical_certificate(t).roots)
 
 
-# The canonical certificates of E, F and G, each searched when first asked for.
-_EXCEPTIONAL: dict[RootSystemType, OrthCertificate] = {}
+# The verified canonical certificate of each type asked for in this process.
+_CANONICAL: dict[RootSystemType, OrthCertificate] = {}
 
 
 def canonical_certificate(t: RootSystemType) -> OrthCertificate:
-    """The certificate ``sork_exact`` returns for ``t``.  For A, B, C and D
-    it is written down from the family and rank alone in O(rank) roots,
-    without building the root system.
+    """The certificate ``sork_exact`` returns for ``t``, verified once per
+    type per process, against the one root system it was found on.
+
+    The first call builds that system, takes the certificate from
+    :func:`_closed_form` (A-D) or ``sork_exact`` (E, F, G), checks it as
+    :func:`verify_certificate` does and, for A-D, its length against
+    ``sork_formula``; a failure is an :class:`AssertionError` starting
+    "certificate bug".  Ranks above ``MAX_BUILD_RANK`` raise
+    :class:`InvalidType`, as construction does.
+    """
+    if t not in _CANONICAL:
+        phi = build_root_system(t)
+        cert = _closed_form(t) if t.family in "ABCD" else sork_exact(phi)[1]
+        check = _check(cert, phi)
+        if not check:
+            raise AssertionError(
+                f"certificate bug: the canonical certificate of {t} fails "
+                f"verification ({check.reason})"
+            )
+        if t.family in "ABCD" and len(cert.roots) != sork_formula(t):
+            raise AssertionError(
+                f"certificate bug: the canonical certificate of {t} has "
+                f"{len(cert.roots)} roots, the closed formula {sork_formula(t)}"
+            )
+        _CANONICAL[t] = cert
+    return _CANONICAL[t]
+
+
+def _closed_form(t: RootSystemType) -> OrthCertificate:
+    """The canonical certificate of an A, B, C or D type, written down from
+    the family and rank alone in O(rank) roots.
 
     The lex-min extraction takes, in ascending order, each root that still
     lies in a maximum set together with the roots already taken.  In the
@@ -152,17 +177,8 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
       only when r is odd; otherwise the recursion is that of D with B_(r-2)
       left over.  So the set is e_i +- e_(i+1) on pairs from the front,
       plus e_r when r is odd.
-
-    E, F and G come from ``sork_exact`` itself, run once per type per
-    process on at most 240 roots.  Ranks above ``MAX_BUILD_RANK`` raise
-    :class:`InvalidType`, as construction does.
     """
     fam, r = t.family, t.rank
-    if fam in "EFG":
-        if t not in _EXCEPTIONAL:
-            _EXCEPTIONAL[t] = sork_exact(build_root_system(t))[1]
-        return _EXCEPTIONAL[t]
-    require_buildable(t)
     dim = r + 1 if fam == "A" else r
     if fam == "A":
         rows = [_vec(dim, (i, 2), (i + 1, -2)) for i in range(r - 1, -1, -2)]
@@ -352,14 +368,19 @@ def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
 def verify_certificate(cert: OrthCertificate) -> CertCheck:
     """Re-check a certificate from scratch, against the root system built
     from its ``system_type``: membership, pairwise strong orthogonality,
-    and canonical (ascending lexicographic) ordering.
+    and canonical (ascending lexicographic) ordering."""
+    return _check(cert, build_root_system(cert.system_type))
+
+
+def _check(cert: OrthCertificate, phi: RootSystem) -> CertCheck:
+    """:func:`verify_certificate` against a given root system ``phi`` of
+    the certificate's type.
 
     Each pair is checked on the doubled integer coordinates: a repeated
     root, a nonzero dot product or a root a+b makes the pair not strongly
     orthogonal.  For orthogonal roots a, b the reflection s_b maps a+b to
     a-b, so a+b is a root iff a-b is and one lookup decides.
     """
-    phi = build_root_system(cert.system_type)
     roots = cert.roots
     for r in roots:
         if r not in phi:

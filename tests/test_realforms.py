@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -30,11 +29,12 @@ from sorklie import (
     sp,
     sp_R,
     sork_exact,
+    sork_formula,
     split_form,
     su,
     verify_certificate,
 )
-from sorklie import realforms, sork
+from sorklie import realforms, roots, sork
 from sorklie.cli import main
 from sorklie.realforms import catalog
 
@@ -315,22 +315,17 @@ class TestCatalog:
         assert small == large
 
 
-def _fresh_cache(fn):
-    return functools.lru_cache(maxsize=None)(fn.__wrapped__)
-
-
 @pytest.fixture
 def no_search(monkeypatch):
-    """Make the exact clique search and its graph raise, with empty caches
-    so that no result computed by an earlier test can stand in for it."""
+    """Make the exact clique search and its graph raise, with an empty
+    cache so that no result computed by an earlier test can stand in for
+    it."""
     def refuse(*args, **kwargs):
         raise RuntimeError("exact clique search called")
 
     monkeypatch.setattr(sork, "LazyRootGraph", refuse)
     monkeypatch.setattr(sork, "orbit_clique_search", refuse)
-    monkeypatch.setattr(sork, "_EXCEPTIONAL", {})
-    monkeypatch.setattr(realforms, "_certified_sork",
-                        _fresh_cache(realforms._certified_sork))
+    monkeypatch.setattr(sork, "_CANONICAL", {})
 
 
 def _family_in(families, bound=8):
@@ -352,12 +347,31 @@ class TestClosedFormNuPath:
             return graph(phi)
 
         monkeypatch.setattr(sork, "LazyRootGraph", counted)
-        monkeypatch.setattr(sork, "_EXCEPTIONAL", {})
-        monkeypatch.setattr(realforms, "_certified_sork",
-                            _fresh_cache(realforms._certified_sork))
+        monkeypatch.setattr(sork, "_CANONICAL", {})
         for d in _family_in("EFG"):
             nu_simple(d)
         assert sorted(built) == ["E6", "E7", "E8", "F4", "G2"]
+
+    def test_each_type_is_built_once(self, monkeypatch):
+        # the search, the check and the length all use one root system
+        build, built, depth = roots._roots, [], []
+
+        def counted(t):
+            if not depth:  # F4 and G2 read B4's and A2's roots inside theirs
+                built.append(str(t))
+            depth.append(t)
+            try:
+                return build(t)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(roots, "_roots", counted)
+        monkeypatch.setattr(sork, "_CANONICAL", {})
+        closed = [su(3, 2), so(7, 1), sp(2, 1), so_star(10), split_form(_t("B3"))]
+        for d in _family_in("EFG") + closed + closed:
+            nu_simple(d)
+        assert sorted(built) == ["A4", "B3", "C3", "D4", "D5",
+                                 "E6", "E7", "E8", "F4", "G2"]
 
     @pytest.mark.parametrize("d", list(catalog(8)), ids=str)
     def test_certificate_equals_exact_search(self, d):
@@ -368,15 +382,22 @@ class TestClosedFormNuPath:
                                     exact.roots[: res.sork_of_complexification - 1])
         assert res.certificate == exact
 
-    @pytest.mark.parametrize("broken", [
-        lambda cert: OrthCertificate(cert.system_type, cert.roots[1:]),
-        lambda cert: OrthCertificate(cert.system_type, cert.roots[::-1]),
-    ], ids=["too_short", "not_canonical"])
-    def test_broken_certificate_is_an_explicit_error(self, monkeypatch, broken):
-        good = realforms.canonical_certificate
-        monkeypatch.setattr(realforms, "canonical_certificate",
-                            lambda t: broken(good(t)))
-        monkeypatch.setattr(realforms, "_certified_sork",
-                            _fresh_cache(realforms._certified_sork))
+    @pytest.mark.parametrize("seam, label, broken", [
+        ("_closed_form", "D6",
+         lambda cert: OrthCertificate(cert.system_type, cert.roots[1:])),
+        ("_closed_form", "D6",
+         lambda cert: OrthCertificate(cert.system_type, cert.roots[::-1])),
+        ("sork_exact", "E8",
+         lambda found: (found[0], OrthCertificate(found[1].system_type,
+                                                  found[1].roots[::-1]))),
+    ], ids=["too_short", "not_canonical", "exact_search_not_canonical"])
+    def test_broken_certificate_is_an_explicit_error(self, monkeypatch, seam,
+                                                     label, broken):
+        good = getattr(sork, seam)
+        monkeypatch.setattr(sork, seam, lambda arg: broken(good(arg)))
+        monkeypatch.setattr(sork, "_CANONICAL", {})
         with pytest.raises(AssertionError, match="certificate bug"):
-            nu_simple(split_form(_t("D6")))
+            nu_simple(split_form(_t(label)))
+        if label[0] in "EFG":  # sork_formula reads these off the certificate
+            with pytest.raises(AssertionError, match="certificate bug"):
+                sork_formula(_t(label))
