@@ -583,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args if type(args) is int else _DISPATCH[args.command](args)
         sys.stdout.flush()  # a failed write of the answer fails here at the latest
         return code
-    except (SorklieError, OSError, KeyError, ValueError) as err:
+    except (SorklieError, OSError, ValueError) as err:
         _complain(f"error: {err}")
         return EXIT_ERROR
 

@@ -1,5 +1,7 @@
 """Group expressions: parsing, pretty-printing, and free subgroup rank rules.
 
+The parser reads tokens and knows which names take a root system type, a
+signature or an argument list; ``realforms.spelled`` says what they spell.
 A chain of direct or free products is one flat node, whatever its brackets
 and powers: the products' constructor is where associativity is stated.
 The evaluator implements the reduction calculus in one walk: products add, a
@@ -14,22 +16,7 @@ General extensions only yield an upper bound, kept apart from exact values.
 
 from .errors import (MAX_DIGITS, ExprSyntaxError, InvalidRealForm, InvalidType,
                      RuleNotApplicable)
-from .realforms import (
-    NuResult,
-    RealFormDescriptor,
-    compact_form,
-    complex_simple,
-    exceptional_form,
-    nu_simple,
-    sl_H,
-    sl_R,
-    so,
-    so_star,
-    sp,
-    sp_R,
-    split_form,
-    su,
-)
+from .realforms import NuResult, RealFormDescriptor, nu_simple, spelled
 from .roots import RootSystemType, Value
 
 # Largest number of atoms that one ``^k`` may expand to: k times the atoms
@@ -416,23 +403,22 @@ class _Parser:
         try:
             if lname in ("complex", "split", "compact"):
                 self.expect_sym("(")
-                t = self.parse_type()
+                args = [self.parse_type()]
                 self.expect_sym(")")
-                builder = {"complex": complex_simple, "split": split_form,
-                           "compact": compact_form}[lname]
-                return builder(t)
-            if name[0].upper() in "EFG" and name[1:].isdigit():  # E8, e08: as sork reads them
+            elif name[0].upper() in "EFG" and name[1:].isdigit():  # E8, e08: as sork reads them
                 self.expect_sym("(")
-                sig = self.expect_int()
+                args = [self.expect_int()]
                 self.expect_sym(")")
-                t = RootSystemType.parse(name)
-                return exceptional_form(t.family, t.rank, sig)
-            if lname in ("su", "so", "sp", "sl", "so*"):
+            elif lname in ("su", "so", "sp", "sl", "so*"):
                 args = self.parse_args()
-                return _classical_descriptor(lname, args, offset)
+            else:
+                raise ExprSyntaxError(f"unknown atom {name!r}", offset)
+            d = spelled(name, args)
         except (InvalidRealForm, InvalidType) as err:
             raise InvalidRealForm(f"{err} (at offset {offset})") from err
-        raise ExprSyntaxError(f"unknown atom {name!r}", offset)
+        if d is None:
+            raise ExprSyntaxError(f"bad arguments for {lname}{tuple(args)!r}", offset)
+        return d
 
     def parse_args(self) -> list:
         """Argument list: integers or the field markers R / H."""
@@ -461,30 +447,6 @@ class _Parser:
             return RootSystemType.parse(tok.text)
         except InvalidType as err:
             raise ExprSyntaxError(str(err), tok.offset) from err
-
-
-# (name, argument shape) -> builder called with the integer arguments.  The
-# shape has "n" for an integer and the marker itself for R or H.
-_CLASSICAL = {
-    ("su", ("n",)): lambda n: su(n, 0),
-    ("su", ("n", "n")): su,
-    ("sl", ("n", "R")): sl_R,
-    ("sl", ("n", "H")): sl_H,
-    ("so", ("n",)): lambda n: so(n, 0),
-    ("so", ("n", "n")): so,
-    ("so*", ("n",)): so_star,
-    ("sp", ("n",)): lambda n: sp(n, 0),
-    ("sp", ("n", "R")): sp_R,
-    ("sp", ("n", "n")): sp,
-}
-
-
-def _classical_descriptor(lname: str, args: list, offset: int) -> RealFormDescriptor:
-    shape = tuple("n" if isinstance(a, int) else a for a in args)
-    builder = _CLASSICAL.get((lname, shape))
-    if builder is None:
-        raise ExprSyntaxError(f"bad arguments for {lname}{tuple(args)!r}", offset)
-    return builder(*(a for a in args if isinstance(a, int)))
 
 
 def parse_group_expr(text: str) -> GroupExpr:

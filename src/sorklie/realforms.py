@@ -6,7 +6,9 @@ the printed name and the complexification type of a parameterised kind
 compact and exceptional kinds carry their type as ``base``, and ``_NAMED``
 gives the classical compact and split forms their defining-representation
 names (Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
-1978, Ch. X).
+1978, Ch. X).  Beside the printer, ``_SPELLINGS`` maps each spelling (a name
+and its argument shape) to its builder, and ``spelled`` reads it, so that
+reparsing ``str(d)`` gives ``d`` back is a property of this one module.
 
 Descriptors are normalized at construction: split and compact classical
 series fold into split(T)/compact(T), the exceptional split and compact
@@ -202,6 +204,39 @@ def exceptional_form(family: str, rank: int, signature: int) -> RealFormDescript
 
 def _fail(descriptor: str) -> None:
     raise InvalidRealForm(f"{descriptor} does not describe a simple Lie algebra")
+
+
+# (name, argument shape) -> builder called with the arguments other than R
+# and H.  The shape has "n" for an integer, "T" for a type, and R or H itself.
+_SPELLINGS = {
+    ("su", ("n",)): lambda n: su(n, 0),
+    ("su", ("n", "n")): su,
+    ("sl", ("n", "R")): sl_R,
+    ("sl", ("n", "H")): sl_H,
+    ("so", ("n",)): lambda n: so(n, 0),
+    ("so", ("n", "n")): so,
+    ("so*", ("n",)): so_star,
+    ("sp", ("n",)): lambda n: sp(n, 0),
+    ("sp", ("n", "R")): sp_R,
+    ("sp", ("n", "n")): sp,
+    ("complex", ("T",)): complex_simple,
+    ("split", ("T",)): split_form,
+    ("compact", ("T",)): compact_form,
+}
+
+
+def spelled(name: str, args: list) -> RealFormDescriptor | None:
+    """The descriptor ``name(args)`` spells in any case, so that
+    ``spelled`` reads what ``str`` writes; None if no spelling of ``name``
+    takes arguments of this shape.  An exceptional label (E8, e08: as
+    ``RootSystemType.parse`` reads it) takes one integer, its signature."""
+    shape = tuple("n" if isinstance(a, int) else "T" if isinstance(a, RootSystemType)
+                  else a for a in args)
+    if name[:1].upper() in "EFG" and name[1:].isdigit() and shape == ("n",):
+        t = RootSystemType.parse(name)
+        return exceptional_form(t.family, t.rank, *args)
+    builder = _SPELLINGS.get((name.lower(), shape))
+    return None if builder is None else builder(*(a for a in args if not isinstance(a, str)))
 
 
 def complexification_type(d: RealFormDescriptor) -> RootSystemType:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sorklie import cli
+from sorklie import cli, groups
 from sorklie.cli import EXIT_AUDIT_FAIL, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from sorklie.errors import CertificateError
 from sorklie.roots import MAX_BUILD_RANK, MAX_DIGITS, RootSystemType
@@ -163,6 +163,14 @@ class TestNu:
         assert proc.returncode == EXIT_ERROR
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_a_key_error_is_a_bug_not_a_user_error(self, monkeypatch):
+        # no input reaches a KeyError, so one propagates as a certificate bug does
+        def broken(e):
+            raise KeyError("x")
+        monkeypatch.setattr(groups, "nu_walk", broken)
+        with pytest.raises(KeyError):
+            main(["nu", "su(2)"])
 
 
 # A reference for the certify size check, by one token regex: a string,

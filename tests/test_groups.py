@@ -19,6 +19,8 @@ from sorklie import (
     RuleNotApplicable,
     SimpleLie,
     SolvableAtom,
+    compact_form,
+    complex_simple,
     exceptional_form,
     nu_eval,
     nu_simple,
@@ -31,6 +33,7 @@ from sorklie import (
     so_star,
     sp,
     sp_R,
+    split_form,
     su,
 )
 from sorklie import cli, groups
@@ -335,12 +338,19 @@ class TestParser:
                 parse_group_expr(text)
             assert exc.value.offset == offset
 
-    # Each (name, argument shape) of the classical descriptor table, any case.
+    # Each (name, argument shape) of realforms._SPELLINGS, and exceptional
+    # labels as sork reads them, any case.
     @pytest.mark.parametrize("text,expected", [
         ("su(3)", su(3, 0)), ("SU(2,1)", su(2, 1)), ("sl(3,R)", sl_R(3)),
         ("Sl(2,h)", sl_H(2)), ("so(5)", so(5, 0)), ("so(3,2)", so(3, 2)),
         ("so*(8)", so_star(8)), ("sp(2)", sp(2, 0)), ("sp(2,R)", sp_R(2)),
         ("sp(1,1)", sp(1, 1)),
+        ("complex(A3)", complex_simple(RootSystemType("A", 3))),
+        ("Split(g2)", split_form(RootSystemType("G", 2))),
+        ("compact(E8)", compact_form(RootSystemType("E", 8))),
+        ("E6(-26)", exceptional_form("E", 6, -26)),
+        ("e08(8)", split_form(RootSystemType("E", 8))),
+        ("F4(-20)", exceptional_form("F", 4, -20)),
     ])
     def test_classical_descriptors(self, text, expected):
         assert parse_group_expr(text) == SimpleLie(expected)
@@ -359,6 +369,25 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_group_expr(text)
         assert str(exc.value) == f"{message} at offset 0"
+
+    # What the parser reads before the spelling table, and how it reports
+    # an invalid algebra: the type, message and offset of each error.
+    @pytest.mark.parametrize("text,error,message", [
+        ("complex(3)", ExprSyntaxError, "expected a root system type like A3 at offset 8"),
+        ("compact()", ExprSyntaxError, "expected a root system type like A3 at offset 8"),
+        ("complex(Q2)", ExprSyntaxError, "cannot parse root system type 'Q2' at offset 8"),
+        ("split(A3,2)", ExprSyntaxError, "expected ')' at offset 8"),
+        ("E8(R)", ExprSyntaxError, "expected an integer at offset 3"),
+        ("E8(1,2)", ExprSyntaxError, "expected ')' at offset 4"),
+        ("foo(2)", ExprSyntaxError, "unknown atom 'foo' at offset 0"),
+        ("su(2,x)", ExprSyntaxError, "expected an argument at offset 5"),
+        ("F4(3)", InvalidRealForm, "unknown exceptional real form F4(3) (at offset 0)"),
+        ("complex(D2)", InvalidRealForm, "D2 is not simple (it is A1 x A1) (at offset 0)"),
+    ])
+    def test_descriptor_errors(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_group_expr(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("text", ["so(4)", "so(2,2)", "E8(0)", "su(0)"])
     def test_invalid_algebras(self, text):
