@@ -1,14 +1,15 @@
 """Real simple Lie algebras and the three-case free subgroup rank computation.
 
 Each kind of descriptor states its facts once.  A row of ``_KINDS`` gives
-the printed name and the complexification type of a parameterised kind
-(su, sl_H, so, so_star, sp) as functions of its params; the complex, split,
-compact and exceptional kinds carry their type as ``base``, and ``_NAMED``
-gives the classical compact and split forms their defining-representation
-names (Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
-1978, Ch. X).  Beside the printer, ``_SPELLINGS`` maps each spelling (a name
-and its argument shape) to its builder, and ``spelled`` reads it, so that
-reparsing ``str(d)`` gives ``d`` back is a property of this one module.
+the printed name of a parameterised kind (su, sl_H, so, so_star, sp) and
+its complexification, a matrix algebra of the family table in ``roots``;
+the complex, split, compact and exceptional kinds carry their type as
+``base``, and ``_NAMED`` names the classical compact and split forms by the
+matrix size of their type, but sp by half of it (Helgason, Differential
+Geometry, Lie Groups, and Symmetric Spaces, 1978, Ch. X).  Beside the
+printer, ``_SPELLINGS`` maps each spelling (a name and its argument shape)
+to its builder, and ``spelled`` reads it, so that reparsing ``str(d)``
+gives ``d`` back is a property of this one module.
 
 Descriptors are normalized at construction: split and compact classical
 series fold into split(T)/compact(T), the exceptional split and compact
@@ -28,7 +29,7 @@ comes from the exact search.
 from collections.abc import Iterator
 
 from .errors import InvalidRealForm
-from .roots import RootSystemType, Value, all_types
+from .roots import RootSystemType, Value, all_types, matrix_size, matrix_type
 from .sork import OrthCertificate, canonical_certificate
 
 # Known exceptional real forms by (family, rank, signature), excluding the
@@ -36,28 +37,24 @@ from .sork import OrthCertificate, canonical_certificate
 _EXC_OTHER = {("E", 6, 2), ("E", 6, -14), ("E", 6, -26), ("E", 7, -5),
               ("E", 7, -25), ("E", 8, -24), ("F", 4, -20)}
 
-
-def _so_type(n: int) -> RootSystemType:
-    """The complexification of so(n): B for odd n, D for even n."""
-    return RootSystemType("B" if n % 2 else "D", n // 2)
-
-
-# kind -> (printed name, complexification type), each a function of params.
+# kind -> (printed name as a function of params, the complexification as an
+# algebra of n x n matrices, and n as a multiple of the sum of the params).
 _KINDS = {
-    "su": (lambda p, q: f"su({p},{q})", lambda p, q: RootSystemType("A", p + q - 1)),
-    "sl_H": (lambda n: f"sl({n},H)", lambda n: RootSystemType("A", 2 * n - 1)),
-    "so": (lambda p, q: f"so({p},{q})", lambda p, q: _so_type(p + q)),
-    "so_star": (lambda n: f"so*({2 * n})", lambda n: RootSystemType("D", n)),
-    "sp": (lambda p, q: f"sp({p},{q})", lambda p, q: RootSystemType("C", p + q)),
+    "su": (lambda p, q: f"su({p},{q})", "sl", 1),
+    "sl_H": (lambda n: f"sl({n},H)", "sl", 2),
+    "so": (lambda p, q: f"so({p},{q})", "so", 1),
+    "so_star": (lambda n: f"so*({2 * n})", "so", 2),
+    "sp": (lambda p, q: f"sp({p},{q})", "sp", 2),
 }
-# (kind, family) -> name as a function of the rank; the rest print as kind(T).
+# (kind, family) -> name as a function of the matrix size n of the type; the
+# rest print as kind(T).
 _NAMED = {
-    ("compact", "A"): lambda r: f"su({r + 1})",
-    ("compact", "B"): lambda r: f"so({2 * r + 1})",
-    ("compact", "C"): lambda r: f"sp({r})",
-    ("compact", "D"): lambda r: f"so({2 * r})",
-    ("split", "A"): lambda r: f"sl({r + 1},R)",
-    ("split", "C"): lambda r: f"sp({r},R)",
+    ("compact", "A"): lambda n: f"su({n})",
+    ("compact", "B"): lambda n: f"so({n})",
+    ("compact", "C"): lambda n: f"sp({n // 2})",
+    ("compact", "D"): lambda n: f"so({n})",
+    ("split", "A"): lambda n: f"sl({n},R)",
+    ("split", "C"): lambda n: f"sp({n // 2},R)",
 }
 # The kinds that carry their complexification type as ``base``.
 _BASED = ("complex", "split", "compact", "exc")
@@ -96,7 +93,7 @@ class RealFormDescriptor(Value):
         if self.kind == "exc":
             return f"{t}({self.params[1]})"
         name = _NAMED.get((self.kind, t.family))
-        return name(t.rank) if name else f"{self.kind}({t})"
+        return name(matrix_size(t.family, t.rank)) if name else f"{self.kind}({t})"
 
 
 class NuResult(Value):
@@ -129,7 +126,7 @@ def _require_simple_type(t: RootSystemType) -> None:
 
 def _compact(kind: str, *params: int) -> RealFormDescriptor:
     """The compact form with the complexification of ``kind(params)``."""
-    return compact_form(_KINDS[kind][1](*params))
+    return compact_form(complexification_type(RealFormDescriptor(kind, params)))
 
 
 def su(p: int, q: int) -> RealFormDescriptor:
@@ -142,7 +139,7 @@ def su(p: int, q: int) -> RealFormDescriptor:
 def sl_R(n: int) -> RealFormDescriptor:
     if n < 2:
         _fail(f"sl({n},R)")
-    return split_form(RootSystemType("A", n - 1))
+    return split_form(matrix_type("sl", n))
 
 
 def sl_H(n: int) -> RealFormDescriptor:
@@ -178,7 +175,7 @@ def so_star(two_n: int) -> RealFormDescriptor:
 def sp_R(n: int) -> RealFormDescriptor:
     if n < 1:
         _fail(f"sp({n},R)")
-    return split_form(RootSystemType("C", n))
+    return split_form(matrix_type("sp", 2 * n))
 
 
 def sp(p: int, q: int) -> RealFormDescriptor:
@@ -242,7 +239,10 @@ def spelled(name: str, args: list) -> RealFormDescriptor | None:
 def complexification_type(d: RealFormDescriptor) -> RootSystemType:
     """Root system type of the complexified algebra (for a complex algebra,
     the underlying complex type, which is what the rank-one case uses)."""
-    return d.base if d.kind in _BASED else _KINDS[d.kind][1](*d.params)
+    if d.kind in _BASED:
+        return d.base
+    _, algebra, times = _KINDS[d.kind]
+    return matrix_type(algebra, times * sum(d.params))
 
 
 def is_sopq_exception(d: RealFormDescriptor) -> bool:

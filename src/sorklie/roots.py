@@ -32,6 +32,10 @@ _CARDINALITY = {
     "G": {2: 12},
 }
 
+# The classical families as matrix algebras: X_r is the algebra named here of
+# n x n complex matrices, n = c*r + e.  So C_r is sp(2r): sp(n) is n x n.
+_MATRICES = {"A": ("sl", 1, 1), "B": ("so", 2, 1), "C": ("sp", 2, 0), "D": ("so", 2, 0)}
+
 # The family table: each family letter, in order, with its valid ranks.  A
 # classical family has every rank from the smallest one given here, an
 # exceptional family the ranks it has a root count for.
@@ -168,6 +172,27 @@ class RootSystemType(Value):
     def root_count(self) -> int:
         entry = _CARDINALITY[self.family]
         return entry(self.rank) if callable(entry) else entry[self.rank]
+
+
+def matrix_size(family: str, rank: int) -> int:
+    """The n of the n x n matrices of the classical type family_rank."""
+    _, c, e = _MATRICES[family]
+    return c * rank + e
+
+
+def matrix_rank(family: str, n: int) -> int | None:
+    """The rank r > 0 of family_r on n x n matrices, or None, read before the
+    low rank aliases fold: so(3) gives B1."""
+    _, c, e = _MATRICES[family]
+    return (n - e) // c if n > e and (n - e) % c == 0 else None
+
+
+def matrix_type(algebra: str, n: int) -> RootSystemType:
+    """The type of sl(n), so(n) or sp(n), the algebra of n x n matrices."""
+    for family, (name, _, _) in _MATRICES.items():
+        if name == algebra and (r := matrix_rank(family, n)):
+            return RootSystemType(family, r)
+    raise InvalidType(f"{algebra}({n}) has no root system type")
 
 
 class RootSystem(Value):

@@ -376,10 +376,10 @@ def _check(cert: OrthCertificate, phi: RootSystem) -> CertCheck:
     """:func:`verify_certificate` against a given root system ``phi`` of
     the certificate's type.
 
-    Each pair is checked on the doubled integer coordinates: a repeated
-    root, a nonzero dot product or a root a+b makes the pair not strongly
-    orthogonal.  For orthogonal roots a, b the reflection s_b maps a+b to
-    a-b, so a+b is a root iff a-b is and one lookup decides.
+    Each pair is checked on the doubled integer coordinates: a nonzero dot
+    product, ±|a|^2 for a repeated root or a root and its negative, or a
+    root a+b makes the pair not strongly orthogonal.  For orthogonal roots
+    a, b the reflection s_b maps a+b to a-b, so a+b is a root iff a-b is.
     """
     roots = cert.roots
     for r in roots:
@@ -387,7 +387,7 @@ def _check(cert: OrthCertificate, phi: RootSystem) -> CertCheck:
             return CertCheck(False, "NotARoot")
     for i, a in enumerate(roots):
         for b in roots[i + 1:]:
-            if a == b or sum(map(mul, a, b)) != 0 or tuple(map(add, a, b)) in phi:
+            if sum(map(mul, a, b)) != 0 or tuple(map(add, a, b)) in phi:
                 return CertCheck(False, "NotStronglyOrthogonal")
     if list(roots) != sorted(roots):  # a tuple never equals a list
         return CertCheck(False, "NotCanonical")

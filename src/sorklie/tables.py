@@ -1,12 +1,13 @@
 """Dynkin subalgebra tables encoded as data, with mechanical audits.
 
-The defining dimension c*r + e of each classical family is stated once, in
-``_DEFINING``.  Table 3 reads it as the minimal faithful dimension.  Every
-category III row a_s x b_t of Table 2 is a tensor product whose defining
-dimensions multiply to the ambient's (Dynkin, "Maximal subgroups of the
-classical groups", 1952), so the rows of X_r are read off the divisors d of
-dim(X_r) such that d and dim(X_r) / d are the dimensions of simple a_s and
-b_t.  One row is listed by hand, C4: C1 x D2, whose so(4) is not simple.
+The defining dimension of a classical family is its matrix size in the
+family table of ``roots``, where sp_k is k x k; Table 3 reads it as the
+minimal faithful dimension.  Every category III row a_s x b_t of Table 2
+is a tensor product whose defining dimensions multiply to the ambient's
+(Dynkin, "Maximal subgroups of the classical groups", 1952), so the rows
+of X_r are read off the divisors d of dim(X_r) such that d and dim(X_r) / d
+are the dimensions of simple a_s and b_t.  One row is listed by hand,
+C4: C1 x D2, whose so(4) is not simple.
 
 The encoded m and n columns are never trusted: each audit recomputes them
 from ``sork_formula`` and compares: a closed formula for A, B, C and D, the
@@ -18,7 +19,7 @@ never the encoded ones.
 
 from collections.abc import Iterable, Iterator
 
-from .roots import RootSystemType, Value
+from .roots import RootSystemType, Value, matrix_rank, matrix_size, matrix_type
 from .sork import sork_formula
 
 
@@ -88,24 +89,17 @@ TABLE1: list[tuple[str, list[list[str]], int, int]] = [
     ("E8", [["A1"], ["G2", "F4"], ["A2", "A1"], ["B2"]], 8, 6),
 ]
 
-# Each classical family's defining dimension c*r + e as (c, e), and the first
-# rank Table 3 reads: below it the type is another's (C1 = A1, B2 = C2, D3 = A3).
-_DEFINING = {"A": (1, 1, 1), "B": (2, 1, 3), "C": (2, 0, 2), "D": (2, 0, 4)}
+# The first rank of each classical family that Table 3 reads: below it the
+# type is another's (C1 = A1, B2 = C2, D3 = A3).
+_TABLE3_FIRST = {"A": 1, "B": 3, "C": 2, "D": 4}
 # Minimal faithful dimensions of the exceptional algebras.
 MINDIM_EXCEPTIONAL = {"E6": 27, "E7": 56, "E8": 248, "F4": 26, "G2": 7}
 
 
-def _dim(family: str, r: int) -> int:
-    c, e, _ = _DEFINING[family]
-    return c * r + e
-
-
 def _rank(family: str, dim: int) -> int | None:
     """The rank of the simple algebra of ``family`` with defining dimension
-    ``dim``, or None; so(2) and so(4) are not simple, so D starts at 3."""
-    c, e, _ = _DEFINING[family]
-    r, rem = divmod(dim - e, c)
-    return r if rem == 0 and r >= (3 if family == "D" else 1) else None
+    ``dim``, or None; so(2) and so(4) are not simple."""
+    return None if family == "D" and dim < 6 else matrix_rank(family, dim)
 
 
 def table1_audit() -> AuditReport:
@@ -145,7 +139,7 @@ _TABLE2_M = {"A": (1, lambda r: (r + 1) // 2), "B": (2, lambda r: r),
 
 def _table2_rows(family: str, r: int) -> Iterator[tuple]:
     """Yield (family label, row id, factors, encoded n or None) for ambient family_r."""
-    dim = _dim(family, r)
+    dim = matrix_size(family, r)
     # dim(a_s): the divisors of dim, up to its square root where the smaller comes first
     divisors = [d for d in range(2, dim) if dim % d == 0 and (family == "C" or d * d <= dim)]
     for group in _TABLE2[family]:
@@ -188,7 +182,7 @@ def table2_audit(rank_cap: int = 24) -> AuditReport:
                 if label == _C1_D2:  # the one row with its own m column
                     report.add(row_id, "m column", m, 4)
                 report.add_bound(row_id, "m >= n", m, n)
-            if family == "B" and _is_prime(2 * r + 1):
+            if family == "B" and _is_prime(matrix_size(family, r)):
                 report.add_check(f"B{r}", "no row when 2r+1 prime", bool(rows),
                                  False, not rows)
 
@@ -215,25 +209,21 @@ def table3_audit(rank_cap: int = 24) -> AuditReport:
     def check_type(row_id: str, t: RootSystemType, mindim: int, classical: bool) -> None:
         n = sork_formula(t)
         k = mindim + 1 if classical else mindim
-        k_sp = k + k % 2
-        # sl_k = A_(k-1), sp_k = C_(k/2), and so_k = B or D of rank k // 2
-        for name, size, ambient in (("sl", k, RootSystemType("A", k - 1)),
-                                    ("sp", k_sp, RootSystemType("C", k_sp // 2)),
-                                    ("so", k, RootSystemType("B" if k % 2 else "D", k // 2))):
+        for name, size in (("sl", k), ("sp", k + k % 2), ("so", k)):
             report.add_bound(row_id, f"{name} ambient: m(k={size}) >= n",
-                             sork_formula(ambient), n)
+                             sork_formula(matrix_type(name, size)), n)
 
-    for fam, (_, _, first_rank) in _DEFINING.items():
+    for fam, first_rank in _TABLE3_FIRST.items():
         for r in range(first_rank, rank_cap + 1):
-            d = _dim(fam, r)
+            d = matrix_size(fam, r)
             check_type(f"{fam}{r} (min dim {d})", RootSystemType(fam, r), d, classical=True)
     for label, mindim in MINDIM_EXCEPTIONAL.items():
         check_type(f"{label} (min dim {mindim})", _t(label), mindim, classical=False)
 
-    # Special pair so_{2r-1} in so_{2r}: n = r - 1, m = sork(D_r).
+    # Special pair so_{2r-1} in so_{2r}: n = r - 1, m = sork(so_{2r}).
     for r in range(3, rank_cap + 1):
         report.add_bound(f"so{2 * r - 1} in so{2 * r}", "m >= n = r-1",
-                         sork_formula(RootSystemType("D", r)), r - 1)
+                         sork_formula(matrix_type("so", 2 * r)), r - 1)
     return report
 
 

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle_utils import is_strongly_orthogonal
 
 from sorklie import cli, groups
 from sorklie.cli import EXIT_AUDIT_FAIL, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from sorklie.errors import CertificateError
-from sorklie.roots import MAX_BUILD_RANK, MAX_DIGITS, RootSystemType
+from sorklie.roots import MAX_BUILD_RANK, MAX_DIGITS, RootSystemType, build_root_system
 from sorklie.sork import canonical_certificate, sork_formula
 
 
@@ -214,6 +215,16 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", str(path))
         assert code == EXIT_AUDIT_FAIL
         assert "NotARoot" in out
+
+    def test_antipodal_pair(self, tmp_path, capsys):
+        # a root and its negative: a + b = 0 is no root, so only the dot
+        # product refuses them
+        a, b = (-2, 2, 0), (2, -2, 0)
+        assert not is_strongly_orthogonal(a, b, build_root_system(RootSystemType("A", 2)))
+        path = tmp_path / "antipodal.json"
+        path.write_text(json.dumps({"system_type": "A2", "roots": [list(a), list(b)]}))
+        assert run(capsys, "certify", str(path)) == (
+            EXIT_AUDIT_FAIL, "invalid certificate: NotStronglyOrthogonal\n", "")
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracle_utils import (
     DimensionError,
     MembershipError,
+    _simple_dim,
     inner_product,
     is_closed_subsystem,
     is_strongly_orthogonal,
@@ -21,7 +22,14 @@ from sorklie import (
     all_types,
     build_root_system,
 )
-from sorklie.roots import MAX_BUILD_RANK, MAX_DIGITS
+from sorklie.roots import (
+    MAX_BUILD_RANK,
+    MAX_DIGITS,
+    _MATRICES,
+    matrix_rank,
+    matrix_size,
+    matrix_type,
+)
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D2", "D3", "D4", "G2", "F4"]
 LARGE_RANKS = [RootSystemType(fam, r) for fam in "ABCD" for r in (32, 48, 64)]
@@ -68,6 +76,36 @@ class TestRootSystemType:
         assert RootSystemType("D", 2).low_rank_alias == "A1 x A1"
         assert RootSystemType("D", 3).low_rank_alias == "A3"
         assert not RootSystemType("D", 4).is_reducible
+
+
+# The dimension of each classical matrix algebra from its matrix size n.
+_MATRIX_DIM = {"sl": lambda n: n * n - 1, "so": lambda n: n * (n - 1) // 2,
+               "sp": lambda n: n * (n + 1) // 2}
+
+
+class TestMatrixAlgebras:
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_dimension_is_roots_plus_rank(self, family):
+        # ties the family table to the root counts of construction, which
+        # do not read it
+        algebra, _, _ = _MATRICES[family]
+        for t in all_types(64):
+            if t.family == family:
+                n = matrix_size(family, t.rank)
+                dim = _MATRIX_DIM[algebra](n)
+                assert dim == t.root_count() + t.rank == _simple_dim(family, t.rank), t
+                assert matrix_rank(family, n) == t.rank
+                assert matrix_type(algebra, n) == t
+
+    def test_inverse_reads_labels_before_aliases(self):
+        # so(3) and sp(2) are B1 and C1, both of type A1; so(4) is D2
+        assert matrix_rank("B", 3) == matrix_rank("C", 2) == 1
+        assert matrix_type("so", 3) == matrix_type("sp", 2) == RootSystemType("A", 1)
+        assert matrix_type("so", 4) == RootSystemType("D", 2)
+        assert [matrix_rank(f, n) for f, n in (("A", 1), ("B", 4), ("C", 3))] == [None] * 3
+        for algebra, n in (("sl", 1), ("so", 2), ("sp", 3)):
+            with pytest.raises(InvalidType):
+                matrix_type(algebra, n)
 
 
 class TestConstruction:
