@@ -14,6 +14,9 @@ from importlib import import_module
 # Public name -> submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys((
+        "CertCheck", "OrthCertificate", "verify_certificate",
+    ), "check"),
+    **dict.fromkeys((
         "CertificateError", "ExprSyntaxError",
         "InvalidRealForm", "InvalidType",
         "RuleNotApplicable", "ShapeError", "SorklieError",
@@ -36,9 +39,7 @@ _EXPORTS = {
         "RootSystem", "RootSystemType", "all_types", "build_root_system",
     ), "roots"),
     **dict.fromkeys((
-        "CertCheck", "OrthCertificate",
         "canonical_certificate", "sork_exact", "sork_formula",
-        "verify_certificate",
     ), "sork"),
     **dict.fromkeys((
         "AuditReport", "table1_audit", "table2_audit", "table3_audit",

@@ -6,7 +6,8 @@ the answer), 2 audit or verification failure, 64 usage error.
 
 Each subcommand imports only the layers it runs, inside its ``_cmd_*``
 function: ``--help`` and usage errors import none, ``dump-roots`` only
-``roots``, ``verify-kronecker`` only ``matrixcheck``.  The imports read the
+``roots``, ``verify-kronecker`` only ``matrixcheck``, and ``certify`` only
+``roots`` and the checker, ``check``, but no search.  The imports read the
 module attributes at call time, so a function patched on its module is the
 one called.  ``verify-kronecker`` samples nothing: it proves the bracket
 identity and the trivial intersection for every pair of sizes up to
@@ -414,7 +415,7 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .sork import CertCheck, OrthCertificate, verify_certificate
+    from .check import check_document
 
     # stdin is file descriptor 0, read as a file is: the same bytes get the
     # same verdict, whatever the locale or PYTHONIOENCODING says
@@ -425,12 +426,7 @@ def _cmd_certify(args) -> int:
         raise CertificateError("certificate document is longer than "
                                f"{MAX_DOCUMENT_CHARS} characters")
     _check_json_size(raw)
-    doc = _loads(raw)
-    cert = OrthCertificate.from_json_dict(doc)
-    if doc.get("n", len(cert.roots)) != len(cert.roots):
-        check = CertCheck(False, "CountMismatch")
-    else:
-        check = verify_certificate(cert)
+    cert, check = check_document(_loads(raw))
     if check:
         print(f"valid certificate: {len(cert.roots)} strongly orthogonal "
               f"roots in {cert.system_type}")

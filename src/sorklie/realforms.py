@@ -11,26 +11,30 @@ printer, ``_SPELLINGS`` maps each spelling (a name and its argument shape)
 to its builder, and ``spelled`` reads it, so that reparsing ``str(d)``
 gives ``d`` back is a property of this one module.
 
-Descriptors are normalized at construction: split and compact classical
+Descriptors are normalized by their builders: split and compact classical
 series fold into split(T)/compact(T), the exceptional split and compact
-signatures (the rank, minus the dimension) do the same, and so(3,1) becomes
-the complex algebra sl2(C).  That is the one accidental isomorphism folded;
-the others keep both names, such as so(3,2) and sp(2,R), or so(4,3) and
-split(B3), and both names give one ν.
+signatures (the rank, minus the dimension) do the same, su(1,1) becomes
+sl(2,R) = split(A1), as sp(1,R) does, and so(3,1) becomes the complex
+algebra sl2(C).  Those are the accidental isomorphisms folded; the others
+keep both names, such as so(2,1) and sl(2,R), so(3,2) and sp(2,R), or
+so(4,3) and split(B3), and both names give one ν.  The constructor of a
+parameterised kind calls its builder and accepts only the params that it
+makes unchanged, so every descriptor is one that a builder makes.
 
 The free subgroup rank takes the canonical certificate of the
 complexification from ``sork.canonical_certificate``, verified once per
-type per process against the one root system it was found on, and reads
-the strong orthogonal rank as its size.  For A, B, C and D the
-certificate is a closed form and no clique search runs; for E, F and G it
-comes from the exact search.
+type per process by the checker in ``check`` against the one root system
+it was found on, and reads the strong orthogonal rank as its size.  For A,
+B, C and D the certificate is a closed form and no clique search runs; for
+E, F and G it comes from the exact search.
 """
 
 from collections.abc import Iterator
 
+from .check import OrthCertificate
 from .errors import InvalidRealForm
 from .roots import RootSystemType, Value, all_types, matrix_size, matrix_type
-from .sork import OrthCertificate, canonical_certificate
+from .sork import canonical_certificate
 
 # Known exceptional real forms by (family, rank, signature), excluding the
 # split and compact signatures which normalize to split()/compact().
@@ -82,7 +86,11 @@ class RealFormDescriptor(Value):
 
     def __init__(self, kind: str, params: tuple[int, ...] = (),
                  base: RootSystemType | None = None):
-        if kind not in _KINDS and kind not in _BASED:
+        if kind in _KINDS:
+            made = _BUILDERS[kind](*params)  # raises for params it refuses
+            if (made.kind, made.params, made.base) != (kind, params, base):
+                raise InvalidRealForm(f"params {params} of {kind!r} build {made}")
+        elif kind not in _BASED:
             raise InvalidRealForm(f"unknown descriptor kind {kind!r}")
         super().__init__(kind, params, base)
 
@@ -124,16 +132,26 @@ def _require_simple_type(t: RootSystemType) -> None:
         raise InvalidRealForm("D2 is not simple (it is A1 x A1)")
 
 
+def _made(kind: str, *params: int) -> RealFormDescriptor:
+    """The descriptor ``kind(params)`` as its builder makes it, past the
+    constructor, whose check calls that builder."""
+    d = object.__new__(RealFormDescriptor)
+    Value.__init__(d, kind, params, None)
+    return d
+
+
 def _compact(kind: str, *params: int) -> RealFormDescriptor:
     """The compact form with the complexification of ``kind(params)``."""
-    return compact_form(complexification_type(RealFormDescriptor(kind, params)))
+    return compact_form(complexification_type(_made(kind, *params)))
 
 
 def su(p: int, q: int) -> RealFormDescriptor:
     p, q = max(p, q), min(p, q)
     if q < 0 or p + q < 2:
         _fail(f"su({p},{q})")
-    return _compact("su", p, q) if q == 0 else RealFormDescriptor("su", (p, q))
+    if q == 1 == p:
+        return sl_R(2)  # su(1,1) = sl(2,R)
+    return _compact("su", p, q) if q == 0 else _made("su", p, q)
 
 
 def sl_R(n: int) -> RealFormDescriptor:
@@ -146,7 +164,7 @@ def sl_H(n: int) -> RealFormDescriptor:
     if n < 1:
         _fail(f"sl({n},H)")
     # sl(1,H) = su(2)
-    return _compact("sl_H", n) if n == 1 else RealFormDescriptor("sl_H", (n,))
+    return _compact("sl_H", n) if n == 1 else _made("sl_H", n)
 
 
 def so(p: int, q: int) -> RealFormDescriptor:
@@ -163,13 +181,13 @@ def so(p: int, q: int) -> RealFormDescriptor:
             # accidental isomorphism so(3,1) = sl2(C)
             return complex_simple(RootSystemType("A", 1))
         raise InvalidRealForm(f"so({p},{q}) is not simple")
-    return RealFormDescriptor("so", (p, q))
+    return _made("so", p, q)
 
 
 def so_star(two_n: int) -> RealFormDescriptor:
     if two_n % 2 or two_n < 6:
         _fail(f"so*({two_n})")
-    return RealFormDescriptor("so_star", (two_n // 2,))
+    return _made("so_star", two_n // 2)
 
 
 def sp_R(n: int) -> RealFormDescriptor:
@@ -182,7 +200,7 @@ def sp(p: int, q: int) -> RealFormDescriptor:
     p, q = max(p, q), min(p, q)
     if q < 0 or p < 1:
         _fail(f"sp({p},{q})")
-    return _compact("sp", p, q) if q == 0 else RealFormDescriptor("sp", (p, q))
+    return _compact("sp", p, q) if q == 0 else _made("sp", p, q)
 
 
 def exceptional_form(family: str, rank: int, signature: int) -> RealFormDescriptor:
@@ -201,6 +219,11 @@ def exceptional_form(family: str, rank: int, signature: int) -> RealFormDescript
 
 def _fail(descriptor: str) -> None:
     raise InvalidRealForm(f"{descriptor} does not describe a simple Lie algebra")
+
+
+# kind of ``_KINDS`` -> its builder, called with a descriptor's params.
+_BUILDERS = {"su": su, "sl_H": sl_H, "so": so,
+             "so_star": lambda n: so_star(2 * n), "sp": sp}
 
 
 # (name, argument shape) -> builder called with the arguments other than R
@@ -280,8 +303,8 @@ def catalog(bound: int = 8) -> Iterator[RealFormDescriptor]:
     """Canonical descriptors with parameters bounded by ``bound``, each
     descriptor once.
 
-    su(1,1) is omitted (it is sl(2,R), already present as the split A1),
-    as are the flagged D2/D3 labels for the complex/split/compact series.
+    su(1,1) is omitted (its builder makes sl(2,R), the split A1), as are
+    the flagged D2/D3 labels for the complex/split/compact series.
     An algebra with two unfolded names, such as so(4,3) and split(B3), is
     listed under both.
     """

@@ -1,15 +1,14 @@
-"""Strong orthogonal rank: exact search, closed formula, and certificates.
+"""Strong orthogonal rank: exact search, closed formula, and the cache of
+canonical certificates.
 
 For A, B, C and D the closed formula and the closed-form canonical
 certificate need only the family and the rank, so the free subgroup rank
 runs no search for them.  E, F and G take both from the exact search
 below, on at most 240 roots.  ``canonical_certificate`` hands out every
-canonical certificate, verified once per type per process, against the
-one root system it was found on, and kept in ``_CANONICAL``.
-
-A certificate holds its roots as the plain tuples of doubled coordinates
-that ``roots`` builds.  ``OrthCertificate.from_json_dict`` is the one
-place where outside input becomes roots, and it refuses the zero vector.
+canonical certificate, verified once per type per process by the checker
+in ``check``, against the one root system it was found on, and kept in
+``_CANONICAL``.  The certificate record and its checker live in
+``check``, which loads none of this module.
 
 The search reduces to a maximum clique problem on the graph whose vertices
 are antipodal pairs of roots (a strongly orthogonal set never contains both
@@ -40,68 +39,8 @@ brute-force oracle, which live in ``tests/oracle_utils.py``.
 from collections.abc import Callable
 from operator import add, mul
 
-from .errors import CertificateError, InvalidType
-from .roots import RootSystem, RootSystemType, Value, _vec, build_root_system
-
-class OrthCertificate(Value):
-    """An explicit pairwise strongly orthogonal set, sorted lexicographically
-    on doubled coordinates, each root a tuple of them."""
-
-    __slots__ = ("system_type", "roots")
-    system_type: RootSystemType
-    roots: tuple[tuple[int, ...], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "system_type": str(self.system_type),
-            "n": len(self.roots),
-            "roots": [list(r) for r in self.roots],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: object) -> "OrthCertificate":
-        """Parse a certificate document; raises :class:`CertificateError`
-        if it is not an object with a string ``system_type``, a list of
-        integer lists ``roots`` and, if present, an integer ``n``, and
-        :class:`InvalidType` for a label that names no type or a root that
-        is the zero vector, in that order."""
-        if not isinstance(data, dict):
-            raise CertificateError("certificate must be a JSON object")
-        label, rows = data.get("system_type"), data.get("roots")
-        if not isinstance(label, str):
-            raise CertificateError("system_type must be a string")
-        if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(_is_int(c) for c in row)
-                for row in rows):
-            raise CertificateError("roots must be a list of lists of integers")
-        if not _is_int(data.get("n", 0)):
-            raise CertificateError("n must be an integer")
-        t = RootSystemType.parse(label)
-        roots = tuple(map(tuple, rows))
-        if not all(map(any, roots)):
-            raise InvalidType("a root cannot be the zero vector")
-        return cls(t, roots)
-
-
-def _is_int(x: object) -> bool:
-    return type(x) is int  # JSON true/false load as bool, a subclass of int
-
-
-class CertCheck(Value):
-    """Verification outcome; when ``ok`` is false, ``reason`` is one of
-    ``verify_certificate``'s NotARoot, NotStronglyOrthogonal and
-    NotCanonical, or CountMismatch, which only ``certify`` gives, when a
-    document's ``n`` differs from its number of roots."""
-
-    __slots__ = ("ok", "reason")
-    ok: bool
-    reason: str | None
-
-    def __init__(self, ok: bool, reason: str | None = None):
-        super().__init__(ok, reason)
-
-    def __bool__(self) -> bool:
-        return self.ok
+from .check import OrthCertificate, _check
+from .roots import RootSystem, RootSystemType, _vec, build_root_system
 
 
 def sork_formula(t: RootSystemType) -> int:
@@ -133,7 +72,7 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
 
     The first call builds that system, takes the certificate from
     :func:`_closed_form` (A-D) or ``sork_exact`` (E, F, G), checks it as
-    :func:`verify_certificate` does and, for A-D, its length against
+    ``check.verify_certificate`` does and, for A-D, its length against
     ``sork_formula``; a failure is an :class:`AssertionError` starting
     "certificate bug".  Ranks above ``MAX_BUILD_RANK`` raise
     :class:`InvalidType`, as construction does.
@@ -363,33 +302,3 @@ def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
     # linearly independent: no clique exceeds the rank.
     clique = orbit_clique_search(len(graph.reps), graph.row, graph.orbit, phi.type.rank)
     return len(clique), OrthCertificate(phi.type, tuple(graph.reps[v] for v in clique))
-
-
-def verify_certificate(cert: OrthCertificate) -> CertCheck:
-    """Re-check a certificate from scratch, against the root system built
-    from its ``system_type``: membership, pairwise strong orthogonality,
-    and canonical (ascending lexicographic) ordering."""
-    return _check(cert, build_root_system(cert.system_type))
-
-
-def _check(cert: OrthCertificate, phi: RootSystem) -> CertCheck:
-    """:func:`verify_certificate` against a given root system ``phi`` of
-    the certificate's type.
-
-    Each pair is checked on the doubled integer coordinates: a nonzero dot
-    product, ±|a|^2 for a repeated root or a root and its negative, or a
-    root a+b makes the pair not strongly orthogonal.  For orthogonal roots
-    a, b the reflection s_b maps a+b to a-b, so a+b is a root iff a-b is.
-    """
-    roots = cert.roots
-    for r in roots:
-        if r not in phi:
-            return CertCheck(False, "NotARoot")
-    for i, a in enumerate(roots):
-        for b in roots[i + 1:]:
-            if sum(map(mul, a, b)) != 0 or tuple(map(add, a, b)) in phi:
-                return CertCheck(False, "NotStronglyOrthogonal")
-    if list(roots) != sorted(roots):  # a tuple never equals a list
-        return CertCheck(False, "NotCanonical")
-    return CertCheck(True)
-

@@ -743,12 +743,12 @@ class TestImportLayering:
         (["--help"], []),
         (["sork"], []),
         (["frobnicate"], []),
-        (["sork", "A3"], ["roots", "sork"]),
+        (["sork", "A3"], ["check", "roots", "sork"]),
         (["verify-kronecker"], ["matrixcheck"]),
         (["dump-roots", "G2"], ["roots"]),
-        (["nu", "su(2)"], ["groups", "realforms", "roots", "sork"]),
-        (["certify", "-"], ["roots", "sork"]),
-        (["verify-tables", "--rank-cap", "4"], ["roots", "sork", "tables"]),
+        (["nu", "su(2)"], ["check", "groups", "realforms", "roots", "sork"]),
+        (["certify", "-"], ["check", "roots"]),
+        (["verify-tables", "--rank-cap", "4"], ["check", "roots", "sork", "tables"]),
     ], ids=["help", "missing-positional", "unknown-command", "sork", "verify-kronecker",
             "dump-roots", "nu", "certify", "verify-tables"])
     def test_subcommand_imports_only_its_layers(self, argv, layers):
@@ -759,6 +759,16 @@ class TestImportLayering:
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"layers": layers, "loaded": []}
+
+    def test_checker_loads_only_errors_and_roots(self):
+        # the trusted base of a certify verdict: check, roots and errors
+        src = str(Path(cli.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import sorklie.check; "
+                "print(sorted(m for m in sys.modules if m.startswith('sorklie.')))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == str(["sorklie.check", "sorklie.errors", "sorklie.roots"]) + "\n"
 
     def test_layers_import_no_typing_without_site(self):
         # site may import typing or enum itself; with -S only the layers could

@@ -8,6 +8,7 @@ import sorklie
 
 # The public names of the package, each with the submodule that defines it.
 EXPORTS = {
+    "check": ["CertCheck", "OrthCertificate", "verify_certificate"],
     "errors": [
         "CertificateError", "ExprSyntaxError",
         "InvalidRealForm", "InvalidType",
@@ -30,11 +31,7 @@ EXPORTS = {
     "roots": [
         "RootSystem", "RootSystemType", "all_types", "build_root_system",
     ],
-    "sork": [
-        "CertCheck", "OrthCertificate",
-        "canonical_certificate", "sork_exact", "sork_formula",
-        "verify_certificate",
-    ],
+    "sork": ["canonical_certificate", "sork_exact", "sork_formula"],
     "tables": ["AuditReport", "table1_audit", "table2_audit", "table3_audit"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -69,16 +70,21 @@ class TestNormalization:
         assert d == complex_simple(_t("A1"))
         assert nu_simple(d).case == NuCase.COMPLEX_STRUCTURE
 
+    def test_su11_is_split_a1(self):
+        assert su(1, 1) == sl_R(2) == split_form(_t("A1"))
+
     def test_exceptional_split_compact_fold(self):
         assert exceptional_form("E", 8, 8) == split_form(_t("E8"))
         assert exceptional_form("G", 2, -14) == compact_form(_t("G2"))
         assert exceptional_form("E", 6, -26).kind == "exc"
 
-    # Only so(3,1) = complex(A1) is folded; other accidental isomorphisms
-    # keep both names, and both must give the same answer.
+    # Only so(3,1) = complex(A1) and su(1,1) = split(A1) are folded; other
+    # accidental isomorphisms keep both names, and both must give the same
+    # answer.
     @pytest.mark.parametrize("a,b", [
         (so(3, 2), sp_R(2)), (so(4, 1), sp(1, 1)), (so(3, 3), sl_R(4)),
         (so(4, 2), su(2, 2)), (so(5, 1), sl_H(2)), (so(6, 2), so_star(8)),
+        (so(2, 1), su(1, 1)),
         *((so(n + 1, n), split_form(_t(f"B{n}"))) for n in range(2, 13)),
         *((so(n, n), split_form(_t(f"D{n}"))) for n in range(3, 13)),
     ], ids=str)
@@ -186,6 +192,24 @@ class TestComplexification:
     def test_kind_without_a_row_is_refused(self):
         with pytest.raises(InvalidRealForm, match="unknown descriptor kind 'sx'"):
             realforms.RealFormDescriptor("sx", (2, 1))
+
+    # Params that the kind's builder refuses or folds into another
+    # descriptor, each refused by the constructor with the builder's verdict.
+    @pytest.mark.parametrize("kind,params,message", [
+        ("so", (2, 2), "so(2,2) is not simple"),
+        ("su", (1, 1), "build sl(2,R)"),
+        ("so", (3, 1), "build complex(A1)"),
+        ("su", (3, 0), "build su(3)"),
+        ("sl_H", (1,), "build su(2)"),
+        ("sp", (0, 0), "sp(0,0) does not describe"),
+    ], ids=["so(2,2)", "su(1,1)", "so(3,1)", "su(3,0)", "sl(1,H)", "sp(0,0)"])
+    def test_params_no_builder_makes_are_refused(self, kind, params, message):
+        with pytest.raises(InvalidRealForm, match=re.escape(message)):
+            realforms.RealFormDescriptor(kind, params)
+
+    def test_catalog_descriptors_construct(self):
+        for d in catalog(12):
+            assert realforms.RealFormDescriptor(d.kind, d.params, d.base) == d
 
 
 class TestSopqException:

@@ -1,8 +1,5 @@
-import ast
-import inspect
 import json
 import random
-import textwrap
 
 import oracle_utils
 import pytest
@@ -19,7 +16,6 @@ from oracle_utils import (
 )
 
 from sorklie import (
-    CertCheck,
     CertificateError,
     InvalidType,
     OrthCertificate,
@@ -27,7 +23,6 @@ from sorklie import (
     all_types,
     build_root_system,
     canonical_certificate,
-    sork,
     sork_exact,
     sork_formula,
     verify_certificate,
@@ -98,71 +93,6 @@ class TestExactSearch:
         again = OrthCertificate.from_json_dict(doc)
         assert again == cert
         assert verify_certificate(again)
-
-
-class TestVerifyCertificate:
-    def test_rejects_non_root(self):
-        t = RootSystemType.parse("A2")
-        cert = OrthCertificate(t, ((2, 0, 0),))
-        check = verify_certificate(cert)
-        assert not check
-        assert check.reason == "NotARoot"
-
-    def test_rejects_non_orthogonal_pair(self):
-        phi = _phi("B2")
-        a, b = (0, 2), (2, 0)  # orthogonal but sum is a root
-        cert = OrthCertificate(phi.type, (a, b))
-        check = verify_certificate(cert)
-        assert check.reason == "NotStronglyOrthogonal"
-
-    def test_rejects_duplicates(self):
-        phi = _phi("B2")
-        r = (2, 0)
-        check = verify_certificate(OrthCertificate(phi.type, (r, r)))
-        assert check.reason == "NotStronglyOrthogonal"
-
-    @pytest.mark.parametrize("label", ["A2", "B3", "C3", "D4", "G2", "F4"])
-    def test_repeated_and_antipodal_roots(self, label):
-        # the dot product alone refuses both: |a|^2 and -|a|^2 are not zero
-        phi = _phi(label)
-        for a in phi.positive_representatives():
-            for pair in ((a, a), (neg(a), a)):
-                assert not is_strongly_orthogonal(*pair, phi)
-                check = verify_certificate(OrthCertificate(phi.type, pair))
-                assert check.reason == "NotStronglyOrthogonal", pair
-
-    def test_rejects_wrong_order(self):
-        phi = _phi("B2")
-        a, b = (2, -2), (2, 2)
-        good = OrthCertificate(phi.type, (a, b))
-        bad = OrthCertificate(phi.type, (b, a))
-        assert verify_certificate(good)
-        assert verify_certificate(bad).reason == "NotCanonical"
-
-    def test_empty_certificate_is_valid(self):
-        phi = _phi("A2")
-        assert verify_certificate(OrthCertificate(phi.type, ()))
-
-    @pytest.mark.parametrize("t", list(all_types(6)), ids=str)
-    def test_pairs_agree_with_predicate(self, t):
-        phi = build_root_system(t)
-        reps = phi.positive_representatives()
-        for i, a in enumerate(reps):
-            for b in reps[i + 1:]:
-                check = verify_certificate(OrthCertificate(t, (a, b)))
-                assert check.ok == is_strongly_orthogonal(a, b, phi), (a, b)
-                assert check.ok or check.reason == "NotStronglyOrthogonal"
-
-    @pytest.mark.parametrize("family", "ABCD")
-    def test_rank_64_canonical_certificates(self, family):
-        t = RootSystemType(family, 64)
-        phi = build_root_system(t)
-        roots = canonical_certificate(t).roots
-        assert verify_certificate(OrthCertificate(t, roots))
-        repeated = OrthCertificate(t, roots[:1] + roots)
-        assert verify_certificate(repeated).reason == "NotStronglyOrthogonal"
-        reversed_ = OrthCertificate(t, roots[::-1])
-        assert verify_certificate(reversed_).reason == "NotCanonical"
 
 
 class TestA1nSubsystem:
@@ -453,129 +383,3 @@ class TestCanonicalCertificate:
         for label in ("A65", "B65", "D99999999"):
             with pytest.raises(InvalidType):
                 canonical_certificate(RootSystemType.parse(label))
-
-
-def _oracle_check(cert: OrthCertificate, phi) -> CertCheck:
-    """The verdict of ``verify_certificate`` from the Fraction predicates of
-    oracle_utils, in its order: membership, pairs, then order."""
-    roots = cert.roots
-    if not all(r in phi.roots for r in roots):
-        return CertCheck(False, "NotARoot")
-    if not all(is_strongly_orthogonal(a, b, phi)
-               for i, a in enumerate(roots) for b in roots[i + 1:]):
-        return CertCheck(False, "NotStronglyOrthogonal")
-    if list(roots) != sorted(roots):
-        return CertCheck(False, "NotCanonical")
-    return CertCheck(True)
-
-
-def _one_away(roots: tuple) -> set:
-    """The sets one sign, one coordinate or one swap away from ``roots``:
-    one root negated, one coordinate of one root negated or moved by 1 or
-    2, two coordinates of one root swapped, or two neighbouring roots
-    swapped."""
-    out = set()
-    for i, r in enumerate(roots):
-        edits = [neg(r)]
-        for j in range(len(r)):
-            edits += [r[:j] + (v,) + r[j + 1:]
-                      for v in (-r[j], r[j] - 2, r[j] - 1, r[j] + 1, r[j] + 2)]
-            edits += [r[:j] + (r[k],) + r[j + 1:k] + (r[j],) + r[k + 1:]
-                      for k in range(j + 1, len(r))]
-        out.update(roots[:i] + (e,) + roots[i + 1:] for e in edits if any(e))
-        if i + 1 < len(roots):
-            out.add(roots[:i] + (roots[i + 1], r) + roots[i + 2:])
-    return out
-
-
-@pytest.fixture(scope="module")
-def hostile_certificates():
-    """(certificate, root system, oracle verdict) for every set one step
-    away from a canonical certificate of rank <= 8 or from one of its
-    prefixes, each itself a certificate.  A prefix of two roots is what
-    makes an orthogonal pair whose sum is a root: B3 gives (e3, e1) one
-    coordinate away from (e3, e1 - e2)."""
-    cases = []
-    for t in all_types(8):
-        phi = build_root_system(t)
-        roots = canonical_certificate(t).roots
-        for k in range(1, len(roots) + 1):
-            for hostile in sorted(_one_away(roots[:k])):
-                cert = OrthCertificate(t, hostile)
-                cases.append((cert, phi, _oracle_check(cert, phi)))
-    return cases
-
-
-def _pair_test(fn: ast.FunctionDef) -> ast.If:
-    """The ``if`` of the pair loop: a nonzero dot product or a root a + b."""
-    return next(node for node in ast.walk(fn)
-                if isinstance(node, ast.If) and isinstance(node.test, ast.BoolOp))
-
-
-def _flip_dot(fn):
-    dot = _pair_test(fn).test.values[0]
-    assert isinstance(dot.ops[0], ast.NotEq)
-    dot.ops = [ast.Gt()]
-
-
-def _drop_lookup(fn):
-    test = _pair_test(fn)
-    test.test = test.test.values[0]
-
-
-def _drop_order(fn):
-    fn.body = [node for node in fn.body if not isinstance(node, ast.If)]
-
-
-def _drop_membership(fn):
-    fn.body.remove(next(node for node in fn.body if isinstance(node, ast.For)))
-
-
-def _repeat_test(fn):
-    _pair_test(fn).test.values.insert(0, ast.parse("a == b", mode="eval").body)
-
-
-# Mutants of sork._check, each as an edit of its syntax tree.  Every one
-# must change a verdict on the hostile certificates.
-KILLED = {
-    "dot != 0 -> > 0": _flip_dot,  # accepts a root with its negative
-    "no a + b lookup": _drop_lookup,
-    "no order check": _drop_order,
-    "no membership loop": _drop_membership,
-}
-# Mutants that change no verdict, with the reason they cannot.
-EQUIVALENT = {
-    # a repeated root has dot product |a|^2 != 0, which the pair test refuses
-    "a == b or ...": _repeat_test,
-}
-
-
-def _mutant(edit):
-    """``sork._check`` compiled from its source after ``edit``, in the
-    namespace of ``sork``."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(sork._check)))
-    before = ast.dump(tree)
-    edit(tree.body[0])
-    assert ast.dump(tree) != before, "the edit no longer applies"
-    namespace = dict(vars(sork))
-    exec(compile(ast.fix_missing_locations(tree), sork.__file__, "exec"), namespace)
-    return namespace["_check"]
-
-
-def _disagreements(check, cases) -> int:
-    return sum(check(cert, phi) != want for cert, phi, want in cases)
-
-
-class TestCheckMutants:
-    def test_check_agrees_with_oracle(self, hostile_certificates):
-        verdicts = {want.reason for _, _, want in hostile_certificates}
-        assert verdicts == {None, "NotARoot", "NotStronglyOrthogonal", "NotCanonical"}
-        assert _disagreements(sork._check, hostile_certificates) == 0
-
-    @pytest.mark.parametrize("name", KILLED)
-    def test_mutant_is_killed(self, hostile_certificates, name):
-        assert _disagreements(_mutant(KILLED[name]), hostile_certificates) > 0
-
-    @pytest.mark.parametrize("name", EQUIVALENT)
-    def test_equivalent_mutant_changes_no_verdict(self, hostile_certificates, name):
-        assert _disagreements(_mutant(EQUIVALENT[name]), hostile_certificates) == 0

@@ -19,7 +19,8 @@ from sorklie.groups import (
 )
 from sorklie.realforms import NuCase, NuResult, RealFormDescriptor, su
 from sorklie.roots import RootSystem, RootSystemType, Value, build_root_system
-from sorklie.sork import CertCheck, OrthCertificate, canonical_certificate
+from sorklie.check import CertCheck, OrthCertificate
+from sorklie.sork import canonical_certificate
 from sorklie.tables import AuditEntry, AuditReport
 
 A1 = RootSystemType("A", 1)
