@@ -377,10 +377,12 @@ def _dumps(x) -> str:
 
 def _cmd_sork(args) -> int:
     from .roots import RootSystemType, build_root_system
-    from .sork import sork_exact
+    from .sork import assert_valid, sork_exact
 
     t = RootSystemType.parse(args.type)
-    n, cert = sork_exact(build_root_system(t))
+    phi = build_root_system(t)
+    n, cert = sork_exact(phi)
+    assert_valid(cert, phi)
     if args.json:
         print(_dumps(cert.to_json_dict() if args.certificate
                      else {"system_type": str(t), "n": n}))

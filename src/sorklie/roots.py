@@ -5,14 +5,14 @@ coordinates, so the half-integer entries of E8 and F4 become odd integers
 and all predicates reduce to integer comparisons.  Every layer passes roots
 as these plain tuples, and ``coords in phi`` is the one membership test.
 
-Every family is built from four root shapes (Humphreys, *Introduction to
+Every family is built from three root shapes (Humphreys, *Introduction to
 Lie Algebras and Representation Theory*, §12.1): ±e_i ± e_j for i < j, with
-all four sign pairs or only opposite signs; ±e_i or ±2e_i; the half-spin
-vectors (±1/2, ..., ±1/2), all of them or those with an even number of
-minus signs; and the simple-root chain e_i - e_(i+1).  A-D come straight
-from the shapes.  E8 is D8 plus the even half-spin vectors, and E7 and E6
-are its roots orthogonal to e7 + e8, then also to e6 + e8.  F4 is B4 plus
-all half-spin vectors, and G2 is A2 plus ±(2e_i - e_j - e_k).
+all four sign pairs or only opposite signs; ±e_i or ±2e_i; and the
+half-spin vectors (±1/2, ..., ±1/2), all of them or those with an even
+number of minus signs.  A-D come straight from the shapes.  E8 is D8 plus
+the even half-spin vectors, and E7 and E6 are its roots orthogonal to
+e7 + e8, then also to e6 + e8.  F4 is B4 plus all half-spin vectors, and
+G2 is A2 plus ±(2e_i - e_j - e_k).
 """
 
 import itertools
@@ -196,13 +196,12 @@ def matrix_type(algebra: str, n: int) -> RootSystemType:
 
 
 class RootSystem(Value):
-    """The full set of roots of one type, sorted, with simple roots in
-    Bourbaki order; ``coords in phi`` tests membership of a tuple."""
+    """The full set of roots of one type, sorted; ``coords in phi`` tests
+    membership of a tuple."""
 
-    __slots__ = ("type", "roots", "simple_roots", "ambient_dim", "_coord_set")
+    __slots__ = ("type", "roots", "ambient_dim", "_coord_set")
     type: RootSystemType
     roots: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[tuple[int, ...], ...]
     ambient_dim: int
     _coord_set: frozenset[tuple[int, ...]]
 
@@ -253,51 +252,29 @@ def _half_spin(dim: int, even: bool) -> list[tuple[int, ...]]:
             if not even or v.count(-1) % 2 == 0]
 
 
-def _chain(dim: int, length: int) -> list[tuple[int, ...]]:
-    """The simple-root chain e_i - e_(i+1) for i < ``length``."""
-    return [_vec(dim, (i, 2), (i + 1, -2)) for i in range(length)]
-
-
-# Bourbaki simple roots of E8, F4 and G2, doubled.
-_E8_SIMPLE = [
-    (1, -1, -1, -1, -1, -1, -1, 1),
-    (2, 2, 0, 0, 0, 0, 0, 0),
-    (-2, 2, 0, 0, 0, 0, 0, 0),
-    (0, -2, 2, 0, 0, 0, 0, 0),
-    (0, 0, -2, 2, 0, 0, 0, 0),
-    (0, 0, 0, -2, 2, 0, 0, 0),
-    (0, 0, 0, 0, -2, 2, 0, 0),
-    (0, 0, 0, 0, 0, -2, 2, 0),
-]
-_F4_SIMPLE = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
-_G2_SIMPLE = [(2, -2, 0), (-4, 2, 2)]
-
-
-def _roots(t: RootSystemType) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The roots of ``t``, unsorted, and its Bourbaki simple roots."""
+def _roots(t: RootSystemType) -> list[tuple[int, ...]]:
+    """The roots of ``t``, unsorted."""
     fam, r = t.family, t.rank
     if fam == "A":
-        return _pairs(r + 1, ((1, -1), (-1, 1))), _chain(r + 1, r)
+        return _pairs(r + 1, ((1, -1), (-1, 1)))
     if fam in "BC":  # the short roots ±e_i of B, the long roots ±2e_i of C
-        c = 2 if fam == "B" else 4
-        return _pairs(r) + _axes(r, c), _chain(r, r - 1) + [_vec(r, (r - 1, c))]
+        return _pairs(r) + _axes(r, 2 if fam == "B" else 4)
     if fam == "D":
-        return _pairs(r), _chain(r, r - 1) + [_vec(r, (r - 2, 2), (r - 1, 2))]
+        return _pairs(r)
     if fam == "E":
         # E7 is orthogonal to e7 + e8, E6 also to e6 + e8
         e8 = _pairs(8) + _half_spin(8, even=True)
-        roots = [v for v in e8
-                 if r == 8 or v[6] + v[7] == 0 and (r == 7 or v[5] + v[7] == 0)]
-        return roots, _E8_SIMPLE[:r]
+        return [v for v in e8
+                if r == 8 or v[6] + v[7] == 0 and (r == 7 or v[5] + v[7] == 0)]
     if fam == "F":
-        return _roots(RootSystemType("B", 4))[0] + _half_spin(4, even=False), _F4_SIMPLE
+        return _roots(RootSystemType("B", 4)) + _half_spin(4, even=False)
     g2 = [_vec(3, (i, 4 * s), ((i + 1) % 3, -2 * s), ((i + 2) % 3, -2 * s))
           for i in range(3) for s in (1, -1)]
-    return _roots(RootSystemType("A", 2))[0] + g2, _G2_SIMPLE
+    return _roots(RootSystemType("A", 2)) + g2
 
 
 def build_root_system(t: RootSystemType) -> RootSystem:
-    """Construct the root system of type ``t`` with Bourbaki simple roots.
+    """Construct the root system of type ``t``.
 
     Deterministic: roots come out sorted lexicographically on doubled
     coordinates.  Raises :class:`InvalidType` for out-of-bounds ranks and,
@@ -309,8 +286,7 @@ def build_root_system(t: RootSystemType) -> RootSystem:
             f"rank {t.rank} of {t} exceeds the construction limit "
             f"{MAX_BUILD_RANK}"
         )
-    raw, simple = _roots(t)
-    coords = sorted(set(raw))
+    coords = sorted(set(_roots(t)))
     if len(coords) != t.root_count():
         raise AssertionError(
             f"construction bug: {t} produced {len(coords)} roots, "
@@ -319,7 +295,6 @@ def build_root_system(t: RootSystemType) -> RootSystem:
     return RootSystem(
         type=t,
         roots=tuple(coords),
-        simple_roots=tuple(simple),
         ambient_dim=len(coords[0]),
         _coord_set=frozenset(coords),
     )

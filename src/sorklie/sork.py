@@ -4,11 +4,12 @@ canonical certificates.
 For A, B, C and D the closed formula and the closed-form canonical
 certificate need only the family and the rank, so the free subgroup rank
 runs no search for them.  E, F and G take both from the exact search
-below, on at most 240 roots.  ``canonical_certificate`` hands out every
-canonical certificate, verified once per type per process by the checker
-in ``check``, against the one root system it was found on, and kept in
-``_CANONICAL``.  The certificate record and its checker live in
-``check``, which loads none of this module.
+below, on at most 240 roots.  ``canonical_certificate`` keeps the
+canonical certificate of each type asked for in ``_CANONICAL``, and
+``assert_valid`` checks every certificate found here, for it and for the
+``sork`` command, with the checker in ``check``, on the root system it
+was found on.  The certificate record and its checker live in ``check``,
+which loads none of this module.
 
 The search reduces to a maximum clique problem on the graph whose vertices
 are antipodal pairs of roots (a strongly orthogonal set never contains both
@@ -71,28 +72,28 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
     type per process, against the one root system it was found on.
 
     The first call builds that system, takes the certificate from
-    :func:`_closed_form` (A-D) or ``sork_exact`` (E, F, G), checks it as
-    ``check.verify_certificate`` does and, for A-D, its length against
-    ``sork_formula``; a failure is an :class:`AssertionError` starting
-    "certificate bug".  Ranks above ``MAX_BUILD_RANK`` raise
+    :func:`_closed_form` (A-D) or ``sork_exact`` (E, F, G) and checks it
+    with :func:`assert_valid` and, for A-D, its length against
+    ``sork_formula``.  Ranks above ``MAX_BUILD_RANK`` raise
     :class:`InvalidType`, as construction does.
     """
     if t not in _CANONICAL:
         phi = build_root_system(t)
         cert = _closed_form(t) if t.family in "ABCD" else sork_exact(phi)[1]
-        check = _check(cert, phi)
-        if not check:
-            raise AssertionError(
-                f"certificate bug: the canonical certificate of {t} fails "
-                f"verification ({check.reason})"
-            )
+        assert_valid(cert, phi)
         if t.family in "ABCD" and len(cert.roots) != sork_formula(t):
-            raise AssertionError(
-                f"certificate bug: the canonical certificate of {t} has "
-                f"{len(cert.roots)} roots, the closed formula {sork_formula(t)}"
-            )
+            raise AssertionError(f"certificate bug: the canonical certificate of {t} "
+                                 f"has {len(cert.roots)} roots, the closed formula "
+                                 f"{sork_formula(t)}")
         _CANONICAL[t] = cert
     return _CANONICAL[t]
+
+
+def assert_valid(cert: OrthCertificate, phi: RootSystem) -> None:
+    """Raise "certificate bug" unless ``check`` accepts ``cert`` on ``phi``."""
+    if not (check := _check(cert, phi)):
+        raise AssertionError(f"certificate bug: the canonical certificate of "
+                             f"{phi.type} fails verification ({check.reason})")
 
 
 def _closed_form(t: RootSystemType) -> OrthCertificate:

@@ -3,25 +3,26 @@
 Besides the brute-force clique oracle, this holds a generic full-graph
 clique solver (greedy colouring bound, lex-min probes), exact
 ``Fraction`` predicates on roots, with the ``DimensionError`` that
-``inner_product`` raises, a root membership check with its
-``MembershipError``, the closed-subsystem predicate, the (A1)^n subsystem
-of a certificate, the rank-one catalog of the acceptance criteria, the
-dimension, complex rank and Killing signature of each real form by
-arithmetic, the failed entries of an audit report, a Table 2 row
-enumerator that solves each family's dimension relation by hand, the
-``argparse`` parser of the CLI grammar, the regex lexer of group
-expressions, dense integer matrices with the Kronecker sum, the bracket
-identity, its dense basis proof and seeded random trials, and a
-``Fraction`` rank.  The package ships none of them: its one clique
-search is the orbit search of ``sorklie.sork``, checked here, its Table 2
-rows come from one rule in ``sorklie.tables``, checked against the
-enumerator here, its one command line parser is ``sorklie.cli._parse``,
-checked against the argparse parser here, its lexer is the character
-loop of ``sorklie.groups._tokenize``, checked against the regex lexer
-here, its ν of a real form comes from the complexification's strong
-orthogonal rank, checked against the signature here, and its matrix
-proofs run on the sparse matrices of ``sorklie.matrixcheck``, checked
-against the dense ones here.
+``inner_product`` raises, Bourbaki's simple roots of every type, pinned,
+and the ``Fraction`` coefficients of a root in them, a root membership
+check with its ``MembershipError``, the closed-subsystem predicate, the
+(A1)^n subsystem of a certificate, the rank-one catalog of the
+acceptance criteria, the dimension, complex rank and Killing signature
+of each real form by arithmetic, the failed entries of an audit report,
+a Table 2 row enumerator that solves each family's dimension relation by
+hand, the ``argparse`` parser of the CLI grammar, the regex lexer of
+group expressions, dense integer matrices with the Kronecker sum, the
+bracket identity, its dense basis proof and seeded random trials, and a
+``Fraction`` rank.  The package ships none of them: its one clique search
+is the orbit search of ``sorklie.sork``, checked here, its Table 2 rows
+come from one rule in ``sorklie.tables``, checked against the enumerator
+here, its one command line parser is ``sorklie.cli._parse``, checked
+against the argparse parser here, its lexer is the character loop of
+``sorklie.groups._tokenize``, checked against the regex lexer here, its
+ν of a real form comes from the complexification's strong orthogonal
+rank, checked against the signature here, and its matrix proofs run on
+the sparse matrices of ``sorklie.matrixcheck``, checked against the
+dense ones here.
 """
 
 import argparse
@@ -247,10 +248,42 @@ def is_strongly_orthogonal(a: tuple[int, ...], b: tuple[int, ...], phi: RootSyst
     return not (tuple(map(add, a, b)) in phi or _vsub(a, b) in phi)
 
 
+# Bourbaki's simple roots of E8, F4 and G2, doubled (Bourbaki, *Lie Groups
+# and Lie Algebras*, Ch. VI, plates VII-IX); E7 and E6 take the first 7 and 6.
+_E8_BASE = [
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+]
+_F4_BASE = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+_G2_BASE = [(2, -2, 0), (-4, 2, 2)]
+
+
+def bourbaki_base(t: RootSystemType) -> list[tuple[int, ...]]:
+    """Bourbaki's simple roots of ``t`` in his order, doubled (plates I-IX).
+
+    For A-D: the chain e_i - e_(i+1), r of them for A_r and r - 1 for the
+    others, then e_r for B, 2e_r for C and e_(r-1) + e_r for D."""
+    fam, r = t.family, t.rank
+    if fam in "EFG":
+        return {"E": _E8_BASE[:r], "F": _F4_BASE, "G": _G2_BASE}[fam]
+    dim = r + 1 if fam == "A" else r
+    rows = [{i: 2, i + 1: -2} for i in range(r if fam == "A" else r - 1)]
+    if fam != "A":
+        rows.append({r - 2: 2, r - 1: 2} if fam == "D" else {r - 1: 2 if fam == "B" else 4})
+    return [tuple(row.get(i, 0) for i in range(dim)) for row in rows]
+
+
 def simple_root_coefficients(root: tuple[int, ...], phi: RootSystem) -> tuple[Fraction, ...]:
-    """Coordinates of ``root`` in the simple-root basis, solved exactly."""
+    """Coordinates of ``root`` in Bourbaki's simple-root basis, solved
+    exactly."""
     require_member(phi, root)
-    basis = phi.simple_roots
+    basis = bourbaki_base(phi.type)
     n = len(basis)
     # Solve the normal equations G x = b over Q (G is the Gram matrix of the
     # simple roots, which is invertible).

@@ -15,6 +15,7 @@ from oracle_utils import is_strongly_orthogonal
 
 from sorklie import cli, groups
 from sorklie.cli import EXIT_AUDIT_FAIL, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
+from sorklie.check import OrthCertificate
 from sorklie.errors import CertificateError
 from sorklie.roots import MAX_BUILD_RANK, MAX_DIGITS, RootSystemType, build_root_system
 from sorklie.sork import canonical_certificate, sork_formula
@@ -52,6 +53,18 @@ class TestSork:
         code, _, err = run(capsys, "sork", "X1")
         assert code == EXIT_ERROR
         assert "error:" in err
+
+    def test_a_certificate_the_checker_refuses_is_a_bug(self, capsys, monkeypatch):
+        from sorklie import sork
+
+        # e_2 - e_3 and e_1 - e_2 of A3, sorted, but not even orthogonal
+        pair = ((0, 2, -2, 0), (2, -2, 0, 0))
+        monkeypatch.setattr(sork, "sork_exact",
+                            lambda phi: (2, OrthCertificate(phi.type, pair)))
+        with pytest.raises(AssertionError,
+                           match="certificate bug: .* A3 .*NotStronglyOrthogonal"):
+            main(["sork", "A3", "--certificate"])
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("label", ["A64", "B64", "C64", "D64"])
     def test_rank_64_answers_with_canonical_certificate(self, capsys, label):

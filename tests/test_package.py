@@ -1,6 +1,9 @@
+import ast
 import importlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +93,33 @@ def test_submodules_load_on_first_use():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]", str(["sorklie.errors", "sorklie.matrixcheck"])]
+
+
+REPO = Path(__file__).parents[1]
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """The names the code of ``node`` reads: bare names, attribute names and
+    imported names."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_top_level_definition_is_read_outside_the_tests():
+    # A function or class of the package is read by other code of the
+    # package (its own body does not count), is public, or is named by the
+    # CI workflow or the benchmark, which drive the package from outside.
+    # What only the tests read belongs in tests/oracle_utils.py.
+    statements = [stmt for path in sorted((REPO / "src" / "sorklie").glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [(stmt, _names_read(stmt)) for stmt in statements]
+    outside = "\n".join(path.read_text(encoding="utf-8") for path in
+                        [REPO / ".github" / "workflows" / "tests.yml",
+                         *sorted((REPO / "bench").glob("*.py"))])
+    unread = [stmt.name for stmt in statements
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("__")  # read by Python itself
+              and not any(stmt.name in names for other, names in reads if other is not stmt)
+              and stmt.name not in sorklie.__all__
+              and not re.search(rf"\b{stmt.name}\b", outside)]
+    assert unread == []

@@ -9,6 +9,7 @@ from oracle_utils import (
     DimensionError,
     MembershipError,
     _simple_dim,
+    bourbaki_base,
     inner_product,
     is_closed_subsystem,
     is_strongly_orthogonal,
@@ -132,8 +133,7 @@ class TestConstruction:
     def test_a1_is_plus_minus_alpha(self):
         phi = build_root_system(_t("A1"))
         assert len(phi.roots) == 2
-        assert len(phi.simple_roots) == 1
-        alpha = phi.simple_roots[0]
+        (alpha,) = bourbaki_base(phi.type)
         assert set(phi.roots) == {alpha, neg(alpha)}
 
     @pytest.mark.parametrize("label", SMALL_TYPES + ["E6", "E7", "E8"])
@@ -150,7 +150,7 @@ class TestConstruction:
             den = inner_product(b, b)
             assert (num / den).denominator == 1
 
-    @pytest.mark.parametrize("label", SMALL_TYPES + ["E6", "E7", "E8"])
+    @pytest.mark.parametrize("label", SMALL_TYPES + ["B4", "C4", "D5", "D6", "E6", "E7", "E8"])
     def test_simple_root_decomposition_uniform_sign(self, label):
         phi = build_root_system(_t(label))
         for r in phi.roots:
@@ -193,14 +193,22 @@ class TestConstruction:
         assert values == {-2, -1, 0, 1, 2}
         assert values <= {0, 1, -1, 2, -2, 4, -4}
 
+    @pytest.mark.parametrize("t", list(all_types(24)) + LARGE_RANKS, ids=str)
+    def test_bourbaki_base_is_rank_many_roots(self, t):
+        phi = build_root_system(t)
+        base = bourbaki_base(t)
+        assert len(base) == t.rank
+        assert all(alpha in phi for alpha in base)
+
     def test_exact_coordinates_are_pinned(self):
-        # One digest of every root, simple root and ambient dimension, so a
-        # change to how roots are built cannot move a single coordinate.
+        # One digest of every root, Bourbaki simple root and ambient
+        # dimension, so a change to how roots are built, or to the pinned
+        # bases, cannot move a single coordinate.
         h = hashlib.sha256()
         for t in list(all_types(24)) + LARGE_RANKS:
             phi = build_root_system(t)
             h.update(repr((str(t), phi.ambient_dim, list(phi.roots),
-                           list(phi.simple_roots))).encode())
+                           bourbaki_base(t))).encode())
         assert h.hexdigest() == (
             "f7e78287d54ecb822b70d5e74d0576fd98c61670407162c3b60ef98c92675ccc")
 
@@ -244,7 +252,7 @@ class TestStrongOrthogonality:
     def test_membership_enforced(self):
         phi = build_root_system(_t("A2"))
         with pytest.raises(MembershipError):
-            is_strongly_orthogonal((2, 0, 0), phi.simple_roots[0], phi)
+            is_strongly_orthogonal((2, 0, 0), bourbaki_base(phi.type)[0], phi)
 
     @pytest.mark.parametrize("label", SMALL_TYPES)
     def test_antipodal_symmetry(self, label):
@@ -267,7 +275,7 @@ class TestClosedSubsystem:
 
     def test_two_simple_roots_of_a2_not_closed(self):
         phi = build_root_system(_t("A2"))
-        a, b = phi.simple_roots
+        a, b = bourbaki_base(phi.type)
         assert not is_closed_subsystem({a, b}, phi)
 
     def test_membership_enforced(self):

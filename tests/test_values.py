@@ -24,6 +24,7 @@ from sorklie.sork import canonical_certificate
 from sorklie.tables import AuditEntry, AuditReport
 
 A1 = RootSystemType("A", 1)
+A1_ROOTS = ((-2, 2), (2, -2))  # ±(e_1 - e_2), sorted
 SU21 = RealFormDescriptor("su", (2, 1))
 
 # name -> (build, build with one field changed, repr of build()).  Each
@@ -33,12 +34,10 @@ CASES = {
         lambda: RootSystemType("B", 3), lambda: RootSystemType("B", 4),
         "RootSystemType(family='B', rank=3)"),
     "RootSystem": (
-        lambda: RootSystem(A1, ((-2, 2), (2, -2)), ((2, -2),), 2,
-                           frozenset({(-2, 2), (2, -2)})),
-        lambda: RootSystem(A1, ((-2, 2), (2, -2)), ((-2, 2),), 2,
-                           frozenset({(-2, 2), (2, -2)})),
+        lambda: RootSystem(A1, A1_ROOTS, 2, frozenset(A1_ROOTS)),
+        lambda: RootSystem(A1, A1_ROOTS, 3, frozenset(A1_ROOTS)),
         "RootSystem(type=RootSystemType(family='A', rank=1), "
-        "roots=((-2, 2), (2, -2)), simple_roots=((2, -2),), ambient_dim=2)"),
+        "roots=((-2, 2), (2, -2)), ambient_dim=2)"),
     "OrthCertificate": (
         lambda: OrthCertificate(A1, ((2, -2),)),
         lambda: OrthCertificate(A1, ()),
@@ -170,7 +169,7 @@ class TestOrder:
     def test_roots_order_by_coordinates(self):
         # a root is the tuple of its doubled coordinates, built in ascending order
         phi = build_root_system(RootSystemType("B", 3))
-        assert all(type(r) is tuple for r in phi.roots + phi.simple_roots)
+        assert all(type(r) is tuple for r in phi.roots)
         assert list(phi.roots) == sorted(phi.roots)
 
     def test_descriptors_order_by_kind_then_params(self):
@@ -201,9 +200,8 @@ class TestConstructionChecks:
         assert (d.kind, d.params, d.base) == ("complex", (), A1)
         assert CertCheck(ok=True).reason is None
         assert build_root_system(A1) == RootSystem(
-            type=A1, roots=build_root_system(A1).roots,
-            simple_roots=build_root_system(A1).simple_roots, ambient_dim=2,
-            _coord_set=frozenset({(-2, 2), (2, -2)}))
+            type=A1, roots=A1_ROOTS, ambient_dim=2,
+            _coord_set=frozenset(A1_ROOTS))
 
 
 class TestGroupExprNodes:
