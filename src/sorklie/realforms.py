@@ -1,15 +1,17 @@
 """Real simple Lie algebras and the three-case free subgroup rank computation.
 
-Each kind of descriptor states its facts once.  A row of ``_KINDS`` gives
-the printed name of a parameterised kind (su, sl_H, so, so_star, sp) and
-its complexification, a matrix algebra of the family table in ``roots``;
-the complex, split, compact and exceptional kinds carry their type as
-``base``, and ``_NAMED`` names the classical compact and split forms by the
-matrix size of their type, but sp by half of it (Helgason, Differential
-Geometry, Lie Groups, and Symmetric Spaces, 1978, Ch. X).  Beside the
-printer, ``_SPELLINGS`` maps each spelling (a name and its argument shape)
-to its builder, and ``spelled`` reads it, so that reparsing ``str(d)``
-gives ``d`` back is a property of this one module.
+``_KINDS`` is the one table of descriptor kinds.  Its row for each of su,
+sl_H, so, so_star, sp, complex, split, compact and exc gives the kind's
+printer, its complexification and its builder, each called with the base
+and then the params of a descriptor.  A parameterised kind complexifies to
+a matrix algebra of the family table in ``roots``; the complex, split,
+compact and exceptional kinds carry their type as ``base``, and the split
+and compact printers name the classical forms by the matrix size of their
+type, but sp by half of it (Helgason, Differential Geometry, Lie Groups,
+and Symmetric Spaces, 1978, Ch. X).  Beside the printer, ``_SPELLINGS``
+maps each spelling (a name and its argument shape) to its builder, and
+``spelled`` reads it, so that reparsing ``str(d)`` gives ``d`` back is a
+property of this one module.
 
 Descriptors are normalized by their builders: split and compact classical
 series fold into split(T)/compact(T), the exceptional split and compact
@@ -17,9 +19,10 @@ signatures (the rank, minus the dimension) do the same, su(1,1) becomes
 sl(2,R) = split(A1), as sp(1,R) does, and so(3,1) becomes the complex
 algebra sl2(C).  Those are the accidental isomorphisms folded; the others
 keep both names, such as so(2,1) and sl(2,R), so(3,2) and sp(2,R), or
-so(4,3) and split(B3), and both names give one ν.  The constructor of a
-parameterised kind calls its builder and accepts only the params that it
-makes unchanged, so every descriptor is one that a builder makes.
+so(4,3) and split(B3), and both names give one ν.  The constructor checks
+every kind, based kinds included: it calls the kind's builder and accepts
+only the fields that it makes unchanged, so every descriptor is one that a
+builder makes.
 
 The free subgroup rank takes the canonical certificate of the
 complexification from ``sork.canonical_certificate``, verified once per
@@ -40,28 +43,6 @@ from .sork import canonical_certificate
 # split and compact signatures which normalize to split()/compact().
 _EXC_OTHER = {("E", 6, 2), ("E", 6, -14), ("E", 6, -26), ("E", 7, -5),
               ("E", 7, -25), ("E", 8, -24), ("F", 4, -20)}
-
-# kind -> (printed name as a function of params, the complexification as an
-# algebra of n x n matrices, and n as a multiple of the sum of the params).
-_KINDS = {
-    "su": (lambda p, q: f"su({p},{q})", "sl", 1),
-    "sl_H": (lambda n: f"sl({n},H)", "sl", 2),
-    "so": (lambda p, q: f"so({p},{q})", "so", 1),
-    "so_star": (lambda n: f"so*({2 * n})", "so", 2),
-    "sp": (lambda p, q: f"sp({p},{q})", "sp", 2),
-}
-# (kind, family) -> name as a function of the matrix size n of the type; the
-# rest print as kind(T).
-_NAMED = {
-    ("compact", "A"): lambda n: f"su({n})",
-    ("compact", "B"): lambda n: f"so({n})",
-    ("compact", "C"): lambda n: f"sp({n // 2})",
-    ("compact", "D"): lambda n: f"so({n})",
-    ("split", "A"): lambda n: f"sl({n},R)",
-    ("split", "C"): lambda n: f"sp({n // 2},R)",
-}
-# The kinds that carry their complexification type as ``base``.
-_BASED = ("complex", "split", "compact", "exc")
 
 
 class NuCase:
@@ -86,22 +67,15 @@ class RealFormDescriptor(Value):
 
     def __init__(self, kind: str, params: tuple[int, ...] = (),
                  base: RootSystemType | None = None):
-        if kind in _KINDS:
-            made = _BUILDERS[kind](*params)  # raises for params it refuses
-            if (made.kind, made.params, made.base) != (kind, params, base):
-                raise InvalidRealForm(f"params {params} of {kind!r} build {made}")
-        elif kind not in _BASED:
+        if kind not in _KINDS:
             raise InvalidRealForm(f"unknown descriptor kind {kind!r}")
+        made = _KINDS[kind][2](base, *params)  # raises for fields it refuses
+        if (made.kind, made.params, made.base) != (kind, params, base):
+            raise InvalidRealForm(f"params {params} and base {base} of {kind!r} build {made}")
         super().__init__(kind, params, base)
 
     def __str__(self) -> str:
-        if self.kind in _KINDS:
-            return _KINDS[self.kind][0](*self.params)
-        t = self.base
-        if self.kind == "exc":
-            return f"{t}({self.params[1]})"
-        name = _NAMED.get((self.kind, t.family))
-        return name(matrix_size(t.family, t.rank)) if name else f"{self.kind}({t})"
+        return _KINDS[self.kind][0](self.base, *self.params)
 
 
 class NuResult(Value):
@@ -113,30 +87,31 @@ class NuResult(Value):
 
 
 def complex_simple(t: RootSystemType) -> RealFormDescriptor:
-    _require_simple_type(t)
-    return RealFormDescriptor("complex", base=t)
+    return _made("complex", base=_require_simple_type(t))
 
 
 def split_form(t: RootSystemType) -> RealFormDescriptor:
-    _require_simple_type(t)
-    return RealFormDescriptor("split", base=t)
+    return _made("split", base=_require_simple_type(t))
 
 
 def compact_form(t: RootSystemType) -> RealFormDescriptor:
-    _require_simple_type(t)
-    return RealFormDescriptor("compact", base=t)
+    return _made("compact", base=_require_simple_type(t))
 
 
-def _require_simple_type(t: RootSystemType) -> None:
+def _require_simple_type(t: RootSystemType) -> RootSystemType:
+    """``t``, if it is the type of a simple algebra."""
+    if not isinstance(t, RootSystemType):
+        raise InvalidRealForm(f"{t!r} is not a root system type")
     if t.is_reducible:
         raise InvalidRealForm("D2 is not simple (it is A1 x A1)")
+    return t
 
 
-def _made(kind: str, *params: int) -> RealFormDescriptor:
-    """The descriptor ``kind(params)`` as its builder makes it, past the
+def _made(kind: str, *params: int, base: RootSystemType | None = None) -> RealFormDescriptor:
+    """The descriptor with these fields as its builder makes it, past the
     constructor, whose check calls that builder."""
     d = object.__new__(RealFormDescriptor)
-    Value.__init__(d, kind, params, None)
+    Value.__init__(d, kind, params, base)
     return d
 
 
@@ -146,9 +121,9 @@ def _compact(kind: str, *params: int) -> RealFormDescriptor:
 
 
 def su(p: int, q: int) -> RealFormDescriptor:
-    p, q = max(p, q), min(p, q)
-    if q < 0 or p + q < 2:
+    if min(p, q) < 0 or p + q < 2:
         _fail(f"su({p},{q})")
+    p, q = max(p, q), min(p, q)
     if q == 1 == p:
         return sl_R(2)  # su(1,1) = sl(2,R)
     return _compact("su", p, q) if q == 0 else _made("su", p, q)
@@ -168,10 +143,10 @@ def sl_H(n: int) -> RealFormDescriptor:
 
 
 def so(p: int, q: int) -> RealFormDescriptor:
-    p, q = max(p, q), min(p, q)
     n = p + q
-    if n < 3 or q < 0:
+    if n < 3 or min(p, q) < 0:
         _fail(f"so({p},{q})")
+    p, q = max(p, q), min(p, q)
     if q == 0:
         if n == 4:
             raise InvalidRealForm("so(4) is not simple")
@@ -197,9 +172,9 @@ def sp_R(n: int) -> RealFormDescriptor:
 
 
 def sp(p: int, q: int) -> RealFormDescriptor:
-    p, q = max(p, q), min(p, q)
-    if q < 0 or p < 1:
+    if min(p, q) < 0 or max(p, q) < 1:
         _fail(f"sp({p},{q})")
+    p, q = max(p, q), min(p, q)
     return _compact("sp", p, q) if q == 0 else _made("sp", p, q)
 
 
@@ -213,7 +188,7 @@ def exceptional_form(family: str, rank: int, signature: int) -> RealFormDescript
         if signature == -(t.root_count() + rank):
             return compact_form(t)
     if (family, rank, signature) in _EXC_OTHER:
-        return RealFormDescriptor("exc", (rank, signature), base=t)
+        return _made("exc", rank, signature, base=t)
     raise InvalidRealForm(f"unknown exceptional real form {family}{rank}({signature})")
 
 
@@ -221,9 +196,47 @@ def _fail(descriptor: str) -> None:
     raise InvalidRealForm(f"{descriptor} does not describe a simple Lie algebra")
 
 
-# kind of ``_KINDS`` -> its builder, called with a descriptor's params.
-_BUILDERS = {"su": su, "sl_H": sl_H, "so": so,
-             "so_star": lambda n: so_star(2 * n), "sp": sp}
+def _exc(t: RootSystemType, rank: int, signature: int) -> RealFormDescriptor:
+    """The builder of exc, which reads the family and the rank off ``t``."""
+    return exceptional_form(_require_simple_type(t).family, t.rank, signature)
+
+
+def _matrices(algebra: str, times: int):
+    """The complexification of a parameterised kind: the ``algebra`` of
+    n x n matrices, n the sum of the params times ``times``."""
+    return lambda t, *params: matrix_type(algebra, times * sum(params))
+
+
+def _base(t: RootSystemType, *params: int) -> RootSystemType:
+    return t
+
+
+def _named(kind: str, names: dict):
+    """The printer of split or compact: the name in ``names`` of the family
+    of the type, called with its matrix size, or else kind(T)."""
+    def printer(t: RootSystemType) -> str:
+        name = names.get(t.family)
+        return name(matrix_size(t.family, t.rank)) if name else f"{kind}({t})"
+    return printer
+
+
+# kind -> (printer, complexification, builder), each called with the base
+# and then the params of a descriptor of the kind.
+_KINDS = {
+    "su": (lambda t, p, q: f"su({p},{q})", _matrices("sl", 1), lambda t, p, q: su(p, q)),
+    "sl_H": (lambda t, n: f"sl({n},H)", _matrices("sl", 2), lambda t, n: sl_H(n)),
+    "so": (lambda t, p, q: f"so({p},{q})", _matrices("so", 1), lambda t, p, q: so(p, q)),
+    "so_star": (lambda t, n: f"so*({2 * n})", _matrices("so", 2),
+                lambda t, n: so_star(2 * n)),
+    "sp": (lambda t, p, q: f"sp({p},{q})", _matrices("sp", 2), lambda t, p, q: sp(p, q)),
+    "complex": (lambda t: f"complex({t})", _base, complex_simple),
+    "split": (_named("split", {"A": lambda n: f"sl({n},R)",
+                               "C": lambda n: f"sp({n // 2},R)"}), _base, split_form),
+    "compact": (_named("compact", {"A": lambda n: f"su({n})", "B": lambda n: f"so({n})",
+                                   "C": lambda n: f"sp({n // 2})",
+                                   "D": lambda n: f"so({n})"}), _base, compact_form),
+    "exc": (lambda t, rank, signature: f"{t}({signature})", _base, _exc),
+}
 
 
 # (name, argument shape) -> builder called with the arguments other than R
@@ -262,10 +275,7 @@ def spelled(name: str, args: list) -> RealFormDescriptor | None:
 def complexification_type(d: RealFormDescriptor) -> RootSystemType:
     """Root system type of the complexified algebra (for a complex algebra,
     the underlying complex type, which is what the rank-one case uses)."""
-    if d.kind in _BASED:
-        return d.base
-    _, algebra, times = _KINDS[d.kind]
-    return matrix_type(algebra, times * sum(d.params))
+    return _KINDS[d.kind][1](d.base, *d.params)
 
 
 def is_sopq_exception(d: RealFormDescriptor) -> bool:
@@ -306,11 +316,13 @@ def catalog(bound: int = 8) -> Iterator[RealFormDescriptor]:
     su(1,1) is omitted (its builder makes sl(2,R), the split A1), as are
     the flagged D2/D3 labels for the complex/split/compact series.
     An algebra with two unfolded names, such as so(4,3) and split(B3), is
-    listed under both.
+    listed under both, but for so(2,1): it is sl(2,R), listed as the split
+    A1, and the so family starts at so(4,1).
     """
     for t in all_types(bound, include_flagged_d=False):
         yield from (complex_simple(t), compact_form(t), split_form(t))
-    # least p + q with q >= 1 that gives a canonical, unfolded descriptor
+    # least p + q with q >= 1 that gives a canonical, unfolded descriptor,
+    # but for so(2,1) = sl(2,R), which so skips
     for build, least in ((su, 3), (so, 5), (sp, 2)):
         for total in range(least, bound + 1):
             for q in range(1, total // 2 + 1):

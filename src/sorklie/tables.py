@@ -19,7 +19,7 @@ never the encoded ones.
 
 from collections.abc import Iterable, Iterator
 
-from .roots import RootSystemType, Value, matrix_rank, matrix_size, matrix_type
+from .roots import RootSystemType, Value, all_types, matrix_rank, matrix_size, matrix_type
 from .sork import sork_formula
 
 
@@ -131,10 +131,10 @@ _C1_D2 = "C: C1 x D2"  # the one row with a factor that is not simple
 _TABLE2_FAMILIES = sorted([kind[0] for groups in _TABLE2.values()
                            for group in groups for kind in group] + [_C1_D2])
 
-# Ambient family -> (smallest rank, encoded m column as a function of r).
-# D2 is included: the equality case noted alongside A3.
-_TABLE2_M = {"A": (1, lambda r: (r + 1) // 2), "B": (2, lambda r: r),
-             "C": (2, lambda r: r), "D": (2, lambda r: r if r % 2 == 0 else r - 1)}
+# Ambient family -> encoded m column as a function of r, from the family's
+# first rank in ``roots`` on; D2 is the equality case noted alongside A3.
+_TABLE2_M = {"A": lambda r: (r + 1) // 2, "B": lambda r: r, "C": lambda r: r,
+             "D": lambda r: r if r % 2 == 0 else r - 1}
 
 
 def _table2_rows(family: str, r: int) -> Iterator[tuple]:
@@ -169,22 +169,23 @@ def table2_audit(rank_cap: int = 24) -> AuditReport:
         raise ValueError("rank_cap must be at least 4")
     report = AuditReport()
     counts = dict.fromkeys(_TABLE2_FAMILIES, 0)
-    for family, (first_rank, m_encoded) in _TABLE2_M.items():
-        for r in range(first_rank, rank_cap + 1):
-            m = sork_formula(RootSystemType(family, r))
-            report.add(f"{family}{r}", "m column", m, m_encoded(r))
-            rows = list(_table2_rows(family, r))
-            for label, row_id, factors, n_encoded in rows:
-                counts[label] += 1
-                n = _sork_sum(factors)
-                if n_encoded is not None:
-                    report.add(row_id, "n column", n, n_encoded)
-                if label == _C1_D2:  # the one row with its own m column
-                    report.add(row_id, "m column", m, 4)
-                report.add_bound(row_id, "m >= n", m, n)
-            if family == "B" and _is_prime(matrix_size(family, r)):
-                report.add_check(f"B{r}", "no row when 2r+1 prime", bool(rows),
-                                 False, not rows)
+    for t in all_types(rank_cap):
+        if t.family not in _TABLE2_M:
+            continue
+        family, r = t.family, t.rank
+        m = sork_formula(t)
+        report.add(str(t), "m column", m, _TABLE2_M[family](r))
+        rows = list(_table2_rows(family, r))
+        for label, row_id, factors, n_encoded in rows:
+            counts[label] += 1
+            n = _sork_sum(factors)
+            if n_encoded is not None:
+                report.add(row_id, "n column", n, n_encoded)
+            if label == _C1_D2:  # the one row with its own m column
+                report.add(row_id, "m column", m, 4)
+            report.add_bound(row_id, "m >= n", m, n)
+        if family == "B" and _is_prime(matrix_size(family, r)):
+            report.add_check(str(t), "no row when 2r+1 prime", bool(rows), False, not rows)
 
     # families with instances first, then those flagged empty (a stable sort)
     for label in sorted(_TABLE2_FAMILIES, key=lambda f: not counts[f]):

@@ -389,7 +389,10 @@ class TestParser:
             parse_group_expr(text)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("text", ["so(4)", "so(2,2)", "E8(0)", "su(0)"])
+    @pytest.mark.parametrize("text", [
+        "so(4)", "so(2,2)", "E8(0)", "su(0)",
+        "so*(4)", "so*(2)", "so(1,1)", "split(D2)", "compact(D2)",
+    ])
     def test_invalid_algebras(self, text):
         with pytest.raises(InvalidRealForm):
             parse_group_expr(text)

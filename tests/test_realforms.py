@@ -112,6 +112,8 @@ class TestNormalization:
         ("su(1,0)", "su(1,0)"), ("su(1)", "su(1,0)"), ("sl(1,R)", "sl(1,R)"),
         ("sl(0,H)", "sl(0,H)"), ("so(1,1)", "so(1,1)"), ("so*(4)", "so*(4)"),
         ("sp(0,R)", "sp(0,R)"), ("sp(0,0)", "sp(0,0)"), ("sp(3,-1)", "sp(3,-1)"),
+        # the params in the order written, not the order the builders sort them to
+        ("su(-1,3)", "su(-1,3)"), ("so(-3,5)", "so(-3,5)"), ("sp(-2,4)", "sp(-2,4)"),
     ])
     def test_rejection_names_the_descriptor(self, expr, written):
         with pytest.raises(InvalidRealForm) as info:
@@ -210,6 +212,23 @@ class TestComplexification:
     def test_catalog_descriptors_construct(self):
         for d in catalog(12):
             assert realforms.RealFormDescriptor(d.kind, d.params, d.base) == d
+
+    # Fields that no builder makes, each refused with a typed error before a
+    # descriptor exists: a base kind checks its base as its builder does.
+    @pytest.mark.parametrize("kind,params,base,error", [
+        ("complex", (), _t("D2"), InvalidRealForm),
+        ("exc", (6, 99), _t("E6"), InvalidRealForm),
+        ("exc", (8, -24), _t("E6"), InvalidRealForm),
+        ("exc", (8, 8), _t("E8"), InvalidRealForm),
+        ("split", (), "E8", InvalidRealForm),
+        ("compact", (3,), _t("A2"), (InvalidRealForm, TypeError)),
+        ("split", (), None, (InvalidRealForm, TypeError)),
+        ("exc", (), _t("E6"), (InvalidRealForm, TypeError)),
+    ], ids=["complex(D2)", "E6(99)", "E8(-24) on E6", "E8(8)", "split('E8')",
+            "compact(3) on A2", "split(None)", "exc() on E6"])
+    def test_based_fields_no_builder_makes_are_refused(self, kind, params, base, error):
+        with pytest.raises(error):
+            realforms.RealFormDescriptor(kind, params, base)
 
 
 class TestSopqException:
@@ -325,6 +344,22 @@ class TestCatalog:
                 assert sum(d.params) >= 5
             if d.kind == "sl_H":
                 assert d.params[0] >= 2
+
+    def test_parameterised_part_is_what_the_builders_make(self):
+        """catalog(12) lists every descriptor that the five parameterised
+        builders make within its bounds (p + q <= 12, sl(n,H) with 2n <= 12,
+        so*(2n) with n <= 12), each once, but for so(2,1) = sl(2,R)."""
+        within = {"su": lambda p, q: p + q <= 12, "so": lambda p, q: p + q <= 12,
+                  "sp": lambda p, q: p + q <= 12, "sl_H": lambda n: 2 * n <= 12,
+                  "so_star": lambda n: n <= 12}
+        calls = [(build, p, q) for build in (su, so, sp)
+                 for p in range(-1, 13) for q in range(-1, 13)]
+        calls += [(sl_H, n) for n in range(-1, 13)]
+        calls += [(so_star, n) for n in range(-1, 25)]
+        made = {d for d in (_built(*call) for call in calls)
+                if d is not None and d.kind in within and within[d.kind](*d.params)}
+        listed = [d for d in catalog(12) if d.kind in within]
+        assert sorted(listed) == sorted(made - {so(2, 1)})
 
     def test_nu_one_catalog(self):
         got = sorted(str(d) for d in nu_one_catalog())
