@@ -4,8 +4,10 @@
 sl_H, so, so_star, sp, complex, split, compact and exc gives the kind's
 printer, its complexification and its builder, each called with the base
 and then the params of a descriptor.  A parameterised kind complexifies to
-a matrix algebra of the family table in ``roots``; the complex, split,
-compact and exceptional kinds carry their type as ``base``, and the split
+a matrix algebra of the family table in ``roots``, and ``_simple`` holds the
+one rule for which params are simple: those whose algebra has a type that
+is not reducible, so(3,1) = sl(2,C) aside.  The complex, split, compact
+and exceptional kinds carry their type as ``base``, and the split
 and compact printers name the classical forms by the matrix size of their
 type, but sp by half of it (Helgason, Differential Geometry, Lie Groups,
 and Symmetric Spaces, 1978, Ch. X).  Beside the printer, ``_SPELLINGS``
@@ -35,7 +37,7 @@ E, F and G it comes from the exact search.
 from collections.abc import Iterator
 
 from .check import OrthCertificate
-from .errors import InvalidRealForm
+from .errors import InvalidRealForm, InvalidType
 from .roots import RootSystemType, Value, all_types, matrix_size, matrix_type
 from .sork import canonical_certificate
 
@@ -103,7 +105,7 @@ def _require_simple_type(t: RootSystemType) -> RootSystemType:
     if not isinstance(t, RootSystemType):
         raise InvalidRealForm(f"{t!r} is not a root system type")
     if t.is_reducible:
-        raise InvalidRealForm("D2 is not simple (it is A1 x A1)")
+        raise InvalidRealForm(f"{t} is not simple (it is {t.low_rank_alias})")
     return t
 
 
@@ -115,67 +117,63 @@ def _made(kind: str, *params: int, base: RootSystemType | None = None) -> RealFo
     return d
 
 
-def _compact(kind: str, *params: int) -> RealFormDescriptor:
-    """The compact form with the complexification of ``kind(params)``."""
-    return compact_form(complexification_type(_made(kind, *params)))
-
-
 def su(p: int, q: int) -> RealFormDescriptor:
-    if min(p, q) < 0 or p + q < 2:
-        _fail(f"su({p},{q})")
+    t = _simple("su", p, q)
     p, q = max(p, q), min(p, q)
     if q == 1 == p:
         return sl_R(2)  # su(1,1) = sl(2,R)
-    return _compact("su", p, q) if q == 0 else _made("su", p, q)
+    return compact_form(t) if q == 0 else _made("su", p, q)
 
 
 def sl_R(n: int) -> RealFormDescriptor:
-    if n < 2:
-        _fail(f"sl({n},R)")
-    return split_form(matrix_type("sl", n))
+    return split_form(_simple("su", n, 0, name=f"sl({n},R)"))  # complexifies as su(n)
 
 
 def sl_H(n: int) -> RealFormDescriptor:
-    if n < 1:
-        _fail(f"sl({n},H)")
-    # sl(1,H) = su(2)
-    return _compact("sl_H", n) if n == 1 else _made("sl_H", n)
+    t = _simple("sl_H", n)
+    return compact_form(t) if n == 1 else _made("sl_H", n)  # sl(1,H) = su(2)
 
 
 def so(p: int, q: int) -> RealFormDescriptor:
-    n = p + q
-    if n < 3 or min(p, q) < 0:
-        _fail(f"so({p},{q})")
+    t = _simple("so", p, q)
     p, q = max(p, q), min(p, q)
-    if q == 0:
-        if n == 4:
-            raise InvalidRealForm("so(4) is not simple")
-        return _compact("so", p, q)
-    if n == 4:
-        if (p, q) == (3, 1):
-            # accidental isomorphism so(3,1) = sl2(C)
-            return complex_simple(RootSystemType("A", 1))
-        raise InvalidRealForm(f"so({p},{q}) is not simple")
-    return _made("so", p, q)
+    if (p, q) == (3, 1):  # accidental isomorphism so(3,1) = sl2(C)
+        return complex_simple(RootSystemType("A", 1))
+    return compact_form(t) if q == 0 else _made("so", p, q)
 
 
 def so_star(two_n: int) -> RealFormDescriptor:
-    if two_n % 2 or two_n < 6:
+    if two_n % 2:
         _fail(f"so*({two_n})")
+    _simple("so_star", two_n // 2)
     return _made("so_star", two_n // 2)
 
 
 def sp_R(n: int) -> RealFormDescriptor:
-    if n < 1:
-        _fail(f"sp({n},R)")
-    return split_form(matrix_type("sp", 2 * n))
+    return split_form(_simple("sp", n, 0, name=f"sp({n},R)"))  # complexifies as sp(n)
 
 
 def sp(p: int, q: int) -> RealFormDescriptor:
-    if min(p, q) < 0 or max(p, q) < 1:
-        _fail(f"sp({p},{q})")
+    t = _simple("sp", p, q)
     p, q = max(p, q), min(p, q)
-    return _compact("sp", p, q) if q == 0 else _made("sp", p, q)
+    return compact_form(t) if q == 0 else _made("sp", p, q)
+
+
+def _simple(kind: str, *params: int, name: str | None = None) -> RootSystemType:
+    """The type of the complexification of ``kind(params)`` as written, if
+    that is simple: no param is negative, and the type exists and is not
+    reducible (Helgason, Ch. X), so(3,1) = sl(2,C) aside, whose type is D2.
+    A refusal names it ``name`` or as the kind prints it."""
+    name = name or _KINDS[kind][0](None, *params)
+    try:
+        t = _KINDS[kind][1](None, *params)
+    except InvalidType:
+        t = None
+    if t is None or min(params) < 0:
+        _fail(name)
+    if t.is_reducible and (kind, sorted(params)) != ("so", [1, 3]):
+        raise InvalidRealForm(f"{name} is not simple")
+    return t
 
 
 def exceptional_form(family: str, rank: int, signature: int) -> RealFormDescriptor:

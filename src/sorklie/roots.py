@@ -181,10 +181,11 @@ def matrix_size(family: str, rank: int) -> int:
 
 
 def matrix_rank(family: str, n: int) -> int | None:
-    """The rank r > 0 of family_r on n x n matrices, or None, read before the
-    low rank aliases fold: so(3) gives B1."""
+    """The rank r of family_r on n x n matrices, or None where ``RootSystemType``
+    refuses family_r, read before the low rank aliases fold: so(3) gives B1."""
     _, c, e = _MATRICES[family]
-    return (n - e) // c if n > e and (n - e) % c == 0 else None
+    r, rest = divmod(n - e, c)
+    return r if not rest and (r >= _FAMILY_TABLE[family] or family in "BC" and r == 1) else None
 
 
 def matrix_type(algebra: str, n: int) -> RootSystemType:

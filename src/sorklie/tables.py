@@ -98,8 +98,9 @@ MINDIM_EXCEPTIONAL = {"E6": 27, "E7": 56, "E8": 248, "F4": 26, "G2": 7}
 
 def _rank(family: str, dim: int) -> int | None:
     """The rank of the simple algebra of ``family`` with defining dimension
-    ``dim``, or None; so(2) and so(4) are not simple."""
-    return None if family == "D" and dim < 6 else matrix_rank(family, dim)
+    ``dim``, or None: its type exists and is not reducible (so(4) is D2)."""
+    r = matrix_rank(family, dim)
+    return r if r and not RootSystemType(family, r).is_reducible else None
 
 
 def table1_audit() -> AuditReport:

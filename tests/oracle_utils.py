@@ -9,20 +9,22 @@ check with its ``MembershipError``, the closed-subsystem predicate, the
 (A1)^n subsystem of a certificate, the rank-one catalog of the
 acceptance criteria, the dimension, complex rank and Killing signature
 of each real form by arithmetic, the failed entries of an audit report,
-a Table 2 row enumerator that solves each family's dimension relation by
-hand, the ``argparse`` parser of the CLI grammar, the regex lexer of
-group expressions, dense integer matrices with the Kronecker sum, the
-bracket identity, its dense basis proof and seeded random trials, and a
-``Fraction`` rank.  The package ships none of them: its one clique search
-is the orbit search of ``sorklie.sork``, checked here, its Table 2 rows
-come from one rule in ``sorklie.tables``, checked against the enumerator
-here, its one command line parser is ``sorklie.cli._parse``, checked
-against the argparse parser here, its lexer is the character loop of
-``sorklie.groups._tokenize``, checked against the regex lexer here, its
-ν of a real form comes from the complexification's strong orthogonal
-rank, checked against the signature here, and its matrix proofs run on
-the sparse matrices of ``sorklie.matrixcheck``, checked against the
-dense ones here.
+which matrix algebras are simple, by size, a Table 2 row enumerator that
+solves each family's dimension relation by hand, the ``argparse`` parser
+of the CLI grammar, the regex lexer of group expressions, dense integer
+matrices with the Kronecker sum, the bracket identity, its dense basis
+proof and seeded random trials, and a ``Fraction`` rank.  The package
+ships none of them: its one clique search is the orbit search of
+``sorklie.sork``, checked here, its Table 2 rows come from one rule in
+``sorklie.tables``, checked against the enumerator here, which real forms
+and Table 2 factors are simple comes from one rule on the family table of
+``sorklie.roots``, checked against the sizes here, its one command line
+parser is ``sorklie.cli._parse``, checked against the argparse parser
+here, its lexer is the character loop of ``sorklie.groups._tokenize``,
+checked against the regex lexer here, its ν of a real form comes from the
+complexification's strong orthogonal rank, checked against the signature
+here, and its matrix proofs run on the sparse matrices of
+``sorklie.matrixcheck``, checked against the dense ones here.
 """
 
 import argparse
@@ -311,6 +313,18 @@ def nu_one_catalog(bound: int = 8) -> list[RealFormDescriptor]:
         if nu_simple(d).nu == 1:
             out.append(d)
     return sorted(set(out))
+
+
+def matrix_algebra_is_simple(algebra: str, n: int) -> bool:
+    """Whether the complex algebra ``algebra`` (sl, so or sp) of n x n
+    matrices is simple, by hand from its size alone: sl(n) for n >= 2,
+    so(n) for n = 3 or n >= 5 (so(2) is abelian, so(4) = sl(2) + sl(2)),
+    sp(n) for even n >= 2."""
+    if algebra == "sl":
+        return n >= 2
+    if algebra == "so":
+        return n == 3 or n >= 5
+    return n >= 2 and n % 2 == 0
 
 
 # Complex dimension of each exceptional simple type.

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import dim_rank_signature, nu_one_catalog
+from oracle_utils import dim_rank_signature, matrix_algebra_is_simple, nu_one_catalog
 
 from sorklie import (
     InvalidRealForm,
@@ -107,10 +107,12 @@ class TestNormalization:
         with pytest.raises(InvalidRealForm):
             bad()
 
-    # one expression per _fail caller, plus su(1), which su reads as su(1,0)
+    # one spelling with no simple complexification per builder, plus su(1),
+    # which su reads as su(1,0), and so*(7), which so_star refuses as odd
     @pytest.mark.parametrize("expr,written", [
         ("su(1,0)", "su(1,0)"), ("su(1)", "su(1,0)"), ("sl(1,R)", "sl(1,R)"),
-        ("sl(0,H)", "sl(0,H)"), ("so(1,1)", "so(1,1)"), ("so*(4)", "so*(4)"),
+        ("sl(0,H)", "sl(0,H)"), ("so(1,1)", "so(1,1)"), ("so*(2)", "so*(2)"),
+        ("so*(7)", "so*(7)"),
         ("sp(0,R)", "sp(0,R)"), ("sp(0,0)", "sp(0,0)"), ("sp(3,-1)", "sp(3,-1)"),
         # the params in the order written, not the order the builders sort them to
         ("su(-1,3)", "su(-1,3)"), ("so(-3,5)", "so(-3,5)"), ("sp(-2,4)", "sp(-2,4)"),
@@ -120,6 +122,17 @@ class TestNormalization:
             parse_group_expr(expr)
         assert str(info.value) == \
             f"{written} does not describe a simple Lie algebra (at offset 0)"
+
+    # a spelling whose complexification has the reducible type D2 = A1 x A1,
+    # each named as written; so(3,1) = sl(2,C) is the one exception
+    @pytest.mark.parametrize("expr,written", [
+        ("so(4)", "so(4,0)"), ("so(0,4)", "so(0,4)"), ("so(2,2)", "so(2,2)"),
+        ("so*(4)", "so*(4)"),
+    ])
+    def test_reducible_complexification_is_not_simple(self, expr, written):
+        with pytest.raises(InvalidRealForm) as info:
+            parse_group_expr(expr)
+        assert str(info.value) == f"{written} is not simple (at offset 0)"
 
 
 PAIR_CONSTRUCTORS = (su, so, sp)
@@ -133,6 +146,30 @@ def _built(build, *args):
         return build(*args)
     except InvalidRealForm:
         return None
+
+
+# Each builder with the matrix algebra that its complexification is and the
+# size of those matrices, by hand.
+_COMPLEXIFIED = {
+    su: ("sl", lambda p, q: p + q), so: ("so", lambda p, q: p + q),
+    sp: ("sp", lambda p, q: 2 * (p + q)), sl_R: ("sl", lambda n: n),
+    sl_H: ("sl", lambda n: 2 * n), so_star: ("so", lambda n: n),
+    sp_R: ("sp", lambda n: 2 * n),
+}
+
+
+def test_builders_refuse_exactly_what_is_not_simple():
+    # A negative param or an odd so*(n) spells nothing; so(3,1) = sl(2,C) is
+    # simple, though its complexification so(4) is not.
+    calls = [(build, p, q) for build in PAIR_CONSTRUCTORS
+             for p in range(-1, 17) for q in range(-1, 17 - p)]
+    calls += [(build, n) for build in SIZE_CONSTRUCTORS for n in range(-1, 17)]
+    for build, *args in calls:
+        algebra, size = _COMPLEXIFIED[build]
+        simple = (min(args) >= 0 and not (build is so_star and args[0] % 2)
+                  and (matrix_algebra_is_simple(algebra, size(*args))
+                       or build is so and sorted(args) == [1, 3]))
+        assert (_built(build, *args) is not None) == simple, (build.__name__, args)
 
 
 @settings(max_examples=300, deadline=None)

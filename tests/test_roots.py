@@ -103,9 +103,12 @@ class TestMatrixAlgebras:
         assert matrix_rank("B", 3) == matrix_rank("C", 2) == 1
         assert matrix_type("so", 3) == matrix_type("sp", 2) == RootSystemType("A", 1)
         assert matrix_type("so", 4) == RootSystemType("D", 2)
-        assert [matrix_rank(f, n) for f, n in (("A", 1), ("B", 4), ("C", 3))] == [None] * 3
+        # no rank where RootSystemType refuses the type: so(2) would be D1
+        pairs = (("A", 1), ("B", 4), ("C", 3), ("D", 2), ("D", 0))
+        assert [matrix_rank(f, n) for f, n in pairs] == [None] * 5
         for algebra, n in (("sl", 1), ("so", 2), ("sp", 3)):
-            with pytest.raises(InvalidType):
+            # the refusal names the algebra, not a type nobody wrote
+            with pytest.raises(InvalidType, match=rf"^{algebra}\({n}\) has no root system type$"):
                 matrix_type(algebra, n)
 
 

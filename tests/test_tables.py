@@ -3,7 +3,7 @@ import hashlib
 import io
 
 import pytest
-from oracle_utils import failures, table2_rows
+from oracle_utils import failures, matrix_algebra_is_simple, table2_rows
 
 from sorklie import table1_audit, table2_audit, table3_audit, tables
 from sorklie.cli import main
@@ -170,3 +170,14 @@ def test_is_prime():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not _is_prime(1)
     assert not _is_prime(0)
+
+
+def test_factor_rank_is_read_where_the_algebra_is_simple():
+    # family -> (its algebra, the rank on n x n matrices), by hand
+    by_hand = {"A": ("sl", lambda n: n - 1), "B": ("so", lambda n: (n - 1) // 2),
+               "C": ("sp", lambda n: n // 2), "D": ("so", lambda n: n // 2)}
+    parity = {"A": (0, 1), "B": (1,), "C": (0,), "D": (0,)}
+    for family, (algebra, rank) in by_hand.items():
+        for dim in range(-2, 131):
+            simple = dim % 2 in parity[family] and matrix_algebra_is_simple(algebra, dim)
+            assert tables._rank(family, dim) == (rank(dim) if simple else None), (family, dim)
