@@ -19,7 +19,8 @@ A verdict trusts only ``build_root_system`` and this module, which
 imports nothing of the package but ``errors`` and ``roots``: the search
 in ``sork``, which produces the certificates, is not part of it.
 ``OrthCertificate.from_json_dict`` is the one place where outside input
-becomes roots, and it refuses the zero vector.
+becomes roots, and it refuses the zero vector and a type label not written
+as ``sork`` writes it, ``str`` of its type.
 """
 
 from operator import add, mul
@@ -47,9 +48,11 @@ class OrthCertificate(Value):
     def from_json_dict(cls, data: object) -> "OrthCertificate":
         """Parse a certificate document; raises :class:`CertificateError`
         if it is not an object with a string ``system_type``, a list of
-        integer lists ``roots`` and, if present, an integer ``n``, and
-        :class:`InvalidType` for a label that names no type or a root that
-        is the zero vector, in that order."""
+        integer lists ``roots`` and, if present, an integer ``n``,
+        :class:`InvalidType` for a label that names no type,
+        :class:`CertificateError` for a label not written as ``str`` of its
+        type, the one way ``sork`` writes it, and :class:`InvalidType` for a
+        root that is the zero vector, in that order."""
         if not isinstance(data, dict):
             raise CertificateError("certificate must be a JSON object")
         label, rows = data.get("system_type"), data.get("roots")
@@ -62,6 +65,8 @@ class OrthCertificate(Value):
         if not _is_int(data.get("n", 0)):
             raise CertificateError("n must be an integer")
         t = RootSystemType.parse(label)
+        if label != str(t):
+            raise CertificateError(f"system_type {label!r} is not written as {t}")
         roots = tuple(map(tuple, rows))
         if not all(map(any, roots)):
             raise InvalidType("a root cannot be the zero vector")

@@ -19,7 +19,8 @@ It opens a file and stdin (file descriptor 0) alike, as strict UTF-8, so a
 document's verdict depends only on its bytes.  It parses the document
 with ``_loads``, which runs the C scanner that ``json.loads`` runs,
 ``_json.make_scanner``, with ``JSONDecoder``'s default context, so a JSON
-document gives the value that ``json.loads`` gives.  Any other
+document gives the value that ``json.loads`` gives, but for a key repeated
+in an object, which both refuse with a ``CertificateError``.  Any other
 text goes to ``json.loads`` itself, for its error; ``json`` is loaded
 only then, or where ``_json`` is missing.
 Every other subcommand writes its documents through ``_dumps``, whose
@@ -476,11 +477,12 @@ _JSON_SPACE = " \t\n\r"
 
 def _loads(raw: str):
     """``json.loads(raw)``, without importing ``json`` when ``raw`` is a
-    JSON document.  It runs json's C scanner with ``JSONDecoder``'s default
-    context, skipping JSON whitespace on both sides as
-    ``JSONDecoder.decode`` does.  Any other text, a leading BOM included,
-    and every text where ``_json`` is missing go to ``json.loads``, which
-    raises json's own error."""
+    JSON document, refusing a key repeated in any object.  It runs json's C
+    scanner with ``JSONDecoder``'s default context but for that refusal,
+    skipping JSON whitespace on both sides as ``JSONDecoder.decode`` does.
+    Any other text, a leading BOM included, and every text where ``_json``
+    is missing go to ``json.loads`` with the same refusal, which raises
+    json's own error."""
     try:
         from _json import make_scanner
     except ImportError:
@@ -489,21 +491,33 @@ def _loads(raw: str):
         constants = {"NaN": float("nan"), "Infinity": float("inf"),
                      "-Infinity": float("-inf")}
         scan = make_scanner(SimpleNamespace(
-            strict=True, object_hook=None, object_pairs_hook=None,
+            strict=True, object_hook=None, object_pairs_hook=_unique_keys,
             parse_float=float, parse_int=int, parse_constant=constants.__getitem__))
         try:
             doc, end = scan(raw, len(raw) - len(raw.lstrip(_JSON_SPACE)))
         except Exception:
-            # json.loads below raises json's error.  Python 3.11's scanner
-            # raises a SystemError instead for a bad string while
-            # json.decoder is not loaded.
+            # json.loads below raises json's error, or refuses the repeated
+            # key again.  Python 3.11's scanner raises a SystemError instead
+            # for a bad string while json.decoder is not loaded.
             pass
         else:
             if not raw[end:].lstrip(_JSON_SPACE):
                 return doc
     import json
 
-    return json.loads(raw)
+    return json.loads(raw, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object of the key-value ``pairs`` of a JSON object, refused if a
+    key repeats: a reader that keeps the first and one that keeps the last
+    would read two documents (RFC 8259, section 4)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise CertificateError(f"certificate document repeats the key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _print_report(name: str, report, as_json: bool) -> bool:

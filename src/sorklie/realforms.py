@@ -17,14 +17,13 @@ property of this one module.
 
 Descriptors are normalized by their builders: split and compact classical
 series fold into split(T)/compact(T), the exceptional split and compact
-signatures (the rank, minus the dimension) do the same, su(1,1) becomes
-sl(2,R) = split(A1), as sp(1,R) does, and so(3,1) becomes the complex
-algebra sl2(C).  Those are the accidental isomorphisms folded; the others
-keep both names, such as so(2,1) and sl(2,R), so(3,2) and sp(2,R), or
-so(4,3) and split(B3), and both names give one ν.  The constructor checks
-every kind, based kinds included: it calls the kind's builder and accepts
-only the fields that it makes unchanged, so every descriptor is one that a
-builder makes.
+signatures (the rank, minus the dimension) do the same, and ``_FOLDED``
+is the one table of the accidental isomorphisms folded: su(1,1) = sl(2,R),
+sl(1,H) = su(2) and so(3,1) = sl(2,C).  The others keep both names, such
+as so(2,1) and sl(2,R), so(3,2) and sp(2,R), or so(4,3) and split(B3),
+and both names give one ν.  The constructor checks every kind, based kinds
+included: it calls the kind's builder and accepts only the fields that it
+makes unchanged, so every descriptor is one that a builder makes.
 
 The free subgroup rank takes the canonical certificate of the
 complexification from ``sork.canonical_certificate``, verified once per
@@ -118,11 +117,7 @@ def _made(kind: str, *params: int, base: RootSystemType | None = None) -> RealFo
 
 
 def su(p: int, q: int) -> RealFormDescriptor:
-    t = _simple("su", p, q)
-    p, q = max(p, q), min(p, q)
-    if q == 1 == p:
-        return sl_R(2)  # su(1,1) = sl(2,R)
-    return compact_form(t) if q == 0 else _made("su", p, q)
+    return _build("su", p, q)
 
 
 def sl_R(n: int) -> RealFormDescriptor:
@@ -130,23 +125,17 @@ def sl_R(n: int) -> RealFormDescriptor:
 
 
 def sl_H(n: int) -> RealFormDescriptor:
-    t = _simple("sl_H", n)
-    return compact_form(t) if n == 1 else _made("sl_H", n)  # sl(1,H) = su(2)
+    return _build("sl_H", n)
 
 
 def so(p: int, q: int) -> RealFormDescriptor:
-    t = _simple("so", p, q)
-    p, q = max(p, q), min(p, q)
-    if (p, q) == (3, 1):  # accidental isomorphism so(3,1) = sl2(C)
-        return complex_simple(RootSystemType("A", 1))
-    return compact_form(t) if q == 0 else _made("so", p, q)
+    return _build("so", p, q)
 
 
 def so_star(two_n: int) -> RealFormDescriptor:
     if two_n % 2:
         _fail(f"so*({two_n})")
-    _simple("so_star", two_n // 2)
-    return _made("so_star", two_n // 2)
+    return _build("so_star", two_n // 2)
 
 
 def sp_R(n: int) -> RealFormDescriptor:
@@ -154,16 +143,26 @@ def sp_R(n: int) -> RealFormDescriptor:
 
 
 def sp(p: int, q: int) -> RealFormDescriptor:
-    t = _simple("sp", p, q)
-    p, q = max(p, q), min(p, q)
-    return compact_form(t) if q == 0 else _made("sp", p, q)
+    return _build("sp", p, q)
+
+
+_FOLDED = {("su", 1, 1): split_form(RootSystemType("A", 1)),  # sl(2,R)
+           ("sl_H", 1): compact_form(RootSystemType("A", 1)),  # su(2)
+           ("so", 3, 1): complex_simple(RootSystemType("A", 1))}  # sl(2,C)
+
+
+def _build(kind: str, *params: int) -> RealFormDescriptor:
+    """``kind(params)`` if ``_simple``: ``_FOLDED`` of kind and the params in
+    descending order if it is there, else compact(T) if the last is 0."""
+    t = _simple(kind, *params)
+    key = (kind, *sorted(params, reverse=True))
+    return _FOLDED.get(key) or (compact_form(t) if key[-1] == 0 else _made(*key))
 
 
 def _simple(kind: str, *params: int, name: str | None = None) -> RootSystemType:
-    """The type of the complexification of ``kind(params)`` as written, if
-    that is simple: no param is negative, and the type exists and is not
-    reducible (Helgason, Ch. X), so(3,1) = sl(2,C) aside, whose type is D2.
-    A refusal names it ``name`` or as the kind prints it."""
+    """The complexification's type of ``kind(params)``, refused unless no
+    param is negative and it exists and is not reducible (Helgason, Ch. X),
+    so(3,1) = sl(2,C) of ``_FOLDED`` aside, naming ``name`` or as written."""
     name = name or _KINDS[kind][0](None, *params)
     try:
         t = _KINDS[kind][1](None, *params)
@@ -171,7 +170,7 @@ def _simple(kind: str, *params: int, name: str | None = None) -> RootSystemType:
         t = None
     if t is None or min(params) < 0:
         _fail(name)
-    if t.is_reducible and (kind, sorted(params)) != ("so", [1, 3]):
+    if t.is_reducible and (kind, *sorted(params, reverse=True)) not in _FOLDED:
         raise InvalidRealForm(f"{name} is not simple")
     return t
 
@@ -240,14 +239,14 @@ _KINDS = {
 # (name, argument shape) -> builder called with the arguments other than R
 # and H.  The shape has "n" for an integer, "T" for a type, and R or H itself.
 _SPELLINGS = {
-    ("su", ("n",)): lambda n: su(n, 0),
+    ("su", ("n",)): lambda n: compact_form(_simple("su", n, 0, name=f"su({n})")),
     ("su", ("n", "n")): su,
     ("sl", ("n", "R")): sl_R,
     ("sl", ("n", "H")): sl_H,
-    ("so", ("n",)): lambda n: so(n, 0),
+    ("so", ("n",)): lambda n: compact_form(_simple("so", n, 0, name=f"so({n})")),
     ("so", ("n", "n")): so,
     ("so*", ("n",)): so_star,
-    ("sp", ("n",)): lambda n: sp(n, 0),
+    ("sp", ("n",)): lambda n: compact_form(_simple("sp", n, 0, name=f"sp({n})")),
     ("sp", ("n", "R")): sp_R,
     ("sp", ("n", "n")): sp,
     ("complex", ("T",)): complex_simple,
@@ -295,7 +294,10 @@ def nu_simple(d: RealFormDescriptor) -> NuResult:
     its canonical certificate, which is a closed form for A, B, C and D, so
     no clique search runs; for E, F and G the exact search finds it.
     ``canonical_certificate`` verifies it once per type per process,
-    against the one root system it was found on, in O(s^2) pairs.
+    against the one root system it was found on, in O(s^2) pairs.  What
+    ``nu --certificate`` prints is that set, strongly orthogonal in g ⊗ C,
+    so sork(g ⊗ C) >= its size, or for the so(p,q) exception its first ν
+    roots, no witness in the real form (so(5,3)'s give 2 factors there, not 3).
     """
     cert = canonical_certificate(complexification_type(d))
     s = len(cert.roots)

@@ -149,6 +149,13 @@ DOCUMENTS = {
     "bool n": ({"system_type": "A2", "n": True, "roots": [[2, -2, 0]]},
                "CertificateError"),
     "unknown type": ({"system_type": "Q2", "roots": []}, "InvalidType"),
+    # labels that name a type but not as sork writes it, str(RootSystemType)
+    "label with spaces": ({"system_type": " A2 ", "roots": []}, "CertificateError"),
+    "lower-case label": ({"system_type": "a2", "roots": []}, "CertificateError"),
+    "label with a leading zero": ({"system_type": "A02", "roots": []}, "CertificateError"),
+    "lower-case E8": ({"system_type": "e8", "roots": []}, "CertificateError"),
+    "non-canonical label, zero root": ({"system_type": "a2", "roots": [[0, 0, 0]]},
+                                       "CertificateError"),
     "zero root": ({"system_type": "A2", "roots": [[0, 0, 0]]}, "InvalidType"),
     "n too large": ({"system_type": "A2", "n": 2, "roots": [[2, -2, 0]]},
                     "CountMismatch"),
@@ -177,6 +184,7 @@ KILLED = {
     "pairs from i + 2": ("roots[i + 1:]", "roots[i + 2:]"),
     "bool is an int": ("type(x) is int", "isinstance(x, int)"),
     "no zero-vector refusal": ("if not all(map(any, roots)):", "if False:"),
+    "no label rule": ("if label != str(t):", "if False:"),
     "no count rule": ('if doc.get("n", len(cert.roots)) != len(cert.roots):', "if False:"),
 }
 # Mutants that change no verdict, with the reason they cannot.

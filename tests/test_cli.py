@@ -1,4 +1,5 @@
 import errno
+import inspect
 import io
 import json
 import os
@@ -260,12 +261,31 @@ class TestCertify:
         ({"system_type": "A2", "roots": [[2, -2, 0], [0, 0, 0]]}, _ZERO),
         ({"system_type": "Q2", "roots": [[0, 0, 0]]},
          "cannot parse root system type 'Q2'"),
+        # a label read only as sork writes it, so a verdict names the label
+        # the document holds
+        ({"system_type": " A2 ", "roots": []}, "system_type ' A2 ' is not written as A2"),
+        ({"system_type": "e8", "roots": []}, "system_type 'e8' is not written as E8"),
     ], ids=["top_level_list", "null_coordinate", "bool_coordinate", "zero_root_empty",
-            "zero_root", "zero_root_after_a_root", "zero_root_under_a_bad_label"])
+            "zero_root", "zero_root_after_a_root", "zero_root_under_a_bad_label",
+            "label_with_spaces", "lower_case_label"])
     def test_wrong_shape_is_a_typed_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(doc))
         assert run(capsys, "certify", str(path)) == (EXIT_ERROR, "", f"error: {message}\n")
+
+    # A document that two readers could read two ways, keeping the first or
+    # the last of a key repeated at any level, is refused.
+    @pytest.mark.parametrize("raw,key", [
+        ('{"system_type":"A2","roots":[[2,-2,0]],"n":1,"system_type":"B3"}',
+         "system_type"),
+        ('{"system_type":"A2","roots":[[2,-2,0]],"n":2,"n":1}', "n"),
+        ('{"system_type":"A2","roots":[[2,-2,0]],"x":[{"k":1,"k":2}]}', "k"),
+    ], ids=["label", "n", "nested"])
+    def test_repeated_key_is_a_typed_error(self, tmp_path, capsys, raw, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(raw)
+        assert run(capsys, "certify", str(path)) == (
+            EXIT_ERROR, "", f"error: certificate document repeats the key {key!r}\n")
 
     def test_n_mismatch(self, tmp_path, capsys):
         path = tmp_path / "n.json"
@@ -897,8 +917,46 @@ print(ours == theirs or list(zip(ours, theirs)))
 """
 
 
+def _json_loads(text):
+    """``json.loads(text)``, refusing a repeated key with ``cli``'s hook."""
+    return json.loads(text, object_pairs_hook=cli._unique_keys)
+
+
+# Texts with a key repeated in an object, at the top level or nested.
+_REPEATED_KEYS = [
+    '{"a": 1, "a": 2}',
+    '{"system_type":"A2","roots":[[2,-2,0]],"n":1,"system_type":"B3"}',
+    '{"system_type":"A2","roots":[[2,-2,0]],"n":2,"n":1}',
+    '[{"roots": []}, {"k": {"k": 1, "j": 2, "k": 1}}]',
+]
+# Mutants of cli, each one replacement in its source that drops the refusal
+# from one path of _loads.
+_REFUSAL_DROPPED = {
+    "C scanner": ("object_pairs_hook=_unique_keys,", "object_pairs_hook=None,"),
+    "json.loads": ("json.loads(raw, object_pairs_hook=_unique_keys)", "json.loads(raw)"),
+}
+
+
+def _accepted(loads, monkeypatch) -> list:
+    """The texts of ``_REPEATED_KEYS`` that ``loads`` accepts, each with
+    whether ``_json`` was missing."""
+    accepted = []
+    for missing in (False, True):
+        with monkeypatch.context() as m:
+            if missing:
+                m.setitem(sys.modules, "_json", None)  # import _json fails
+            for text in _REPEATED_KEYS:
+                try:
+                    loads(text)
+                except CertificateError:
+                    continue
+                accepted.append((missing, text))
+    return accepted
+
+
 class TestLoads:
-    """``cli._loads(text)`` gives what ``json.loads(text)`` does."""
+    """``cli._loads(text)`` gives what ``json.loads(text)`` does, but for a
+    repeated key, which it refuses."""
 
     @settings(max_examples=500, deadline=None)
     @given(_json_texts)
@@ -908,19 +966,34 @@ class TestLoads:
     @settings(max_examples=1000, deadline=None)
     @given(_json_texts, st.data())
     def test_truncations_and_mutations(self, text, data):
+        # a mutation can repeat a key: "b" replaced by "a" in {"a":1,"b":2}
         text = _mutations(text, data)
-        assert _decoded(cli._loads, text) == _decoded(json.loads, text)
+        assert _decoded(cli._loads, text) == _decoded(_json_loads, text)
 
     @pytest.mark.parametrize("text", [
         "", " \t\n\r", "\ufeff", "\ufeff{}", " \ufeff[]", "\u00a0[]", "NaN",
         "Infinity", "-Infinity", "[NaN, Infinity, -Infinity, -NaN]", "nan",
         "{} x", "[1] ]", "1 2", " [1] \t\n\r", '"\\ud800"', '["\\udc00\\ud800"]',
         '"\\ud83d\\ude00"', '"\x1f"', '"\\x"', "1" * 5000, "-" + "1" * 4300,
-        "1" * 4300, "01", "1.", ".5", "1e400", "-0", "-0.0", '{"a": 1, "a": 2}',
+        "1" * 4300, "01", "1.", ".5", "1e400", "-0", "-0.0",
         '{"a" 1}', "[1,]", "[", "{", '"', "tru", "[" * 100 + "]" * 100,
     ])
     def test_edge_cases(self, text):
         assert _decoded(cli._loads, text) == _decoded(json.loads, text)
+
+    def test_a_repeated_key_is_refused_by_both_paths(self, monkeypatch):
+        assert _accepted(cli._loads, monkeypatch) == []
+        with pytest.raises(CertificateError, match="repeats the key 'a'"):
+            cli._loads(_REPEATED_KEYS[0])
+
+    @pytest.mark.parametrize("name", _REFUSAL_DROPPED)
+    def test_a_mutant_without_the_refusal_is_killed(self, monkeypatch, name):
+        old, new = _REFUSAL_DROPPED[name]
+        source = inspect.getsource(cli)
+        assert source.count(old) == 1, "the edit no longer applies"
+        namespace = {"__name__": "sorklie.cli_mutant", "__package__": "sorklie"}
+        exec(compile(source.replace(old, new), cli.__file__, "exec"), namespace)
+        assert _accepted(namespace["_loads"], monkeypatch) != []
 
     def test_errors_in_a_process_without_json_loaded(self):
         texts = ['"\\', '"abc', '["\\x"]', '"\x01"', '"\\u12"', "[1, 2", '{"a" 1}',

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -108,9 +109,9 @@ class TestNormalization:
             bad()
 
     # one spelling with no simple complexification per builder, plus su(1),
-    # which su reads as su(1,0), and so*(7), which so_star refuses as odd
+    # named as written, and so*(7), which so_star refuses as odd
     @pytest.mark.parametrize("expr,written", [
-        ("su(1,0)", "su(1,0)"), ("su(1)", "su(1,0)"), ("sl(1,R)", "sl(1,R)"),
+        ("su(1,0)", "su(1,0)"), ("su(1)", "su(1)"), ("sl(1,R)", "sl(1,R)"),
         ("sl(0,H)", "sl(0,H)"), ("so(1,1)", "so(1,1)"), ("so*(2)", "so*(2)"),
         ("so*(7)", "so*(7)"),
         ("sp(0,R)", "sp(0,R)"), ("sp(0,0)", "sp(0,0)"), ("sp(3,-1)", "sp(3,-1)"),
@@ -126,13 +127,32 @@ class TestNormalization:
     # a spelling whose complexification has the reducible type D2 = A1 x A1,
     # each named as written; so(3,1) = sl(2,C) is the one exception
     @pytest.mark.parametrize("expr,written", [
-        ("so(4)", "so(4,0)"), ("so(0,4)", "so(0,4)"), ("so(2,2)", "so(2,2)"),
+        ("so(4)", "so(4)"), ("so(0,4)", "so(0,4)"), ("so(2,2)", "so(2,2)"),
         ("so*(4)", "so*(4)"),
     ])
     def test_reducible_complexification_is_not_simple(self, expr, written):
         with pytest.raises(InvalidRealForm) as info:
             parse_group_expr(expr)
         assert str(info.value) == f"{written} is not simple (at offset 0)"
+
+    def test_every_refusal_names_the_atom_as_written(self):
+        # every spelling of sizes, each size from -1 to 16, with R or H as
+        # its shape has them
+        refused = set()
+        for name, shape in realforms._SPELLINGS:
+            if "T" in shape:
+                continue
+            for sizes in itertools.product(range(-1, 17), repeat=shape.count("n")):
+                given = iter(sizes)
+                args = [str(next(given)) if a == "n" else a for a in shape]
+                atom = f"{name}({','.join(args)})"
+                try:
+                    parse_group_expr(atom)
+                except InvalidRealForm as err:
+                    assert str(err).startswith(f"{atom} "), str(err)
+                    refused.add(atom)
+        assert {"su(1)", "so(4)", "sp(0)", "so(2)", "su(-1)", "so(0,4)", "sl(1,R)",
+                "sl(0,H)", "so*(7)", "sp(0,R)"} <= refused
 
 
 PAIR_CONSTRUCTORS = (su, so, sp)
