@@ -7,9 +7,10 @@ CLI (``sorklie``).
 
 ``import sorklie`` loads no submodule: each public name below is resolved
 on first use (PEP 562), so a process imports only the layers it touches.
+It imports a submodule with the builtin ``__import__``, whose non-empty
+``fromlist`` makes it return the submodule itself: ``importlib`` would
+load ``warnings`` and more into every process that imports the package.
 """
-
-from importlib import import_module
 
 # Public name -> submodule that defines it.
 _EXPORTS = {
@@ -53,9 +54,9 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
+        return __import__(f"{__name__}.{name}", fromlist=["*"])
     if name in _EXPORTS:
-        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        value = getattr(__getattr__(_EXPORTS[name]), name)
         globals()[name] = value  # later lookups skip this hook
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

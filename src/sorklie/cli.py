@@ -41,7 +41,9 @@ negative numbers (``-1``) as values and positionals.  It prints the help
 and the usage errors itself, rendered from the same table and the first
 two paragraphs here in argparse's layout at 80 columns, whatever the
 terminal's width, and imports nothing: argparse brought ``gettext``,
-``locale`` and ``textwrap`` with it.
+``locale`` and ``textwrap`` with it.  The namespace it returns is a
+``types.SimpleNamespace``, named as ``types`` itself names it,
+``type(sys.implementation)``, so no process imports ``types`` for it.
 
 A CLI process runs ``run()``: it is the ``sorklie`` console script and the
 body of ``python -m sorklie.cli``.  It calls ``main()``, which flushes
@@ -70,9 +72,10 @@ exits, so a caller in the same process gets its code.
 import atexit
 import os
 import sys
-from types import SimpleNamespace
 
 from .errors import MAX_BUILD_RANK, MAX_DIGITS, CertificateError, SorklieError
+
+SimpleNamespace = type(sys.implementation)  # as types defines it
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -99,32 +102,6 @@ MAX_KRONECKER_SIZE = 8
 def _int_option(flag: str, low: int, high: int, default: int, what: str):
     return flag, low, high, default, f"{what}, {low} to {high} (default {default})"
 
-
-# The grammar.  Per subcommand: its help, its positional (name, help) or
-# None, its bounded int options (flag, low, high, default, help) and its
-# boolean flags (flag, help).  Help and usage show them in this order.
-_GRAMMAR = {
-    "sork": ("strong orthogonal rank of a root system",
-             ("type", "root system type, e.g. E8 or B7"), (),
-             (("--certificate", "also emit the witnessing certificate as JSON"),
-              ("--json", None))),
-    "nu": ("free subgroup rank of a group expression",
-           ("expr", 'group expression, e.g. "SL(2,R) x SU(2)^3"'), (),
-           (("--certificate", "include per-factor certificates in JSON output"),
-            ("--json", None))),
-    "certify": ("verify a certificate JSON document",
-                ("path", "path to a certificate file, or - for stdin"), (), ()),
-    "verify-tables": ("audit the subalgebra tables", None,
-                      (_int_option("--rank-cap", 4, MAX_RANK_CAP, 24,
-                                   "largest rank audited"),),
-                      (("--json", None),)),
-    "verify-kronecker": ("verify the Kronecker bracket identity", None,
-                         (_int_option("--max-size", 2, MAX_KRONECKER_SIZE, 4,
-                                      "largest matrix size"),),
-                         (("--json", None),)),
-    "dump-roots": ("dump a root system as JSON",
-                   ("type", "root system type, e.g. F4"), (), ()),
-}
 
 _HELP = ("-h, --help", "show this help message and exit")
 _WIDTH = 78  # the text width of argparse's help at 80 columns
@@ -172,7 +149,7 @@ def _scan(command: str | None, tokens: list[str], args: dict) -> list[str]:
     table = {"-h": "help", "--help": "help"}
     positional = "command"
     if command is not None:
-        _, pos, options, flags = _GRAMMAR[command]
+        _, pos, options, flags, _ = _GRAMMAR[command]
         positional = pos and pos[0]
         for flag, low, high, default, _ in options:
             table[flag], args[_dest(flag)] = (low, high), default
@@ -294,7 +271,7 @@ def _arguments(command: str | None):
         choices = "{" + ",".join(_GRAMMAR) + "}"
         return ([(2, choices, None), *((4, name, spec[0]) for name, spec in _GRAMMAR.items())],
                 [(2, *_HELP)], ["[-h]"], [choices, "..."])
-    _, positional, options, flags = _GRAMMAR[command]
+    _, positional, options, flags, _ = _GRAMMAR[command]
     optionals = [_HELP, *((f"{flag} {_dest(flag).upper()}", help_)
                           for flag, _, _, _, help_ in options), *flags]
     usage = ["[-h]", *(f"[{invocation}]" for invocation, _ in optionals[1:])]
@@ -574,13 +551,32 @@ def _cmd_dump_roots(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "sork": _cmd_sork,
-    "nu": _cmd_nu,
-    "certify": _cmd_certify,
-    "verify-tables": _cmd_verify_tables,
-    "verify-kronecker": _cmd_verify_kronecker,
-    "dump-roots": _cmd_dump_roots,
+# The grammar.  Per subcommand: its help, its positional (name, help) or
+# None, its bounded int options (flag, low, high, default, help), its
+# boolean flags (flag, help) and its handler, called with the parsed
+# namespace.  Help and usage show them in this order.
+_GRAMMAR = {
+    "sork": ("strong orthogonal rank of a root system",
+             ("type", "root system type, e.g. E8 or B7"), (),
+             (("--certificate", "also emit the witnessing certificate as JSON"),
+              ("--json", None)), _cmd_sork),
+    "nu": ("free subgroup rank of a group expression",
+           ("expr", 'group expression, e.g. "SL(2,R) x SU(2)^3"'), (),
+           (("--certificate", "include per-factor certificates in JSON output"),
+            ("--json", None)), _cmd_nu),
+    "certify": ("verify a certificate JSON document",
+                ("path", "path to a certificate file, or - for stdin"), (), (),
+                _cmd_certify),
+    "verify-tables": ("audit the subalgebra tables", None,
+                      (_int_option("--rank-cap", 4, MAX_RANK_CAP, 24,
+                                   "largest rank audited"),),
+                      (("--json", None),), _cmd_verify_tables),
+    "verify-kronecker": ("verify the Kronecker bracket identity", None,
+                         (_int_option("--max-size", 2, MAX_KRONECKER_SIZE, 4,
+                                      "largest matrix size"),),
+                         (("--json", None),), _cmd_verify_kronecker),
+    "dump-roots": ("dump a root system as JSON",
+                   ("type", "root system type, e.g. F4"), (), (), _cmd_dump_roots),
 }
 
 
@@ -592,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         args = _parse(argv)  # an int: help shown or a usage error reported
-        code = args if type(args) is int else _DISPATCH[args.command](args)
+        code = args if type(args) is int else _GRAMMAR[args.command][-1](args)
         sys.stdout.flush()  # a failed write of the answer fails here at the latest
         return code
     except (SorklieError, OSError, ValueError) as err:

@@ -33,8 +33,6 @@ B, C and D the certificate is a closed form and no clique search runs; for
 E, F and G it comes from the exact search.
 """
 
-from collections.abc import Iterator
-
 from .check import OrthCertificate
 from .errors import InvalidRealForm, InvalidType
 from .roots import RootSystemType, Value, all_types, matrix_size, matrix_type
@@ -121,7 +119,7 @@ def su(p: int, q: int) -> RealFormDescriptor:
 
 
 def sl_R(n: int) -> RealFormDescriptor:
-    return split_form(_simple("su", n, 0, name=f"sl({n},R)"))  # complexifies as su(n)
+    return _SPELLINGS["sl", ("n", "R")](f"sl({n},R)", n)
 
 
 def sl_H(n: int) -> RealFormDescriptor:
@@ -133,13 +131,11 @@ def so(p: int, q: int) -> RealFormDescriptor:
 
 
 def so_star(two_n: int) -> RealFormDescriptor:
-    if two_n % 2:
-        _fail(f"so*({two_n})")
-    return _build("so_star", two_n // 2)
+    return _SPELLINGS["so*", ("n",)](f"so*({two_n})", two_n)
 
 
 def sp_R(n: int) -> RealFormDescriptor:
-    return split_form(_simple("sp", n, 0, name=f"sp({n},R)"))  # complexifies as sp(n)
+    return _SPELLINGS["sp", ("n", "R")](f"sp({n},R)", n)
 
 
 def sp(p: int, q: int) -> RealFormDescriptor:
@@ -151,10 +147,11 @@ _FOLDED = {("su", 1, 1): split_form(RootSystemType("A", 1)),  # sl(2,R)
            ("so", 3, 1): complex_simple(RootSystemType("A", 1))}  # sl(2,C)
 
 
-def _build(kind: str, *params: int) -> RealFormDescriptor:
-    """``kind(params)`` if ``_simple``: ``_FOLDED`` of kind and the params in
-    descending order if it is there, else compact(T) if the last is 0."""
-    t = _simple(kind, *params)
+def _build(kind: str, *params: int, name: str | None = None) -> RealFormDescriptor:
+    """``kind(params)`` if ``_simple``, which names a refusal ``name``:
+    ``_FOLDED`` of kind and the params in descending order if it is there,
+    else compact(T) if the last is 0."""
+    t = _simple(kind, *params, name=name)
     key = (kind, *sorted(params, reverse=True))
     return _FOLDED.get(key) or (compact_form(t) if key[-1] == 0 else _made(*key))
 
@@ -236,29 +233,34 @@ _KINDS = {
 }
 
 
-# (name, argument shape) -> builder called with the arguments other than R
-# and H.  The shape has "n" for an integer, "T" for a type, and R or H itself.
+# (name, argument shape) -> builder called with the atom as written, which
+# a refusal names, and then the arguments other than R and H.  The shape
+# has "n" for an integer, "T" for a type, and R or H itself.  su(n), so(n)
+# and sp(n) are the pair with q = 0, sl(n,R) and sp(n,R) the split forms
+# of what su(n) and sp(n) complexify to.
 _SPELLINGS = {
-    ("su", ("n",)): lambda n: compact_form(_simple("su", n, 0, name=f"su({n})")),
-    ("su", ("n", "n")): su,
-    ("sl", ("n", "R")): sl_R,
-    ("sl", ("n", "H")): sl_H,
-    ("so", ("n",)): lambda n: compact_form(_simple("so", n, 0, name=f"so({n})")),
-    ("so", ("n", "n")): so,
-    ("so*", ("n",)): so_star,
-    ("sp", ("n",)): lambda n: compact_form(_simple("sp", n, 0, name=f"sp({n})")),
-    ("sp", ("n", "R")): sp_R,
-    ("sp", ("n", "n")): sp,
-    ("complex", ("T",)): complex_simple,
-    ("split", ("T",)): split_form,
-    ("compact", ("T",)): compact_form,
+    ("su", ("n",)): lambda name, n: _build("su", n, 0, name=name),
+    ("su", ("n", "n")): lambda name, p, q: _build("su", p, q, name=name),
+    ("sl", ("n", "R")): lambda name, n: split_form(_simple("su", n, 0, name=name)),
+    ("sl", ("n", "H")): lambda name, n: _build("sl_H", n, name=name),
+    ("so", ("n",)): lambda name, n: _build("so", n, 0, name=name),
+    ("so", ("n", "n")): lambda name, p, q: _build("so", p, q, name=name),
+    ("so*", ("n",)): lambda name, n: (_fail(name) if n % 2
+                                      else _build("so_star", n // 2, name=name)),
+    ("sp", ("n",)): lambda name, n: _build("sp", n, 0, name=name),
+    ("sp", ("n", "R")): lambda name, n: split_form(_simple("sp", n, 0, name=name)),
+    ("sp", ("n", "n")): lambda name, p, q: _build("sp", p, q, name=name),
+    ("complex", ("T",)): lambda name, t: complex_simple(t),
+    ("split", ("T",)): lambda name, t: split_form(t),
+    ("compact", ("T",)): lambda name, t: compact_form(t),
 }
 
 
 def spelled(name: str, args: list) -> RealFormDescriptor | None:
     """The descriptor ``name(args)`` spells in any case, so that
     ``spelled`` reads what ``str`` writes; None if no spelling of ``name``
-    takes arguments of this shape.  An exceptional label (E8, e08: as
+    takes arguments of this shape.  A refusal names the atom as written,
+    ``name`` in its own case.  An exceptional label (E8, e08: as
     ``RootSystemType.parse`` reads it) takes one integer, its signature."""
     shape = tuple("n" if isinstance(a, int) else "T" if isinstance(a, RootSystemType)
                   else a for a in args)
@@ -266,7 +268,8 @@ def spelled(name: str, args: list) -> RealFormDescriptor | None:
         t = RootSystemType.parse(name)
         return exceptional_form(t.family, t.rank, *args)
     builder = _SPELLINGS.get((name.lower(), shape))
-    return None if builder is None else builder(*(a for a in args if not isinstance(a, str)))
+    return None if builder is None else builder(
+        f"{name}({','.join(map(str, args))})", *(a for a in args if not isinstance(a, str)))
 
 
 def complexification_type(d: RealFormDescriptor) -> RootSystemType:
@@ -309,7 +312,7 @@ def nu_simple(d: RealFormDescriptor) -> NuResult:
     return NuResult(s, NuCase.REAL_FORM, s, cert)
 
 
-def catalog(bound: int = 8) -> Iterator[RealFormDescriptor]:
+def catalog(bound: int = 8):
     """Canonical descriptors with parameters bounded by ``bound``, each
     descriptor once.
 

@@ -16,7 +16,6 @@ G2 is A2 plus ±(2e_i - e_j - e_k).
 """
 
 import itertools
-from collections.abc import Iterable, Iterator
 
 from .errors import MAX_BUILD_RANK, MAX_DIGITS, InvalidType
 
@@ -42,7 +41,7 @@ _MATRICES = {"A": ("sl", 1, 1), "B": ("so", 2, 1), "C": ("sp", 2, 0), "D": ("so"
 _FAMILY_TABLE = {"A": 1, "B": 2, "C": 2, "D": 2, **{f: _CARDINALITY[f] for f in "EFG"}}
 
 
-def _ranks(family: str, max_rank: int) -> Iterable[int]:
+def _ranks(family: str, max_rank: int):
     """The valid ranks of ``family`` up to ``max_rank``, ascending."""
     ranks = _FAMILY_TABLE[family]
     if isinstance(ranks, int):
@@ -301,7 +300,7 @@ def build_root_system(t: RootSystemType) -> RootSystem:
     )
 
 
-def all_types(max_rank: int, include_flagged_d: bool = True) -> Iterator[RootSystemType]:
+def all_types(max_rank: int, include_flagged_d: bool = True):
     """All constructible types with rank <= max_rank, family by family in
     the order A-G; D2 and D3 only with ``include_flagged_d``."""
     for fam in _FAMILY_TABLE:

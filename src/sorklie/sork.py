@@ -37,7 +37,6 @@ the tests cross-check it against a generic full-graph solver and a
 brute-force oracle, which live in ``tests/oracle_utils.py``.
 """
 
-from collections.abc import Callable
 from operator import add, mul
 
 from .check import OrthCertificate, _check
@@ -133,9 +132,7 @@ def _closed_form(t: RootSystemType) -> OrthCertificate:
     return OrthCertificate(t, tuple(sorted(rows)))
 
 
-def orbit_clique_search(n: int, row: Callable[[int], tuple[int, int]],
-                        orbit: Callable[[int, int], int],
-                        limit: int) -> tuple[int, ...]:
+def orbit_clique_search(n: int, row, orbit, limit: int) -> tuple[int, ...]:
     """Lexicographically least maximum clique of a graph on the vertices
     0..n-1, as an increasing tuple, found by one branch-and-bound search
     that uses a group of automorphisms at every node.

@@ -17,8 +17,6 @@ m >= n, checked by ``AuditReport.add_bound`` with the recomputed m and n,
 never the encoded ones.
 """
 
-from collections.abc import Iterable, Iterator
-
 from .roots import RootSystemType, Value, all_types, matrix_rank, matrix_size, matrix_type
 from .sork import sork_formula
 
@@ -75,7 +73,8 @@ def _t(label: str) -> RootSystemType:
     return RootSystemType.parse(label)
 
 
-def _sork_sum(factors: Iterable[RootSystemType]) -> int:
+def _sork_sum(factors) -> int:
+    """The sum of sork over the root system types ``factors``."""
     return sum(sork_formula(f) for f in factors)
 
 
@@ -138,7 +137,7 @@ _TABLE2_M = {"A": lambda r: (r + 1) // 2, "B": lambda r: r, "C": lambda r: r,
              "D": lambda r: r if r % 2 == 0 else r - 1}
 
 
-def _table2_rows(family: str, r: int) -> Iterator[tuple]:
+def _table2_rows(family: str, r: int):
     """Yield (family label, row id, factors, encoded n or None) for ambient family_r."""
     dim = matrix_size(family, r)
     # dim(a_s): the divisors of dim, up to its square root where the smaller comes first

@@ -477,7 +477,7 @@ def argparse_parser() -> argparse.ArgumentParser:
     # --help shows the first two paragraphs: the summary and the exit codes.
     p = Parser(prog="sorklie", description="\n\n".join(cli.__doc__.split("\n\n")[:2]))
     sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
-    for command, (summary, positional, options, flags) in cli._GRAMMAR.items():
+    for command, (summary, positional, options, flags, _) in cli._GRAMMAR.items():
         sp = sub.add_parser(command, help=summary)
         if positional is not None:
             sp.add_argument(positional[0], help=positional[1])

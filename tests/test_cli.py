@@ -763,6 +763,23 @@ import json
 print(json.dumps(doc))
 """
 _UNWANTED = ("fractions", "dataclasses", "inspect")
+# Runs main(argv) in an interpreter started with -S, its stdout swapped for
+# a StringIO by hand (contextlib loads collections), then prints the exit
+# code and which of the modules that argv[2] names are loaded.
+_BARE = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+from sorklie.cli import main
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = main(sys.argv[3:])
+sys.stdout = stdout
+print(code, [m for m in sys.argv[2].split(",") if m in sys.modules])
+"""
+# no command needs these: the layers annotate without collections.abc or
+# typing, the package imports submodules with __import__, and cli names
+# SimpleNamespace without types
+_BARE_UNWANTED = ("collections", "importlib", "warnings", "types", "typing", "enum",
+                  "re", "functools", "dataclasses", "inspect", "argparse", "json")
 # loaded by argparse, which no command line needs: help and usage errors
 # are rendered by cli._parse
 _PARSER_MODULES = ("argparse", "gettext", "locale", "textwrap")
@@ -803,16 +820,28 @@ class TestImportLayering:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == str(["sorklie.check", "sorklie.errors", "sorklie.roots"]) + "\n"
 
-    def test_layers_import_no_typing_without_site(self):
-        # site may import typing or enum itself; with -S only the layers could
+    # site may import any of these itself; with -S only the package could
+    @pytest.mark.parametrize("argv,code", [
+        (["sork", "B12", "--json", "--certificate"], EXIT_OK),
+        (["nu", "su(2,1) x E7(-25)", "--json", "--certificate"], EXIT_OK),
+        (["certify", "B12.json"], EXIT_OK),
+        (["verify-tables", "--rank-cap", "8"], EXIT_OK),
+        (["verify-kronecker", "--max-size", "2"], EXIT_OK),
+        (["dump-roots", "E8"], EXIT_OK),
+        (["--help"], EXIT_OK),
+        (["sork"], EXIT_USAGE),
+    ], ids=["sork", "nu", "certify", "verify-tables", "verify-kronecker", "dump-roots",
+            "help", "usage-error"])
+    def test_command_without_site_loads_no_unneeded_stdlib(self, argv, code, tmp_path,
+                                                           capsys):
+        if argv[0] == "certify":  # a certificate that sork wrote
+            assert main(["sork", "B12", "--json", "--certificate"]) == EXIT_OK
+            (tmp_path / argv[1]).write_text(capsys.readouterr().out)
         src = str(Path(cli.__file__).parents[1])
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import sorklie.cli, "
-                "sorklie.groups, sorklie.tables, sorklie.matrixcheck; "
-                "print([m for m in ('typing', 'dataclasses', 'inspect', 'enum') "
-                "if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-S", "-c", code, src],
-                              capture_output=True, text=True, timeout=30)
-        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _BARE, src, ",".join(_BARE_UNWANTED), *argv],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert proc.stdout == f"{code} []\n", proc.stderr
 
 
 # Unrestricted text: controls, DEL, non-BMP characters and lone surrogates.

@@ -137,22 +137,24 @@ class TestNormalization:
 
     def test_every_refusal_names_the_atom_as_written(self):
         # every spelling of sizes, each size from -1 to 16, with R or H as
-        # its shape has them
+        # its shape has them, and each name in lower, upper and mixed case
         refused = set()
         for name, shape in realforms._SPELLINGS:
             if "T" in shape:
                 continue
-            for sizes in itertools.product(range(-1, 17), repeat=shape.count("n")):
-                given = iter(sizes)
-                args = [str(next(given)) if a == "n" else a for a in shape]
-                atom = f"{name}({','.join(args)})"
-                try:
-                    parse_group_expr(atom)
-                except InvalidRealForm as err:
-                    assert str(err).startswith(f"{atom} "), str(err)
-                    refused.add(atom)
+            for written in (name, name.upper(), name[0].upper() + name[1:]):
+                for sizes in itertools.product(range(-1, 17), repeat=shape.count("n")):
+                    given = iter(sizes)
+                    args = [str(next(given)) if a == "n" else a for a in shape]
+                    atom = f"{written}({','.join(args)})"
+                    try:
+                        parse_group_expr(atom)
+                    except InvalidRealForm as err:
+                        assert str(err).startswith(f"{atom} "), str(err)
+                        refused.add(atom)
         assert {"su(1)", "so(4)", "sp(0)", "so(2)", "su(-1)", "so(0,4)", "sl(1,R)",
-                "sl(0,H)", "so*(7)", "sp(0,R)"} <= refused
+                "sl(0,H)", "so*(7)", "sp(0,R)", "SO(4)", "SU(1,0)", "Sl(1,R)",
+                "SO*(7)", "Sp(0)"} <= refused
 
 
 PAIR_CONSTRUCTORS = (su, so, sp)
