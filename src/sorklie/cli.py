@@ -359,13 +359,13 @@ def _cmd_sork(args) -> int:
 
     t = RootSystemType.parse(args.type)
     phi = build_root_system(t)
-    n, cert = sork_exact(phi)
+    cert = sork_exact(phi)
     assert_valid(cert, phi)
     if args.json:
         print(_dumps(cert.to_json_dict() if args.certificate
-                     else {"system_type": str(t), "n": n}))
+                     else {"system_type": str(t), "n": len(cert.roots)}))
     else:
-        print(f"sork({t}) = {n}")
+        print(f"sork({t}) = {len(cert.roots)}")
         if args.certificate:
             print(_dumps(cert.to_json_dict()))
     return EXIT_OK

@@ -30,7 +30,10 @@ complexification from ``sork.canonical_certificate``, verified once per
 type per process by the checker in ``check`` against the one root system
 it was found on, and reads the strong orthogonal rank as its size.  For A,
 B, C and D the certificate is a closed form and no clique search runs; for
-E, F and G it comes from the exact search.
+E, F and G it comes from the exact search.  ``NuResult`` holds ν, its case
+and that certificate, uncut in every case: it proves sork(g ⊗ C) >= its
+size, and for so(p,q) with p and q odd its orbits under the conjugation σ
+of the real form number ν.
 """
 
 from .check import OrthCertificate
@@ -78,10 +81,9 @@ class RealFormDescriptor(Value):
 
 
 class NuResult(Value):
-    __slots__ = ("nu", "case", "sork_of_complexification", "certificate")
+    __slots__ = ("nu", "case", "certificate")
     nu: int
     case: str
-    sork_of_complexification: int
     certificate: OrthCertificate
 
 
@@ -297,19 +299,17 @@ def nu_simple(d: RealFormDescriptor) -> NuResult:
     its canonical certificate, which is a closed form for A, B, C and D, so
     no clique search runs; for E, F and G the exact search finds it.
     ``canonical_certificate`` verifies it once per type per process,
-    against the one root system it was found on, in O(s^2) pairs.  What
-    ``nu --certificate`` prints is that set, strongly orthogonal in g ⊗ C,
-    so sork(g ⊗ C) >= its size, or for the so(p,q) exception its first ν
-    roots, no witness in the real form (so(5,3)'s give 2 factors there, not 3).
+    against the one root system it was found on, in O(s^2) pairs.  ν is s,
+    or s - 1 in the so(p,q) exception.  The certificate is that set in
+    every case: strongly orthogonal in g ⊗ C, so sork(g ⊗ C) >= s.  For
+    so(p,q) with p and q odd it is also stable under the conjugation σ of
+    the real form, taken as -τ₀ with τ₀ the negation of the first
+    coordinate, and its σ-orbits number ν.
     """
     cert = canonical_certificate(complexification_type(d))
-    s = len(cert.roots)
-    if d.kind == "complex":
-        return NuResult(s, NuCase.COMPLEX_STRUCTURE, s, cert)
-    if is_sopq_exception(d):
-        reduced = OrthCertificate(cert.system_type, cert.roots[: s - 1])
-        return NuResult(s - 1, NuCase.SOPQ_EXCEPTION, s, reduced)
-    return NuResult(s, NuCase.REAL_FORM, s, cert)
+    case = (NuCase.COMPLEX_STRUCTURE if d.kind == "complex"
+            else NuCase.SOPQ_EXCEPTION if is_sopq_exception(d) else NuCase.REAL_FORM)
+    return NuResult(len(cert.roots) - (case == NuCase.SOPQ_EXCEPTION), case, cert)
 
 
 def catalog(bound: int = 8):

@@ -30,8 +30,8 @@ a root and its negative) and whose edges join strongly orthogonal pairs.
   independent), so a greedy path that reaches it ends the search.
 
 Branching in ascending order makes the first maximum clique found the
-lexicographically least, so the same search returns the clique number and
-the canonical certificate.  It answers every rank that
+lexicographically least, so the search returns the canonical certificate
+alone, and its size is the clique number.  It answers every rank that
 ``build_root_system`` builds.  This is the package's only clique search;
 the tests cross-check it against a generic full-graph solver and a
 brute-force oracle, which live in ``tests/oracle_utils.py``.
@@ -78,7 +78,7 @@ def canonical_certificate(t: RootSystemType) -> OrthCertificate:
     """
     if t not in _CANONICAL:
         phi = build_root_system(t)
-        cert = _closed_form(t) if t.family in "ABCD" else sork_exact(phi)[1]
+        cert = _closed_form(t) if t.family in "ABCD" else sork_exact(phi)
         assert_valid(cert, phi)
         if t.family in "ABCD" and len(cert.roots) != sork_formula(t):
             raise AssertionError(f"certificate bug: the canonical certificate of {t} "
@@ -291,12 +291,14 @@ class LazyRootGraph:
         return component & self._lengths[self._norms[v]]
 
 
-def sork_exact(phi: RootSystem) -> tuple[int, OrthCertificate]:
-    """Exact strong orthogonal rank of ``phi`` with a canonical witnessing
-    certificate, by :func:`orbit_clique_search`.  Every buildable rank is
-    answered."""
+def sork_exact(phi: RootSystem) -> OrthCertificate:
+    """The canonical certificate of ``phi``, found by
+    :func:`orbit_clique_search`: the lexicographically least maximum
+    strongly orthogonal set, which proves sork >= its size, and whose size
+    the search shows is the exact strong orthogonal rank.  Every buildable
+    rank is answered."""
     graph = LazyRootGraph(phi)
     # Strongly orthogonal roots are nonzero and pairwise orthogonal, hence
     # linearly independent: no clique exceeds the rank.
     clique = orbit_clique_search(len(graph.reps), graph.row, graph.orbit, phi.type.rank)
-    return len(clique), OrthCertificate(phi.type, tuple(graph.reps[v] for v in clique))
+    return OrthCertificate(phi.type, tuple(graph.reps[v] for v in clique))

@@ -6,8 +6,9 @@ clique solver (greedy colouring bound, lex-min probes), exact
 ``inner_product`` raises, Bourbaki's simple roots of every type, pinned,
 and the ``Fraction`` coefficients of a root in them, a root membership
 check with its ``MembershipError``, the closed-subsystem predicate, the
-(A1)^n subsystem of a certificate, the rank-one catalog of the
-acceptance criteria, the dimension, complex rank and Killing signature
+(A1)^n subsystem of a certificate, the σ-orbits of a certificate of D_n
+under the conjugation of so(p,q) with p and q odd, the rank-one catalog of
+the acceptance criteria, the dimension, complex rank and Killing signature
 of each real form by arithmetic, the failed entries of an audit report,
 which matrix algebras are simple, by size, a Table 2 row enumerator that
 solves each family's dimension relation by hand, the ``argparse`` parser
@@ -224,6 +225,31 @@ def a1n_subsystem(cert: OrthCertificate) -> frozenset[tuple[int, ...]]:
         out.add(r)
         out.add(neg(r))
     return frozenset(out)
+
+
+def sigma_orbits(roots: Iterable[Sequence[int]]) -> int | None:
+    """Number of orbits of σ on the antipodal classes {v, -v} of ``roots``,
+    or None if σ does not map the set of classes to itself.
+
+    σ[v] is [τ₀ v], τ₀ the negation of coordinate 0.  For so(p,q) with p
+    and q odd the conjugation of the real form acts on the roots of D_n as
+    the negation of the diagram automorphism τ_last, which negates the last
+    coordinate.  The transposition of coordinates 0 and n - 1 lies in
+    W(D_n) and conjugates τ_last to τ₀, so a set S is σ-stable with k
+    orbits under one involution exactly when its image under that
+    transposition is, with k orbits, under the other.  Coordinate 0 fits
+    the canonical certificate, which pairs coordinates from the back, so
+    coordinate 0 lies in a pair exactly when n is even; negating the last
+    coordinate of that same set instead gives 3 orbits on D5, where ν is 4.
+    """
+    def cls(v):
+        return max(tuple(v), neg(tuple(v)))
+
+    classes = {cls(v) for v in roots}
+    image = {v: cls((-v[0], *v[1:])) for v in classes}
+    if not set(image.values()) <= classes:
+        return None
+    return sum(1 for v in classes if v <= image[v])
 
 
 class DimensionError(SorklieError, ValueError):

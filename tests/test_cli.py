@@ -61,7 +61,7 @@ class TestSork:
         # e_2 - e_3 and e_1 - e_2 of A3, sorted, but not even orthogonal
         pair = ((0, 2, -2, 0), (2, -2, 0, 0))
         monkeypatch.setattr(sork, "sork_exact",
-                            lambda phi: (2, OrthCertificate(phi.type, pair)))
+                            lambda phi: OrthCertificate(phi.type, pair))
         with pytest.raises(AssertionError,
                            match="certificate bug: .* A3 .*NotStronglyOrthogonal"):
             main(["sork", "A3", "--certificate"])

@@ -7,7 +7,12 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import dim_rank_signature, matrix_algebra_is_simple, nu_one_catalog
+from oracle_utils import (
+    dim_rank_signature,
+    matrix_algebra_is_simple,
+    nu_one_catalog,
+    sigma_orbits,
+)
 
 from sorklie import (
     InvalidRealForm,
@@ -17,6 +22,7 @@ from sorklie import (
     SimpleLie,
     all_types,
     build_root_system,
+    canonical_certificate,
     compact_form,
     complex_simple,
     complexification_type,
@@ -37,6 +43,7 @@ from sorklie import (
     verify_certificate,
 )
 from sorklie import realforms, roots, sork
+from sorklie.check import check_document
 from sorklie.cli import main
 from sorklie.realforms import catalog
 
@@ -224,8 +231,10 @@ def test_every_descriptor_reparses_to_itself():
 
 
 # sha256 over `nu` stdout and exit code for each sorted catalog(12)
-# descriptor in all four flag sets, taken before the kinds became one table.
-_NU_CATALOG_SHA256 = "bca6f26431c7566324f8c119faa406a46e4fa86d6951ed84376594faf282b581"
+# descriptor in all four flag sets, taken when the so(p,q) exception's
+# certificate became the uncut canonical set; a diff against the output
+# before showed only the --certificate outputs of its 5 descriptors here.
+_NU_CATALOG_SHA256 = "bf7d9c90fb25b14985b8ab4c63cf81c13b1eac3b33592bb604ad22e8d55d3995"
 
 
 def test_nu_output_over_the_catalog_is_pinned(capsys):
@@ -306,12 +315,31 @@ class TestSopqException:
     def test_nu_drops_by_one(self):
         res = nu_simple(so(3, 5))
         assert res.case == NuCase.SOPQ_EXCEPTION
-        assert res.nu == res.sork_of_complexification - 1 == 3
+        assert res.nu == len(res.certificate.roots) - 1 == 3
 
-    def test_truncated_certificate_still_verifies(self):
+    def test_certificate_is_the_uncut_canonical_set(self):
         res = nu_simple(so(7, 1))
-        assert len(res.certificate.roots) == res.nu == 3
+        assert res.certificate == canonical_certificate(_t("D4"))
+        assert len(res.certificate.roots) == res.nu + 1 == 4
         assert verify_certificate(res.certificate)
+
+
+def test_so_pq_odd_certificate_is_canonical_and_has_nu_sigma_orbits(capsys):
+    """For so(p,q) with p and q odd, the factor certificate that ``nu``
+    prints is the canonical certificate of the complexification, and its
+    orbits under the real form's conjugation number ν; the first ν roots
+    that ``nu`` once printed for so(5,3) are not even σ-stable."""
+    odd = [d for d in catalog(12)
+           if d.kind == "so" and d.params[0] % 2 == d.params[1] % 2 == 1]
+    assert len(odd) == 10 and sum(map(is_sopq_exception, odd)) == 5
+    for d in odd + [so(65, 63), so(125, 3), so(63, 3)]:
+        assert main(["nu", str(d), "--json", "--certificate"]) == 0
+        (factor,) = json.loads(capsys.readouterr().out)["factors"]
+        cert, verdict = check_document(factor["certificate"])
+        assert verdict, d
+        assert cert == canonical_certificate(complexification_type(d)), d
+        assert sigma_orbits(cert.roots) == factor["nu"], d
+    assert sigma_orbits([[0, 0, 2, -2], [0, 0, 2, 2], [2, -2, 0, 0]]) is None
 
 
 class TestSignatureOracle:
@@ -339,7 +367,7 @@ class TestSignatureOracle:
             k, odd = divmod(n - sigma, 2)
             odd_square = not odd and k % 2 == 1 and math.isqrt(k) ** 2 == k
             res = nu_simple(d)
-            assert (res.nu == res.sork_of_complexification - 1) \
+            assert (res.nu == len(res.certificate.roots) - 1) \
                 == is_sopq_exception(d) == (n % 2 == 0 and odd_square), d
             seen += is_sopq_exception(d)
         assert seen > 0
@@ -385,8 +413,8 @@ class TestNuSimple:
                 if p + q == 4 and (p, q) != (3, 1):
                     continue
                 res = nu_simple(so(p, q))
-                assert res.nu <= res.sork_of_complexification
-                assert res.nu >= res.sork_of_complexification - 1
+                assert res.nu <= len(res.certificate.roots)
+                assert res.nu >= len(res.certificate.roots) - 1
 
 
 class TestCatalog:
@@ -455,7 +483,7 @@ class TestClosedFormNuPath:
         # A-D have closed forms; E, F and G are searched
         for d in _family_in("ABCD"):
             res = nu_simple(d)
-            assert len(res.certificate.roots) == res.nu
+            assert len(res.certificate.roots) == res.nu + (res.case == NuCase.SOPQ_EXCEPTION)
 
     def test_each_exceptional_type_is_searched_once(self, monkeypatch):
         graph, built = sork.LazyRootGraph, []
@@ -494,11 +522,7 @@ class TestClosedFormNuPath:
     @pytest.mark.parametrize("d", list(catalog(8)), ids=str)
     def test_certificate_equals_exact_search(self, d):
         res = nu_simple(d)
-        _, exact = sork_exact(build_root_system(complexification_type(d)))
-        if res.case == NuCase.SOPQ_EXCEPTION:
-            exact = OrthCertificate(exact.system_type,
-                                    exact.roots[: res.sork_of_complexification - 1])
-        assert res.certificate == exact
+        assert res.certificate == sork_exact(build_root_system(complexification_type(d)))
 
     @pytest.mark.parametrize("seam, label, broken", [
         ("_closed_form", "D6",
@@ -506,8 +530,7 @@ class TestClosedFormNuPath:
         ("_closed_form", "D6",
          lambda cert: OrthCertificate(cert.system_type, cert.roots[::-1])),
         ("sork_exact", "E8",
-         lambda found: (found[0], OrthCertificate(found[1].system_type,
-                                                  found[1].roots[::-1]))),
+         lambda found: OrthCertificate(found.system_type, found.roots[::-1])),
     ], ids=["too_short", "not_canonical", "exact_search_not_canonical"])
     def test_broken_certificate_is_an_explicit_error(self, monkeypatch, seam,
                                                      label, broken):
